@@ -90,26 +90,15 @@ class DofPartition:
         full[self.free_nodes] = a_free
         return full
 
-    def split_free(self, a_free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a_perm = a_free[self.perm]
-        return a_perm[: self.n_c], a_perm[self.n_c:]
-
-    def free_from_parts(self, a_c: np.ndarray, a_n: np.ndarray) -> np.ndarray:
-        a_free = np.zeros(self.n_free)
-        a_free[self.perm] = np.concatenate([a_c, a_n])
-        return a_free
-
 
 @dataclass
 class SystemBlocks:
-    """Blocks of the permuted system. element_b2 caches the per-element B^2
-    at which K_cc was assembled."""
+    """Blocks of the permuted system."""
 
     M_cc: SparseMatrix
     K_cc: SparseMatrix
     K_cn: SparseMatrix
     K_nn: SparseMatrix
-    element_b2: np.ndarray | None = None
     _K_nc: SparseMatrix | None = None
 
     @property
@@ -274,8 +263,7 @@ def partition(mesh: Mesh2D) -> DofPartition:
     return DofPartition(free_nodes, perm, int(order_c.size), int(order_n.size))
 
 
-def extract_blocks(M: SparseMatrix, K: SparseMatrix, p: DofPartition,
-                   element_b2: np.ndarray | None = None) -> SystemBlocks:
+def extract_blocks(M: SparseMatrix, K: SparseMatrix, p: DofPartition) -> SystemBlocks:
     """Slice the permuted blocks M_cc, K_cc, K_cn, K_nn out of M and K."""
     if M.shape != (p.n_free, p.n_free) or K.shape != (p.n_free, p.n_free):
         raise AssemblyError(
@@ -288,7 +276,7 @@ def extract_blocks(M: SparseMatrix, K: SparseMatrix, p: DofPartition,
     K_cn = SparseMatrix(Ks[idx_c][:, idx_n])
     K_nn = SparseMatrix(Ks[idx_n][:, idx_n])
     M_cc = SparseMatrix(Ms[idx_c][:, idx_c])
-    return SystemBlocks(M_cc, K_cc, K_cn, K_nn, element_b2)
+    return SystemBlocks(M_cc, K_cc, K_cn, K_nn)
 
 
 def coil_elements(mesh: Mesh2D, coil_id: int) -> np.ndarray:

@@ -87,14 +87,14 @@ def cmd_bench_startvec(args) -> int:
         results[strategy] = run_explicit(problem, scenario.source, scenario.t_end, opts)
 
     os.makedirs(args.out, exist_ok=True)
-    header = ("strategy,mean_iter_schur_apply,mean_iter_source_term,mean_iter_recovery,"
+    header = ("strategy,mean_iter_source_term,mean_iter_recovery,"
               "mean_iter_overall,total_iterations,wall_time_s\n")
     lines = [header]
     for strategy, res in results.items():
         st = res.stats
         lines.append(
-            f"{strategy},{st.mean_iterations('schur_apply')!r},"
-            f"{st.mean_iterations('source_term')!r},{st.mean_iterations('recovery')!r},"
+            f"{strategy},{st.mean_iterations('source_term')!r},"
+            f"{st.mean_iterations('recovery')!r},"
             f"{st.mean_iterations()!r},{st.total_iterations},{res.wall_time!r}\n"
         )
         _write_result(res, args.out, f"result_{strategy}")
@@ -156,7 +156,7 @@ def cmd_cfl(args) -> int:
     from .schur import SchurContext
 
     ctx = SchurContext(problem.blocks, tol=opts.pcg_tol, max_iter=opts.pcg_max_iter,
-                       strategy="previous", combined_recovery=opts.combined_recovery)
+                       strategy="previous")
     mcc = MccSolver(problem.blocks.M_cc, opts.mcc_mode, opts.mcc_tol)
     state = new_state(problem)
     dt_cfl = estimate_cfl(state, problem.blocks, ctx, mcc, opts)
@@ -210,10 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("EDDY2D_THREADS")
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

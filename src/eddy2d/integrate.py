@@ -4,13 +4,20 @@ Explicit Euler on the Schur-complement ODE:
 
     a_c^m = a_c^{m-1} + dt * M_cc^-1 [ -K_cn pinv(K_nn) j_sn^m
                                        - (K_cc(a_c^l) - K_S) a_c^{m-1} ],
-    a_n^m = pinv(K_nn) (j_sn^m - K_cn^T a_c^m),
+    a_n^m = pinv(K_nn) (j_sn^m - K_cn^T a_c^m).
 
-stable for dt <= 2 / lambda_max(M_cc^-1 (K_cc - K_S)), with lambda_max
-estimated numerically by power iteration (the h^2*kappa*mu heuristic is not
-sharp). K_cc is rebuilt only when the conducting solution has drifted from
-the state of the last rebuild by more than tol_update in relative l2 norm;
-a rebuild re-estimates lambda_max and may shrink dt (never grow it mid-run).
+Since a_n^{m-1} = pinv(K_nn) (j_sn^{m-1} - K_cn^T a_c^{m-1}) is kept from
+the previous step, the source and Schur terms of the bracket collapse to
+
+    -K_cn pinv(K_nn) (j_sn^m - j_sn^{m-1}) - K_cn a_n^{m-1},
+
+so a step makes two K_nn solves: the source increment and the recovery of
+a_n^m. The scheme is stable for dt <= 2 / lambda_max(M_cc^-1 (K_cc - K_S)),
+with lambda_max estimated numerically by power iteration (the
+h^2*kappa*mu heuristic is not sharp). K_cc is rebuilt only when the
+conducting solution has drifted from the state of the last rebuild by more
+than tol_update in relative l2 norm; a rebuild re-estimates lambda_max and
+may shrink dt (never grow it mid-run).
 
 The implicit Euler / Newton-Raphson path on the full DAE serves as the
 accuracy reference; it is unconditionally stable and reassembles the
@@ -65,7 +72,6 @@ class SolverOptions:
     seed: int = 1234
     output_every: int = 1
     dt_override: float | None = None
-    combined_recovery: bool = True
     snapshot_every: int | None = None
     newton_tol: float = 1e-8
     newton_max_iter: int = 25
@@ -95,7 +101,7 @@ def discretize(mesh: Mesh2D, materials: MaterialTable,
                probe_id: int | None = None) -> AssembledProblem:
     M, K = assemble(mesh, materials, None)
     part = partition(mesh)
-    blocks = extract_blocks(M, K, part, np.zeros(mesh.n_elements))
+    blocks = extract_blocks(M, K, part)
 
     # DAE structure: the mass matrix must not couple nonconducting DoFs
     Ms = M.scipy()
@@ -162,14 +168,20 @@ class MccSolver:
 @dataclass
 class SolverState:
     """Mutable time-stepper state. K_cc_current is always the stiffness block
-    assembled at a_c_last_update."""
+    assembled at a_c_last_update; j_sn is the source of the last step.
+
+    Invariant: a_n = pinv(K_nn) (j_sn - K_cn^T a_c) to PCG tolerance.
+    new_state starts consistent (all zero) and every explicit_step restores
+    it; the step relies on it for its Schur term. A caller that overwrites
+    a_c alone leaves it broken for one step, which then uses K_cc in place
+    of K_cc - K_S."""
 
     t: float
     a_c: np.ndarray
     a_n: np.ndarray
     a_c_last_update: np.ndarray
     K_cc_current: SparseMatrix
-    element_b2: np.ndarray
+    j_sn: np.ndarray
     dt: float = 0.0
     lam_max: float = 0.0
     lam_vec: np.ndarray | None = None
@@ -185,7 +197,7 @@ def new_state(problem: AssembledProblem) -> SolverState:
         a_n=np.zeros(nn),
         a_c_last_update=np.zeros(nc),
         K_cc_current=problem.blocks.K_cc,
-        element_b2=np.zeros(problem.mesh.n_elements),
+        j_sn=np.zeros(nn),
     )
 
 
@@ -221,10 +233,11 @@ def estimate_cfl(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurConte
 def explicit_step(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurContext,
                   mcc_solver: MccSolver, j_sn: np.ndarray) -> SolverState:
     """One explicit Euler step; j_sn is the source at the new time t + dt.
-    Uses K_cc_current (the selective-update substitute for K_cc(a_c^{m-1}))."""
-    bracket = schur_rhs(schur_ctx, j_sn) \
-        - state.K_cc_current.matvec(state.a_c) \
-        + apply_ks(schur_ctx, state.a_c)
+    Uses K_cc_current (the selective-update substitute for K_cc(a_c^{m-1}))
+    and the a_n invariant of SolverState in place of a K_S apply."""
+    bracket = schur_rhs(schur_ctx, j_sn - state.j_sn) \
+        - blocks.K_cn.matvec(state.a_n) \
+        - state.K_cc_current.matvec(state.a_c)
     state.a_c = state.a_c + state.dt * mcc_solver.solve(bracket)
     norm = float(np.linalg.norm(state.a_c))
     # the 1e30 guard trips growing modes long before anything physical gets
@@ -236,6 +249,7 @@ def explicit_step(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurCont
             t=state.t + state.dt, dt=state.dt,
         )
     state.a_n = recover_an(schur_ctx, state.a_c, j_sn)
+    state.j_sn = j_sn
     state.t += state.dt
     state.step_count += 1
     return state
@@ -256,11 +270,8 @@ def maybe_update_kcc(state: SolverState, problem: AssembledProblem,
     if not trigger:
         return state, False
     a_full = problem.part.to_full(state.a_c, state.a_n, problem.mesh.n_nodes)
-    b2 = compute_b2(problem.mesh, a_full)
     _, K = assemble(problem.mesh, problem.materials, a_full)
-    new_blocks = extract_blocks(problem.M_red, K, problem.part, b2)
-    state.K_cc_current = new_blocks.K_cc
-    state.element_b2 = b2
+    state.K_cc_current = extract_blocks(problem.M_red, K, problem.part).K_cc
     state.a_c_last_update = state.a_c.copy()
     state.update_count += 1
     return state, True
@@ -354,8 +365,7 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
     blocks = problem.blocks
     ctx = SchurContext(blocks, tol=opts.pcg_tol, max_iter=opts.pcg_max_iter,
                        strategy=opts.strategy, cspe_window=opts.cspe_window,
-                       pod_window=opts.pod_window, tol_pod=opts.tol_pod,
-                       combined_recovery=opts.combined_recovery)
+                       pod_window=opts.pod_window, tol_pod=opts.tol_pod)
     mcc = MccSolver(blocks.M_cc, opts.mcc_mode, opts.mcc_tol)
     state = new_state(problem)
 

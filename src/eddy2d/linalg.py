@@ -122,10 +122,6 @@ class LinearOperator:
             raise ValueError("operator requires a square matrix")
         return LinearOperator(A.nrows, A.matvec, A.diagonal())
 
-    @staticmethod
-    def identity(n: int) -> "LinearOperator":
-        return LinearOperator(n, lambda x: np.array(x, dtype=float), np.ones(n))
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):

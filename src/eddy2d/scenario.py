@@ -26,7 +26,7 @@ _SOURCE_KEYS = {"coil", "i_max", "tau", "turns"}
 _SOLVER_KEYS = {
     "pcg_tol", "pcg_max_iter", "strategy", "cspe_window", "pod_window", "tol_pod",
     "tol_update", "safety", "mcc_mode", "mcc_tol", "power_tol", "power_max_iter",
-    "seed", "output_every", "dt_override", "combined_recovery", "snapshot_every",
+    "seed", "output_every", "dt_override", "snapshot_every",
     "newton_tol", "newton_max_iter",
 }
 _TOP_KEYS = {"mesh", "materials", "source", "probe", "t_end", "solver"}

@@ -10,9 +10,12 @@ pseudo-inverse of K_nn turns the DAE into an ODE for the conducting DoFs:
 
 K_S is never assembled; every use is an operator application backed by a
 PCG solve on K_nn. Those solves share one constant matrix, so each solve
-purpose (Schur apply, source term, a_n recovery) keeps its own recycling
-history: histories from different right-hand-side families would be poor
-extrapolation data for each other.
+purpose keeps its own recycling history: histories from different
+right-hand-side families would be poor extrapolation data for each other.
+The time stepper makes two solves per step, ``source_term`` (the source
+increment, see ``integrate.explicit_step``) and ``recovery`` (a_n);
+``schur_apply`` is left to K_S applications, which only the lambda_max
+estimate makes.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import numpy as np
 
 from .assembly import SystemBlocks
 from .errors import Ic0Breakdown, SolverError
-from .linalg import LinearOperator, jacobi_preconditioner, ic0_preconditioner, pcg
+from .linalg import jacobi_preconditioner, ic0_preconditioner, pcg
 from .startvec import make_provider
 
 PURPOSES = ("schur_apply", "source_term", "recovery")
@@ -90,12 +93,11 @@ class SchurContext:
     def __init__(self, blocks: SystemBlocks, tol: float = 1e-6,
                  max_iter: int | None = None, strategy: str = "previous",
                  cspe_window: int = 5, pod_window: int = 10, tol_pod: float = 1e4,
-                 combined_recovery: bool = True, preconditioner=None):
+                 preconditioner=None):
         self.blocks = blocks
         self.tol = tol
         self.max_iter = max_iter
         self.strategy = strategy
-        self.combined_recovery = combined_recovery
         self.precond = preconditioner if preconditioner is not None \
             else knn_preconditioner(blocks)
         self._provider_args = dict(cspe_window=cspe_window, pod_window=pod_window,
@@ -118,8 +120,7 @@ class SchurContext:
         if self._estimation is None:
             self._estimation = SchurContext(
                 self.blocks, tol=self.tol, max_iter=self.max_iter,
-                strategy="previous", combined_recovery=self.combined_recovery,
-                preconditioner=self.precond)
+                strategy="previous", preconditioner=self.precond)
         return self._estimation
 
 
@@ -170,22 +171,7 @@ def schur_rhs(ctx: SchurContext, j_sn: np.ndarray) -> np.ndarray:
 
 
 def recover_an(ctx: SchurContext, a_c: np.ndarray, j_sn: np.ndarray) -> np.ndarray:
-    """a_n = pinv(K_nn) j_sn - pinv(K_nn) K_cn^T a_c.
-
-    By default the two terms are combined into one solve on
-    (j_sn - K_cn^T a_c); the literal two-solve form is available for
-    verification via ``combined_recovery=False`` (results agree by
-    linearity within solver tolerance).
-    """
+    """a_n = pinv(K_nn) (j_sn - K_cn^T a_c), in one solve."""
     a_c = np.asarray(a_c, dtype=float)
     j_sn = np.asarray(j_sn, dtype=float)
-    if ctx.combined_recovery:
-        return solve_knn(ctx, j_sn - ctx.blocks.K_nc.matvec(a_c), "recovery")
-    x1 = solve_knn(ctx, j_sn, "recovery")
-    x2 = solve_knn(ctx, ctx.blocks.K_nc.matvec(a_c), "recovery")
-    return x1 - x2
-
-
-def ks_operator(ctx: SchurContext) -> LinearOperator:
-    """K_S as a LinearOperator on the conducting DoFs."""
-    return LinearOperator(ctx.blocks.n_c, lambda x: apply_ks(ctx, x))
+    return solve_knn(ctx, j_sn - ctx.blocks.K_nc.matvec(a_c), "recovery")

@@ -116,7 +116,8 @@ def test_bench_startvec_orderings(nonlinear_config_path, tmp_path):
     assert main(["bench-startvec", "--config", nonlinear_config_path,
                  "--strategies", "previous,cspe,pod", "--out", out]) == EXIT_OK
     header, rows = read_csv(os.path.join(out, "bench_startvec.csv"))
-    mean = {r[0]: float(r[4]) for r in rows}
+    col = header.index("mean_iter_overall")
+    mean = {r[0]: float(r[col]) for r in rows}
     assert mean["cspe"] <= mean["previous"]
     assert mean["pod"] <= mean["previous"]
     # per-strategy result files exist

@@ -133,10 +133,12 @@ def test_explicit_step_zero_equilibrium(mini_problem):
 
 
 def test_explicit_step_matches_dense_oracle(mini_problem):
-    # one full step of the update formula, evaluated densely
+    # one full step of the update formula, evaluated densely, from a state
+    # that satisfies the a_n invariant for (a_c, j_prev)
     blocks = mini_problem.blocks
     rng = np.random.default_rng(7)
     a_c = rng.standard_normal(mini_problem.part.n_c) * 1e-3
+    j_prev = rng.standard_normal(mini_problem.part.n_n) * 1e-2
     j_sn = rng.standard_normal(mini_problem.part.n_n) * 1e-2
     dt = 1e-4
 
@@ -153,10 +155,45 @@ def test_explicit_step_matches_dense_oracle(mini_problem):
     mcc = MccSolver(blocks.M_cc, "pcg", tol=1e-13)
     state = new_state(mini_problem)
     state.a_c = a_c.copy()
+    state.a_n = np.linalg.solve(Knn, j_prev - Kcn.T @ a_c)
+    state.j_sn = j_prev
     state.dt = dt
     explicit_step(state, blocks, ctx, mcc, j_sn)
     assert np.linalg.norm(state.a_c - a_c_ref) <= 1e-9 * max(np.linalg.norm(a_c_ref), 1e-12)
     assert np.linalg.norm(state.a_n - a_n_ref) <= 1e-8 * max(np.linalg.norm(a_n_ref), 1e-12)
+
+
+def test_explicit_steps_match_dense_recurrence(mini_problem, mini_source):
+    # ramped source from the zero state: the two-solve step reproduces the
+    # dense source / Schur-apply / recovery recurrence, one solve per family
+    from eddy2d.assembly import source_pattern
+    blocks = mini_problem.blocks
+    pat = source_pattern(mini_problem.mesh, mini_source, mini_problem.part)
+    Minv = np.linalg.inv(blocks.M_cc.toarray())
+    Knn = blocks.K_nn.toarray()
+    Kcn = blocks.K_cn.toarray()
+    A = blocks.K_cc.toarray() - dense_kS(blocks)
+    dt = 0.5 * 2.0 / dense_lambda_max(mini_problem)
+
+    ctx = make_ctx(mini_problem, tol=1e-10)
+    mcc = MccSolver(blocks.M_cc, "pcg", tol=1e-13)
+    state = new_state(mini_problem)
+    state.dt = dt
+    a_c_ref = np.zeros(mini_problem.part.n_c)
+    n_steps = 20
+    for m in range(1, n_steps + 1):
+        j_sn = mini_source.current(m * dt) * pat
+        a_c_ref = a_c_ref + dt * Minv @ (-Kcn @ np.linalg.solve(Knn, j_sn) - A @ a_c_ref)
+        a_n_ref = np.linalg.solve(Knn, j_sn - Kcn.T @ a_c_ref)
+        ctx.step = m
+        explicit_step(state, blocks, ctx, mcc, j_sn)
+        assert np.linalg.norm(state.a_c - a_c_ref) <= 1e-8 * np.linalg.norm(a_c_ref)
+        assert np.linalg.norm(state.a_n - a_n_ref) <= 1e-8 * np.linalg.norm(a_n_ref)
+
+    for m in range(1, n_steps + 1):
+        purposes = sorted(r.purpose for r in ctx.stats.records if r.step == m)
+        assert purposes == ["recovery", "source_term"]
+    assert ctx.stats.n_solves == 2 * n_steps
 
 
 def test_stability_dichotomy(mini_problem):

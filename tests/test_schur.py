@@ -166,19 +166,6 @@ def test_recover_an_dense_oracle(ctx, mini_problem):
     assert np.linalg.norm(got - ref) <= 10 * TOL * np.linalg.norm(ref)
 
 
-def test_recover_an_combined_matches_literal(mini_problem):
-    blocks = mini_problem.blocks
-    rng = np.random.default_rng(31)
-    a_c = rng.standard_normal(mini_problem.part.n_c)
-    j = rng.standard_normal(mini_problem.part.n_n)
-    c1 = SchurContext(blocks, tol=1e-10, strategy="previous", combined_recovery=True)
-    c2 = SchurContext(blocks, tol=1e-10, strategy="previous", combined_recovery=False)
-    x1 = recover_an(c1, a_c, j)
-    x2 = recover_an(c2, a_c, j)
-    assert np.linalg.norm(x1 - x2) <= 1e-7 * max(np.linalg.norm(x1), 1.0)
-    assert c1.stats.n_solves == 1 and c2.stats.n_solves == 2
-
-
 def test_ks_dense_matrix_symmetric_psd(mini_problem):
     # densify K_S column by column through the operator
     ctx = SchurContext(mini_problem.blocks, tol=1e-10, strategy="previous")
