@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from eddy2d.errors import Ic0Breakdown, SolverError, SpdSolveError
 from eddy2d.linalg import (
@@ -15,6 +18,8 @@ from eddy2d.linalg import (
     spmv,
     svd_small,
 )
+
+from conftest import make_mini_problem
 
 
 def random_spd(n, rng, cond=50.0, gap=1.0):
@@ -221,6 +226,38 @@ def test_ic0_pattern_exactness():
     R = L @ L.T - A.toarray()
     pattern = A.toarray() != 0
     assert np.abs(R[pattern]).max() <= 1e-12
+
+
+def laplacian_2d(m):
+    """Five-point Laplacian on an m x m grid (n = m^2 unknowns)."""
+    T = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m), dtype=float)
+    eye = scipy.sparse.identity(m, dtype=float)
+    return SparseMatrix(scipy.sparse.kron(eye, T) + scipy.sparse.kron(T, eye))
+
+
+@pytest.mark.parametrize("build", [lambda: make_mini_problem().blocks.K_nn,
+                                   lambda: laplacian_2d(50)],
+                         ids=["mini_knn", "laplacian_50x50"])
+def test_ic0_apply_matches_dense_inverse(build):
+    A = build()
+    M = ic0_preconditioner(A)
+    L = M.L.toarray()
+    r = np.random.default_rng(37).standard_normal(A.nrows)
+    ref = np.linalg.solve(L @ L.T, r)
+    assert np.linalg.norm(M.apply(r) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_ic0_memory_stays_sparse():
+    # a dense copy of the factor alone would take 8 n^2 = 50 MB here
+    A = laplacian_2d(50)
+    r = np.ones(A.nrows)
+    tracemalloc.start()
+    try:
+        ic0_preconditioner(A).apply(r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_ic0_breakdown_signals():
