@@ -49,10 +49,10 @@ from .linalg import (
     dense_solve_spd,
     ic0_preconditioner,
     jacobi_preconditioner,
+    mgs_extend,
     mgs_orthonormalize,
     pcg,
     power_iteration,
-    spmv,
     svd_small,
 )
 from .materials import MU0, NU0, MaterialModel, dnu_db2, nu

@@ -9,12 +9,15 @@ exact). Dirichlet rows/columns are eliminated, preserving symmetry and
 definiteness. DoFs are then permuted into the conducting set c (nodes
 adjacent to at least one conductor element) followed by the nonconducting
 set n; interface nodes land in c, which keeps M_cc positive definite.
+For nonlinear problems, KccRebuildMap recomputes K_cc(a_c) on its fixed
+pattern without reassembling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+import scipy.sparse
 
 from .errors import AssemblyError
 from .linalg import SparseMatrix
@@ -169,22 +172,51 @@ def _element_geometry(mesh: Mesh2D):
     return b, c, area
 
 
-def compute_b2(mesh: Mesh2D, a_full: np.ndarray) -> np.ndarray:
-    """Per-element |B|^2 from the P1 gradient of the full nodal vector
-    (Dirichlet zeros included): B = (da/dy, -da/dx)."""
-    a_full = np.asarray(a_full, dtype=float)
-    if a_full.shape != (mesh.n_nodes,):
-        raise AssemblyError(f"expected full nodal vector of length {mesh.n_nodes}")
-    b, c, area = _element_geometry(mesh)
-    ae = a_full[mesh.elements]
+def _b2(b: np.ndarray, c: np.ndarray, area: np.ndarray, ae: np.ndarray) -> np.ndarray:
     dx = (ae * b).sum(axis=1) / (2.0 * area)
     dy = (ae * c).sum(axis=1) / (2.0 * area)
     return dx * dx + dy * dy
 
 
-def _element_material_arrays(mesh: Mesh2D, materials: MaterialTable):
-    """Per-element (kappa, k1, k2, k3) with linear laws encoded as k2 = 0,
-    so nu_e = k1 + k2*exp(k3*b2) covers both laws vectorized."""
+def _bbcc(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(E, 3, 3) products b b^T + c c^T of the element stiffness."""
+    return b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
+
+
+@dataclass(frozen=True)
+class ElementData:
+    """Per-element geometry and materials, resolved once per (mesh, materials).
+
+    nodes: (E, 3) node indices; b, c: (E, 3) P1 gradient coefficients; area:
+    signed areas. Materials are (kappa, k1, k2, k3) with linear laws encoded
+    as k2 = k3 = 0, so nu = k1 + k2*exp(k3*b2) covers both laws vectorized.
+    """
+
+    nodes: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    area: np.ndarray
+    kappa: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
+    k3: np.ndarray
+
+    def subset(self, eids: np.ndarray) -> "ElementData":
+        return ElementData(*(getattr(self, f.name)[eids] for f in fields(self)))
+
+    def b2_local(self, ae: np.ndarray) -> np.ndarray:
+        """|B|^2 per element from its (E, 3) nodal values: B = (da/dy, -da/dx)."""
+        return _b2(self.b, self.c, self.area, ae)
+
+    def nu(self, b2: np.ndarray) -> np.ndarray:
+        return self.k1 + self.k2 * np.exp(self.k3 * b2)
+
+    def dnu_db2(self, b2: np.ndarray) -> np.ndarray:
+        return self.k2 * self.k3 * np.exp(self.k3 * b2)
+
+
+def element_data(mesh: Mesh2D, materials: MaterialTable) -> ElementData:
+    """Resolve every element's geometry and material once."""
     memo: dict[RegionTag, tuple[float, float, float, float]] = {}
     rows = np.empty((mesh.n_elements, 4))
     for e, tag in enumerate(mesh.element_region):
@@ -197,48 +229,60 @@ def _element_material_arrays(mesh: Mesh2D, materials: MaterialTable):
                 entry = (m.kappa, m.k1, m.k2, m.k3)
             memo[tag] = entry
         rows[e] = entry
-    return rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
+    b, c, area = _element_geometry(mesh)
+    return ElementData(mesh.elements, b, c, area, *rows.T.copy())
 
 
-def element_nu(mesh: Mesh2D, materials: MaterialTable, element_b2: np.ndarray) -> np.ndarray:
-    _, k1, k2, k3 = _element_material_arrays(mesh, materials)
-    return k1 + k2 * np.exp(k3 * np.asarray(element_b2, dtype=float))
+def compute_b2(mesh: Mesh2D, a_full: np.ndarray, data: ElementData | None = None) -> np.ndarray:
+    """Per-element |B|^2 from the P1 gradient of the full nodal vector
+    (Dirichlet zeros included), for every element of the mesh or for the
+    elements of ``data``."""
+    a_full = np.asarray(a_full, dtype=float)
+    if a_full.shape != (mesh.n_nodes,):
+        raise AssemblyError(f"expected full nodal vector of length {mesh.n_nodes}")
+    if data is None:
+        return _b2(*_element_geometry(mesh), a_full[mesh.elements])
+    return data.b2_local(a_full[data.nodes])
 
 
-def element_kappa(mesh: Mesh2D, materials: MaterialTable) -> np.ndarray:
-    kappa, _, _, _ = _element_material_arrays(mesh, materials)
-    return kappa
+def free_index(mesh: Mesh2D) -> tuple[np.ndarray, int]:
+    """Free-DoF index of each mesh node (-1 on the Dirichlet boundary)."""
+    free_mask = np.ones(mesh.n_nodes, dtype=bool)
+    free_mask[list(mesh.boundary_nodes)] = False
+    new_index = -np.ones(mesh.n_nodes, dtype=np.int64)
+    n = int(free_mask.sum())
+    new_index[free_mask] = np.arange(n)
+    return new_index, n
+
+
+def element_coo(nodes: np.ndarray, vals: np.ndarray, index: np.ndarray):
+    """Rows, columns and values of (E, 3, 3) element matrices on the DoFs
+    ``index[node]``, dropping entries that touch a node indexed -1."""
+    rows = index[np.repeat(nodes, 3, axis=1).ravel()]     # i i i j j j k k k
+    cols = index[np.tile(nodes, (1, 3)).ravel()]          # i j k i j k i j k
+    keep = (rows >= 0) & (cols >= 0)
+    return rows[keep], cols[keep], vals.reshape(-1)[keep]
 
 
 def assemble(mesh: Mesh2D, materials: MaterialTable, a_full: np.ndarray | None = None,
-             reduce: bool = True) -> tuple[SparseMatrix, SparseMatrix]:
+             reduce: bool = True, data: ElementData | None = None
+             ) -> tuple[SparseMatrix, SparseMatrix]:
     """Assemble (M, K) with nu from the element B^2 of ``a_full`` (zero field
-    when None). ``reduce`` eliminates Dirichlet rows/columns by deletion."""
-    b, c, area = _element_geometry(mesh)
-    element_b2 = compute_b2(mesh, a_full) if a_full is not None else np.zeros(mesh.n_elements)
-    nu_e = element_nu(mesh, materials, element_b2)
-    kap_e = element_kappa(mesh, materials)
+    when None). ``reduce`` eliminates Dirichlet rows/columns by deletion.
+    ``data`` is ``element_data(mesh, materials)`` when the caller holds it."""
+    if data is None:
+        data = element_data(mesh, materials)
+    element_b2 = compute_b2(mesh, a_full, data) if a_full is not None \
+        else np.zeros(mesh.n_elements)
+    k_vals = _bbcc(data.b, data.c) * (data.nu(element_b2) / (4.0 * data.area))[:, None, None]
+    m_vals = MASS_TEMPLATE[None, :, :] * (data.kappa * data.area)[:, None, None]
 
-    k_vals = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) \
-        * (nu_e / (4.0 * area))[:, None, None]
-    m_vals = MASS_TEMPLATE[None, :, :] * (kap_e * area)[:, None, None]
-
-    rows = np.repeat(mesh.elements, 3, axis=1).ravel()        # i i i j j j k k k
-    cols = np.tile(mesh.elements, (1, 3)).ravel()             # i j k i j k i j k
-    k_flat = k_vals.reshape(-1)
-    m_flat = m_vals.reshape(-1)
-
-    n = mesh.n_nodes
     if reduce:
-        free_mask = np.ones(n, dtype=bool)
-        free_mask[list(mesh.boundary_nodes)] = False
-        new_index = -np.ones(n, dtype=np.int64)
-        new_index[free_mask] = np.arange(free_mask.sum())
-        keep = free_mask[rows] & free_mask[cols]
-        rows, cols = new_index[rows[keep]], new_index[cols[keep]]
-        k_flat, m_flat = k_flat[keep], m_flat[keep]
-        n = int(free_mask.sum())
-
+        index, n = free_index(mesh)
+    else:
+        index, n = np.arange(mesh.n_nodes), mesh.n_nodes
+    rows, cols, k_flat = element_coo(mesh.elements, k_vals, index)
+    _, _, m_flat = element_coo(mesh.elements, m_vals, index)
     K = SparseMatrix.from_coo(n, n, rows, cols, k_flat)
     M = SparseMatrix.from_coo(n, n, rows, cols, m_flat)
     return M, K
@@ -277,6 +321,68 @@ def extract_blocks(M: SparseMatrix, K: SparseMatrix, p: DofPartition) -> SystemB
     K_nn = SparseMatrix(Ks[idx_n][:, idx_n])
     M_cc = SparseMatrix(Ms[idx_c][:, idx_c])
     return SystemBlocks(M_cc, K_cc, K_cn, K_nn)
+
+
+@dataclass(frozen=True)
+class KccRebuildMap:
+    """K_cc(a_c) of a nonlinear problem on a CSR pattern fixed at setup.
+
+    Every node of a conductor element is conducting or Dirichlet, so the
+    conductor elements' B^2 depends on a_c alone (``dofs`` indexes a_c, with
+    n_c standing for a Dirichlet zero). Nonconducting elements are linear, so
+    their share of K_cc is the constant ``base``. A rebuild scales each
+    conductor element's geometric stiffness (b b^T + c c^T) / (4 A) by its
+    nu and sums the entries into their slots of the data array with one
+    bincount. Entries that are geometrically zero get no slot.
+    """
+
+    conductor: ElementData
+    dofs: np.ndarray           # (E_c, 3) a_c index of each conductor-element node
+    entry_element: np.ndarray  # conductor element of each stored entry
+    entry_geom: np.ndarray     # its geometric stiffness
+    entry_slot: np.ndarray     # its slot in the CSR data array
+    base: np.ndarray           # nonconducting contribution per slot
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def rebuild(self, a_c: np.ndarray) -> SparseMatrix:
+        ae = np.append(a_c, 0.0)[self.dofs]
+        nu_e = self.conductor.nu(self.conductor.b2_local(ae))
+        vals = self.base + np.bincount(self.entry_slot,
+                                       weights=self.entry_geom * nu_e[self.entry_element],
+                                       minlength=self.base.size)
+        n_c = self.indptr.size - 1
+        return SparseMatrix(scipy.sparse.csr_matrix((vals, self.indices, self.indptr),
+                                                    shape=(n_c, n_c)))
+
+
+def kcc_rebuild_map(mesh: Mesh2D, part: DofPartition, data: ElementData) -> KccRebuildMap:
+    n_c = part.n_c
+    index = -np.ones(mesh.n_nodes, dtype=np.int64)
+    index[part.free_nodes[part.idx_c]] = np.arange(n_c)
+    is_cond = np.array([tag.kind == "conductor" for tag in mesh.element_region], dtype=bool)
+    cond, other = data.subset(is_cond), data.subset(~is_cond)
+
+    # conductor entries by their position src in the raveled (E_c, 3, 3) stiffness
+    geom = (_bbcc(cond.b, cond.c) / (4.0 * cond.area)[:, None, None]).ravel()
+    rows_c, cols_c, src = element_coo(cond.nodes, np.arange(geom.size), index)
+    nz = geom[src] != 0.0
+    rows_c, cols_c, src = rows_c[nz], cols_c[nz], src[nz]
+    k_other = _bbcc(other.b, other.c) \
+        * (other.nu(np.zeros(other.area.size)) / (4.0 * other.area))[:, None, None]
+    rows_o, cols_o, v = element_coo(other.nodes, k_other, index)
+    nz = v != 0.0
+    rows_o, cols_o, v = rows_o[nz], cols_o[nz], v[nz]
+
+    # sorted unique (row, col) keys are the CSR order of the pattern
+    uniq, slot = np.unique(np.concatenate([rows_c * n_c + cols_c, rows_o * n_c + cols_o]),
+                           return_inverse=True)
+    pattern = scipy.sparse.csr_matrix(
+        (np.ones(uniq.size), (uniq // n_c, uniq % n_c)), shape=(n_c, n_c))
+    base = np.bincount(slot[src.size:], weights=v, minlength=uniq.size)
+    dofs = index[cond.nodes]
+    return KccRebuildMap(cond, np.where(dofs >= 0, dofs, n_c), src // 9, geom[src],
+                         slot[:src.size], base, pattern.indptr, pattern.indices)
 
 
 def coil_elements(mesh: Mesh2D, coil_id: int) -> np.ndarray:

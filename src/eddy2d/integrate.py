@@ -16,12 +16,16 @@ a_n^m. The scheme is stable for dt <= 2 / lambda_max(M_cc^-1 (K_cc - K_S)),
 with lambda_max estimated numerically by power iteration (the
 h^2*kappa*mu heuristic is not sharp). K_cc is rebuilt only when the
 conducting solution has drifted from the state of the last rebuild by more
-than tol_update in relative l2 norm; a rebuild re-estimates lambda_max and
-may shrink dt (never grow it mid-run).
+than tol_update in relative l2 norm. A rebuild does not reassemble: the
+KccRebuildMap built by discretize for nonlinear problems scales the stored
+geometric stiffness of each conductor element by nu(B^2(a_c)) and sums it
+into K_cc's fixed pattern. A rebuild re-estimates lambda_max and may shrink
+dt (never grow it mid-run).
 
 The implicit Euler / Newton-Raphson path on the full DAE serves as the
 accuracy reference; it is unconditionally stable and reassembles the
-stiffness and Jacobian in every Newton iteration.
+stiffness and Jacobian (newton_system) in every Newton iteration, from the
+element data discretize resolved once.
 """
 from __future__ import annotations
 
@@ -34,20 +38,24 @@ import scipy.sparse.linalg
 
 from .assembly import (
     DofPartition,
+    ElementData,
+    KccRebuildMap,
     MaterialTable,
     SourceSpec,
     SystemBlocks,
     assemble,
     compute_b2,
+    element_coo,
+    element_data,
     extract_blocks,
+    free_index,
+    kcc_rebuild_map,
     partition,
     source_pattern,
-    _element_geometry,
 )
 from .errors import AssemblyError, InstabilityError, SolverError
 from .linalg import LinearOperator, SparseMatrix, jacobi_preconditioner, pcg, power_iteration
-from .materials import dnu_db2
-from .mesh import Mesh2D, signed_areas
+from .mesh import Mesh2D
 from .schur import SchurContext, apply_ks, recover_an, schur_rhs
 
 MAX_STEPS = 50_000_000
@@ -79,7 +87,9 @@ class SolverOptions:
 
 @dataclass
 class AssembledProblem:
-    """Mesh, materials and the assembled system at a = 0."""
+    """Mesh, materials and the assembled system at a = 0, with the element
+    data resolved once: all elements, the probe elements, and for nonlinear
+    problems the K_cc rebuild map (None for linear ones)."""
 
     mesh: Mesh2D
     materials: MaterialTable
@@ -87,10 +97,14 @@ class AssembledProblem:
     blocks: SystemBlocks
     M_red: SparseMatrix
     K_red: SparseMatrix
-    probe_elements: np.ndarray
-    probe_areas: np.ndarray
-    is_nonlinear: bool
+    elements: ElementData
+    probe: ElementData
+    kcc_map: KccRebuildMap | None
     _factor_cache: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def is_nonlinear(self) -> bool:
+        return self.kcc_map is not None
 
     @property
     def n_free(self) -> int:
@@ -99,7 +113,8 @@ class AssembledProblem:
 
 def discretize(mesh: Mesh2D, materials: MaterialTable,
                probe_id: int | None = None) -> AssembledProblem:
-    M, K = assemble(mesh, materials, None)
+    data = element_data(mesh, materials)
+    M, K = assemble(mesh, materials, None, data=data)
     part = partition(mesh)
     blocks = extract_blocks(M, K, part)
 
@@ -112,19 +127,20 @@ def discretize(mesh: Mesh2D, materials: MaterialTable,
         [e for e, tag in enumerate(mesh.element_region) if tag.probe == probe_id],
         dtype=np.int64,
     ) if probe_id is not None else np.zeros(0, dtype=np.int64)
-    probe_areas = signed_areas(mesh.nodes, mesh.elements)[probe_eids]
 
     nonlinear = any(m.is_nonlinear for m in materials.conductors.values())
+    kcc_map = kcc_rebuild_map(mesh, part, data) if nonlinear else None
     return AssembledProblem(mesh, materials, part, blocks, M, K,
-                            probe_eids, probe_areas, nonlinear)
+                            data, data.subset(probe_eids), kcc_map)
 
 
 def probe_average_b(problem: AssembledProblem, a_full: np.ndarray) -> float:
     """Area-weighted mean |B| over the probe elements."""
-    if problem.probe_elements.size == 0:
+    areas = problem.probe.area
+    if areas.size == 0:
         return 0.0
-    b2 = compute_b2(problem.mesh, a_full)[problem.probe_elements]
-    return float((problem.probe_areas * np.sqrt(b2)).sum() / problem.probe_areas.sum())
+    b2 = compute_b2(problem.mesh, a_full, problem.probe)
+    return float((areas * np.sqrt(b2)).sum() / areas.sum())
 
 
 class MccSolver:
@@ -260,8 +276,9 @@ def maybe_update_kcc(state: SolverState, problem: AssembledProblem,
     """Rebuild K_cc from the current solution when the relative l2 change
     since the last rebuild exceeds tol_update. A zero reference state forces
     an update on the first nonzero step (the ratio is undefined there).
-    K_cn and K_nn are never touched: the nonlinearity lives in conducting
-    elements, whose DoFs are all in the conducting set."""
+    K_cn and K_nn are never touched: the nonlinearity lives in conductor
+    elements, whose DoFs are all conducting or Dirichlet, so the rebuild
+    (problem.kcc_map) reads a_c alone. A linear K_cc stays constant."""
     ref = float(np.linalg.norm(state.a_c_last_update))
     if ref == 0.0:
         trigger = float(np.linalg.norm(state.a_c)) > 0.0
@@ -269,9 +286,8 @@ def maybe_update_kcc(state: SolverState, problem: AssembledProblem,
         trigger = float(np.linalg.norm(state.a_c - state.a_c_last_update)) / ref > tol_update
     if not trigger:
         return state, False
-    a_full = problem.part.to_full(state.a_c, state.a_n, problem.mesh.n_nodes)
-    _, K = assemble(problem.mesh, problem.materials, a_full)
-    state.K_cc_current = extract_blocks(problem.M_red, K, problem.part).K_cc
+    if problem.kcc_map is not None:
+        state.K_cc_current = problem.kcc_map.rebuild(state.a_c)
     state.a_c_last_update = state.a_c.copy()
     state.update_count += 1
     return state, True
@@ -404,7 +420,7 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
             rows_it.append(ctx.stats.total_iterations)
             rows_up.append(state.update_count)
             if opts.snapshot_every and state.step_count % opts.snapshot_every == 0:
-                bmag = np.sqrt(compute_b2(problem.mesh, a_full))
+                bmag = np.sqrt(compute_b2(problem.mesh, a_full, problem.elements))
                 snapshots.append((state.step_count, state.t, bmag, a_full.copy()))
 
         # selective updates only matter when K_cc actually depends on a_c
@@ -438,72 +454,51 @@ def _nonlinear_jacobian_term(problem: AssembledProblem, a_full: np.ndarray) -> s
     """Sum over nonlinear elements of (2 nu'(B^2)/A) w w^T with
     w = K_geom a (the nu-free element stiffness applied to the local
     solution); this is the chain-rule part of d(K(a) a)/da."""
-    mesh = problem.mesh
-    b, c, area = _element_geometry(mesh)
-    b2 = compute_b2(mesh, a_full)
-    dnu = np.zeros(mesh.n_elements)
-    for e, tag in enumerate(mesh.element_region):
-        mat = problem.materials.lookup(tag)
-        if mat.is_nonlinear:
-            dnu[e] = dnu_db2(mat, b2[e])
+    elements = problem.elements
+    dnu = elements.dnu_db2(compute_b2(problem.mesh, a_full, elements))
     active = np.nonzero(dnu > 0)[0]
-    n_free_mask = np.ones(mesh.n_nodes, dtype=bool)
-    n_free_mask[list(mesh.boundary_nodes)] = False
-    new_index = -np.ones(mesh.n_nodes, dtype=np.int64)
-    new_index[n_free_mask] = np.arange(n_free_mask.sum())
-    n = int(n_free_mask.sum())
+    index, n = free_index(problem.mesh)
     if active.size == 0:
         return scipy.sparse.csr_matrix((n, n))
 
-    ae = a_full[mesh.elements[active]]
-    ba, ca, aa = b[active], c[active], area[active]
-    sb = (ba * ae).sum(axis=1)
-    sc = (ca * ae).sum(axis=1)
-    w = (ba * sb[:, None] + ca * sc[:, None]) / (4.0 * aa)[:, None]
-    coeff = 2.0 * dnu[active] / aa
+    act = elements.subset(active)
+    ae = a_full[act.nodes]
+    sb = (act.b * ae).sum(axis=1)
+    sc = (act.c * ae).sum(axis=1)
+    w = (act.b * sb[:, None] + act.c * sc[:, None]) / (4.0 * act.area)[:, None]
+    coeff = 2.0 * dnu[active] / act.area
     vals = coeff[:, None, None] * w[:, :, None] * w[:, None, :]
-
-    elems = mesh.elements[active]
-    rows = np.repeat(elems, 3, axis=1).ravel()
-    cols = np.tile(elems, (1, 3)).ravel()
-    flat = vals.reshape(-1)
-    keep = n_free_mask[rows] & n_free_mask[cols]
-    J = scipy.sparse.coo_matrix(
-        (flat[keep], (new_index[rows[keep]], new_index[cols[keep]])), shape=(n, n)
-    )
-    return J.tocsr()
+    rows, cols, flat = element_coo(act.nodes, vals, index)
+    return scipy.sparse.coo_matrix((flat, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def newton_system(problem: AssembledProblem, dt: float, a_old: np.ndarray,
                   j_s: np.ndarray, a: np.ndarray):
     """Residual F(a) = (M/dt + K(a)) a - (M/dt) a_old - j_s of the implicit
-    Euler step and its Jacobian M/dt + K(a) + d(K a)/da."""
+    Euler step and its Jacobian M/dt + K(a) + d(K a)/da (the chain-rule term
+    vanishes for linear materials)."""
     Mdt = problem.M_red.scipy() * (1.0 / dt)
     a_full = np.zeros(problem.mesh.n_nodes)
     a_full[problem.part.free_nodes] = a
     if problem.is_nonlinear:
-        _, K = assemble(problem.mesh, problem.materials, a_full)
-        Ks = K.scipy()
+        _, K = assemble(problem.mesh, problem.materials, a_full, data=problem.elements)
+        A = Mdt + K.scipy()
     else:
-        Ks = problem.K_red.scipy()
-    F = (Mdt + Ks) @ a - (Mdt @ a_old + j_s)
-    J = Mdt + Ks + _nonlinear_jacobian_term(problem, a_full)
+        A = Mdt + problem.K_red.scipy()
+    F = A @ a - (Mdt @ a_old + j_s)
+    J = A + _nonlinear_jacobian_term(problem, a_full) if problem.is_nonlinear else A
     return F, J
 
 
 def newton_solve(problem: AssembledProblem, dt: float, a_old: np.ndarray,
                  j_s: np.ndarray, newton_tol: float = 1e-8,
                  max_newton: int = 25) -> tuple[np.ndarray, int]:
-    """One implicit Euler step on the full DAE, solved by Newton-Raphson.
-
-    Residual F(a) = (M/dt + K(a)) a - (M/dt) a_old - j_s; the Jacobian adds
-    the reluctivity chain-rule term. Converges in exactly one iteration for
-    linear materials. Returns (a, iterations)."""
+    """One implicit Euler step on the full DAE, solved by Newton-Raphson on
+    newton_system. Converges in exactly one iteration for linear materials,
+    whose constant Jacobian is factorized once per dt. Returns (a, iterations)."""
     Mdt = problem.M_red.scipy() * (1.0 / dt)
-    rhs = Mdt @ a_old + j_s
-    scale = float(np.linalg.norm(rhs)) or 1.0
+    scale = float(np.linalg.norm(Mdt @ a_old + j_s)) or 1.0
 
-    # constant Jacobian for linear materials: factorize once per dt
     lin_factor = None
     if not problem.is_nonlinear:
         lin_factor = problem._factor_cache.get(dt)
@@ -516,14 +511,7 @@ def newton_solve(problem: AssembledProblem, dt: float, a_old: np.ndarray,
     a = np.array(a_old, dtype=float)
     f_first = None
     for it in range(max_newton + 1):
-        a_full = np.zeros(problem.mesh.n_nodes)
-        a_full[problem.part.free_nodes] = a
-        if problem.is_nonlinear:
-            _, K = assemble(problem.mesh, problem.materials, a_full)
-            Ks = K.scipy()
-        else:
-            Ks = problem.K_red.scipy()
-        F = (Mdt + Ks) @ a - rhs
+        F, J = newton_system(problem, dt, a_old, j_s, a)
         fn = float(np.linalg.norm(F))
         if not np.isfinite(fn) or (f_first is not None and fn > 1e3 * max(f_first, scale)):
             raise SolverError("Newton diverged; try a smaller time step")
@@ -536,7 +524,6 @@ def newton_solve(problem: AssembledProblem, dt: float, a_old: np.ndarray,
         if lin_factor is not None:
             delta = lin_factor.solve(-F)
         else:
-            J = Mdt + Ks + _nonlinear_jacobian_term(problem, a_full)
             delta = scipy.sparse.linalg.spsolve(J.tocsc(), -F)
         a = a + delta
     raise SolverError(
@@ -585,7 +572,7 @@ def run_implicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
             rows_p.append(probe_average_b(problem, a_full))
             rows_it.append(newton_total)
             if opts.snapshot_every and step % opts.snapshot_every == 0:
-                bmag = np.sqrt(compute_b2(problem.mesh, a_full))
+                bmag = np.sqrt(compute_b2(problem.mesh, a_full, problem.elements))
                 snapshots.append((step, t, bmag, a_full.copy()))
 
     n_rows = len(rows_t)

@@ -104,11 +104,6 @@ class SparseMatrix:
         return self.matvec(x)
 
 
-def spmv(A: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    """y = A x with a dimension check."""
-    return A.matvec(x)
-
-
 class LinearOperator:
     """Matrix-free linear map on R^dim with an optional diagonal accessor."""
 
@@ -289,22 +284,30 @@ def ic0_preconditioner(A: SparseMatrix) -> Ic0Preconditioner:
     return Ic0Preconditioner(A)
 
 
+def mgs_extend(basis: list[np.ndarray], v: np.ndarray, tol_drop: float = 1e-10):
+    """The unit vector that modified Gram-Schmidt with re-orthogonalization
+    adds to the orthonormal ``basis`` for ``v``, or None when v is zero or
+    its residual after projection is <= tol_drop times its norm."""
+    v = np.asarray(v, dtype=float)
+    nv = float(np.linalg.norm(v))
+    if nv == 0.0:
+        return None
+    r = v.copy()
+    for _ in range(2):  # second pass restores orthogonality lost to roundoff
+        for q in basis:
+            r -= (q @ r) * q
+    nr = float(np.linalg.norm(r))
+    return r / nr if nr > tol_drop * nv else None
+
+
 def mgs_orthonormalize(columns, tol_drop: float = 1e-10) -> list[np.ndarray]:
-    """Modified Gram-Schmidt with re-orthogonalization. Vectors whose residual
-    after projection is <= tol_drop times their original norm are dropped."""
+    """Orthonormal basis of ``columns`` by mgs_extend, dropping the columns
+    it rejects."""
     basis: list[np.ndarray] = []
     for v in columns:
-        v = np.asarray(v, dtype=float)
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            continue
-        r = v.copy()
-        for _ in range(2):  # second pass restores orthogonality lost to roundoff
-            for q in basis:
-                r -= (q @ r) * q
-        nr = float(np.linalg.norm(r))
-        if nr > tol_drop * nv:
-            basis.append(r / nr)
+        q = mgs_extend(basis, v, tol_drop)
+        if q is not None:
+            basis.append(q)
     return basis
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SolverError, SpdSolveError
-from .linalg import SparseMatrix, cholesky_spd, dense_solve_spd, svd_small
+from .linalg import SparseMatrix, cholesky_spd, dense_solve_spd, mgs_extend, svd_small
 
 
 class PreviousSolution:
@@ -59,20 +59,14 @@ class CspeCache:
 
     def push(self, x: np.ndarray) -> None:
         x = np.asarray(x, dtype=float)
-        nx = float(np.linalg.norm(x))
-        if nx == 0.0:
+        if float(np.linalg.norm(x)) == 0.0:
             return
         if len(self.columns) == self.window:
             self.columns.pop(0)
             self.kcolumns.pop(0)
-        r = x.copy()
-        for _ in range(2):  # re-orthogonalization keeps the basis at 1e-10
-            for q in self.columns:
-                r -= (q @ r) * q
-        nr = float(np.linalg.norm(r))
-        if nr <= self.drop_tol * nx:
+        v = mgs_extend(self.columns, x, self.drop_tol)
+        if v is None:
             return
-        v = r / nr
         self.columns.append(v)
         self.kcolumns.append(self.knn.matvec(v))
         self.spmv_count += 1

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import eddy2d
 from eddy2d.cli import EXIT_CONFIG, EXIT_INSTABILITY, EXIT_OK, main
 from eddy2d.scenario import bundled_scenario_path
 
@@ -186,3 +189,15 @@ def test_snapshot_output(tmp_path):
     assert snaps
     text = open(os.path.join(out, sorted(snaps)[0])).read()
     assert "element_Bmag" in text and "node_a" in text
+
+
+@pytest.mark.parametrize("module", ["eddy2d.cli", "eddy2d"])
+def test_module_entry_prints_usage(module):
+    # `python -m` must reach the parser, not exit 0 having done nothing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eddy2d.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: eddy2d")
+    assert "bench-update" in proc.stdout

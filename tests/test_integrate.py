@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from eddy2d.assembly import MaterialTable
+from eddy2d.assembly import MaterialTable, assemble, compute_b2, extract_blocks
 from eddy2d.errors import InstabilityError, SolverError
 from eddy2d.integrate import (
     MccSolver,
@@ -21,9 +21,10 @@ from eddy2d.integrate import (
 )
 from eddy2d.materials import MaterialModel
 from eddy2d.mesh import RegionTag, generate_rect_mesh
+from eddy2d.scenario import bundled_scenario_path, load_scenario
 from eddy2d.schur import SchurContext
 
-from conftest import AIR, STEEL_BRAUER, STEEL_LINEAR, dense_kS, make_mini_source
+from conftest import AIR, STEEL_BRAUER, STEEL_LINEAR, dense_kS, make_mini_problem, make_mini_source
 
 
 def scalar_problem(nonlinear=False):
@@ -276,6 +277,20 @@ def test_update_forced_from_zero_reference(mini_problem_nonlinear):
     assert updated  # undefined ratio forces the first rebuild
 
 
+def assert_kcc_matches_reassembly(problem, state):
+    """K_cc_current has the pattern of a full reassembly at (a_c, a_n) and
+    its values to 1e-14 max|K_cc|: the rebuild sums element entries in
+    another order than scipy sums CSR duplicates, so bitwise parity is not
+    attainable."""
+    a_full = problem.part.to_full(state.a_c, state.a_n, problem.mesh.n_nodes)
+    _, K = assemble(problem.mesh, problem.materials, a_full)
+    ref = extract_blocks(problem.M_red, K, problem.part).K_cc
+    got = state.K_cc_current
+    np.testing.assert_array_equal(got.row_offsets, ref.row_offsets)
+    np.testing.assert_array_equal(got.col_indices, ref.col_indices)
+    assert np.abs(got.values - ref.values).max() <= 1e-14 * np.abs(ref.values).max()
+
+
 def test_update_rebuilds_kcc_from_current_field(mini_problem_nonlinear):
     problem = mini_problem_nonlinear
     state = new_state(problem)
@@ -284,11 +299,59 @@ def test_update_rebuilds_kcc_from_current_field(mini_problem_nonlinear):
     state.a_n = rng.standard_normal(problem.part.n_n) * 1e-3
     _, updated = maybe_update_kcc(state, problem, 0.0)
     assert updated
-    from eddy2d.assembly import assemble, extract_blocks
-    a_full = problem.part.to_full(state.a_c, state.a_n, problem.mesh.n_nodes)
-    _, K = assemble(problem.mesh, problem.materials, a_full)
-    ref = extract_blocks(problem.M_red, K, problem.part).K_cc
-    np.testing.assert_array_equal(state.K_cc_current.toarray(), ref.toarray())
+    assert_kcc_matches_reassembly(problem, state)
+
+
+def plate2d_problem():
+    return load_scenario(bundled_scenario_path("plate2d")).build_problem()
+
+
+@pytest.mark.parametrize("make_problem", [
+    lambda: make_mini_problem(nonlinear=True),
+    plate2d_problem,
+], ids=["mini", "plate2d"])
+def test_kcc_rebuild_matches_reassembly(make_problem):
+    problem = make_problem()
+    rng = np.random.default_rng(23)
+    cond = np.array([tag.kind == "conductor" for tag in problem.mesh.element_region])
+    for _ in range(5):
+        state = new_state(problem)
+        state.a_c = rng.standard_normal(problem.part.n_c)
+        state.a_n = rng.standard_normal(problem.part.n_n)
+        a_full = problem.part.to_full(state.a_c, state.a_n, problem.mesh.n_nodes)
+        b_max = np.sqrt(compute_b2(problem.mesh, a_full)[cond].max())
+        scale = rng.uniform(0.2, 1.2) / b_max  # conductor B up to 1.2 T
+        state.a_c *= scale
+        state.a_n *= scale
+        _, updated = maybe_update_kcc(state, problem, 0.0)
+        assert updated
+        assert_kcc_matches_reassembly(problem, state)
+
+
+def test_kcc_rebuild_ignores_a_n(mini_problem_nonlinear):
+    problem = mini_problem_nonlinear
+    rng = np.random.default_rng(29)
+    a_c = rng.standard_normal(problem.part.n_c) * 1e-3
+    rebuilt = []
+    for _ in range(2):
+        state = new_state(problem)
+        state.a_c = a_c.copy()
+        state.a_n = rng.standard_normal(problem.part.n_n) * 1e-3
+        maybe_update_kcc(state, problem, 0.0)
+        rebuilt.append(state.K_cc_current)
+    np.testing.assert_array_equal(rebuilt[0].values, rebuilt[1].values)
+    np.testing.assert_array_equal(rebuilt[0].col_indices, rebuilt[1].col_indices)
+
+
+def test_kcc_update_does_not_reassemble(mini_problem_nonlinear, monkeypatch):
+    def no_assemble(*args, **kwargs):
+        raise AssertionError("maybe_update_kcc reassembled the system")
+
+    monkeypatch.setattr("eddy2d.integrate.assemble", no_assemble)
+    state = new_state(mini_problem_nonlinear)
+    state.a_c = np.full(mini_problem_nonlinear.part.n_c, 1e-3)
+    _, updated = maybe_update_kcc(state, mini_problem_nonlinear, 0.0)
+    assert updated
 
 
 # ---------------------------------------------------------------------- Newton
@@ -314,7 +377,6 @@ def test_newton_scalar_vs_root_finder():
     def stiffness(a):
         a_full = np.zeros(problem.mesh.n_nodes)
         a_full[problem.part.free_nodes] = a
-        from eddy2d.assembly import assemble
         _, K = assemble(problem.mesh, problem.materials, a_full)
         return K.toarray()[0, 0]
 

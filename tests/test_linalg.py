@@ -15,7 +15,6 @@ from eddy2d.linalg import (
     mgs_orthonormalize,
     pcg,
     power_iteration,
-    spmv,
     svd_small,
 )
 
@@ -36,12 +35,12 @@ def random_spd(n, rng, cond=50.0, gap=1.0):
 
 def test_spmv_identity():
     A = SparseMatrix.identity(3)
-    np.testing.assert_array_equal(spmv(A, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(A.matvec(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 
 
 def test_spmv_hand_case():
     A = SparseMatrix.from_dense([[2.0, 0.0], [1.0, 3.0]])
-    np.testing.assert_allclose(spmv(A, np.array([1.0, 1.0])), [2.0, 4.0])
+    np.testing.assert_allclose(A.matvec(np.array([1.0, 1.0])), [2.0, 4.0])
 
 
 def test_spmv_against_dense_oracle():
@@ -49,7 +48,7 @@ def test_spmv_against_dense_oracle():
     D = rng.standard_normal((50, 50)) * (rng.random((50, 50)) < 0.1)
     A = SparseMatrix.from_dense(D)
     x = rng.standard_normal(50)
-    y = spmv(A, x)
+    y = A.matvec(x)
     ref = D @ x
     assert np.linalg.norm(y - ref) <= 1e-13 * max(np.linalg.norm(ref), 1.0)
 
@@ -57,7 +56,7 @@ def test_spmv_against_dense_oracle():
 def test_spmv_dimension_mismatch():
     A = SparseMatrix.identity(3)
     with pytest.raises(ValueError):
-        spmv(A, np.ones(4))
+        A.matvec(np.ones(4))
 
 
 def test_csr_invariants():
