@@ -12,7 +12,9 @@ the previous step, the source and Schur terms of the bracket collapse to
     -K_cn pinv(K_nn) (j_sn^m - j_sn^{m-1}) - K_cn a_n^{m-1},
 
 so a step makes two K_nn solves: the source increment and the recovery of
-a_n^m. The scheme is stable for dt <= 2 / lambda_max(M_cc^-1 (K_cc - K_S)),
+a_n^m. M_cc^-1 is one M_cc solve; M_cc is constant, so MccSolver factors it
+once at set-up and PCG at mcc_tol checks each solve in one iteration. The
+scheme is stable for dt <= 2 / lambda_max(M_cc^-1 (K_cc - K_S)),
 with lambda_max estimated numerically by power iteration (the
 h^2*kappa*mu heuristic is not sharp). K_cc is rebuilt only when the
 conducting solution has drifted from the state of the last rebuild by more
@@ -54,7 +56,7 @@ from .assembly import (
     source_pattern,
 )
 from .errors import AssemblyError, InstabilityError, SolverError
-from .linalg import LinearOperator, SparseMatrix, jacobi_preconditioner, pcg, power_iteration
+from .linalg import LinearOperator, SparseMatrix, pcg, power_iteration
 from .mesh import Mesh2D
 from .schur import SchurContext, apply_ks, recover_an, schur_rhs
 
@@ -144,8 +146,13 @@ def probe_average_b(problem: AssembledProblem, a_full: np.ndarray) -> float:
 
 
 class MccSolver:
-    """Solves M_cc x = b: PCG with Jacobi preconditioning at a tight
-    tolerance (default), or division by the row-sum lumped diagonal."""
+    """Solves M_cc x = b: PCG at a tight tolerance preconditioned by a sparse
+    LU factor of the constant M_cc (default), or division by the row-sum
+    lumped diagonal. The factor is built once at set-up, so each PCG solve
+    takes one iteration; PCG with ``tol`` then checks that solve's residual.
+    PCG starts from zero: with an exact preconditioner a warm start saves no
+    iteration, and a zero b would hand the start vector back unsolved.
+    Counts solves and PCG iterations."""
 
     def __init__(self, m_cc: SparseMatrix, mode: str = "pcg", tol: float = 1e-10,
                  max_iter: int | None = None):
@@ -155,29 +162,37 @@ class MccSolver:
         self.mode = mode
         self.tol = tol
         self.max_iter = max_iter
+        self.solves_total = 0
         self.iterations_total = 0
-        self._last: np.ndarray | None = None
         if mode == "lumped":
             lumped = np.asarray(m_cc.scipy().sum(axis=1)).ravel()
             if m_cc.nrows and lumped.min() <= 0:
                 raise SolverError("lumped mass has a nonpositive entry")
             self._inv_lumped = 1.0 / lumped if m_cc.nrows else np.zeros(0)
-        else:
-            self._precond = jacobi_preconditioner(m_cc) if m_cc.nrows else None
+        elif m_cc.nrows:
+            # M_cc is SPD, so a symmetric ordering needs no pivoting
+            try:
+                lu = scipy.sparse.linalg.splu(m_cc.scipy().tocsc(),
+                                              permc_spec="MMD_AT_PLUS_A",
+                                              diag_pivot_thresh=0.0)
+            except RuntimeError as exc:
+                raise SolverError(f"M_cc factorization failed: {exc}") from exc
+            self._op = LinearOperator.from_matrix(m_cc)
+            self._precond = LinearOperator(m_cc.nrows, lu.solve)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         if self.m_cc.nrows == 0:
             return np.zeros(0)
+        self.solves_total += 1
         if self.mode == "lumped":
             return self._inv_lumped * b
-        report = pcg(self.m_cc, b, x0=self._last, precond=self._precond,
+        report = pcg(self._op, b, precond=self._precond,
                      tol=self.tol, max_iter=self.max_iter)
         if not report.converged:
             raise SolverError(
                 f"M_cc solve did not converge (residual {report.final_relative_residual:.3e})"
             )
         self.iterations_total += report.iterations
-        self._last = report.solution.copy()
         return report.solution
 
 
@@ -312,6 +327,7 @@ class RunResult:
     update_count: int
     stats: object
     max_dae_residual: float
+    mass_solves: int
     mass_iterations: int
     newton_iterations: int
     wall_time: float
@@ -338,6 +354,7 @@ class RunResult:
             "pcg_solves": getattr(self.stats, "n_solves", 0),
             "pcg_iterations_total": getattr(self.stats, "total_iterations", 0),
             "pcg_iterations_mean": getattr(self.stats, "mean_iterations", lambda: 0.0)(),
+            "mass_solves_total": self.mass_solves,
             "mass_iterations_total": self.mass_iterations,
             "newton_iterations_total": self.newton_iterations,
             "max_dae_residual": self.max_dae_residual,
@@ -443,6 +460,7 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
         update_count=state.update_count,
         stats=ctx.stats,
         max_dae_residual=max_dae,
+        mass_solves=mcc.solves_total,
         mass_iterations=mcc.iterations_total,
         newton_iterations=0,
         wall_time=time.perf_counter() - t_start,
@@ -588,6 +606,7 @@ def run_implicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
         update_count=newton_total,
         stats=None,
         max_dae_residual=0.0,
+        mass_solves=0,
         mass_iterations=0,
         newton_iterations=newton_total,
         wall_time=time.perf_counter() - t_start,

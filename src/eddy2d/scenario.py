@@ -9,6 +9,7 @@ comparisons.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -145,8 +146,18 @@ def _parse_materials(doc: dict) -> MaterialTable:
         raise ConfigError(f"materials: {exc}") from exc
 
 
-_FLOAT_OPTS = {"pcg_tol", "tol_pod", "tol_update", "safety", "mcc_tol", "power_tol",
-               "newton_tol", "dt_override"}
+# the admissible range of each float option as (test, wording); every test
+# is a chained comparison, which is false for NaN
+_FLOAT_RANGES = {
+    "pcg_tol": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "mcc_tol": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "power_tol": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "newton_tol": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "safety": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "dt_override": (lambda v: 0 < v < math.inf, "finite and > 0"),
+    "tol_update": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    "tol_pod": (lambda v: 0 < v < math.inf, "finite and > 0"),
+}
 _INT_OPTS = {"pcg_max_iter", "cspe_window", "pod_window", "power_max_iter", "seed",
              "output_every", "snapshot_every", "newton_max_iter"}
 _NULLABLE_OPTS = {"pcg_max_iter", "dt_override", "snapshot_every"}
@@ -159,18 +170,17 @@ def _parse_solver(doc: dict) -> SolverOptions:
         if val is None and key not in _NULLABLE_OPTS:
             raise ConfigError(f"solver.{key} must not be null")
         try:
-            if val is not None and key in _FLOAT_OPTS:
+            if val is not None and key in _FLOAT_RANGES:
                 val = float(val)
             elif val is not None and key in _INT_OPTS:
                 val = int(val)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"solver.{key}: {exc}") from exc
+        if val is not None and key in _FLOAT_RANGES:
+            ok, wording = _FLOAT_RANGES[key]
+            if not ok(val):
+                raise ConfigError(f"solver.{key} must be {wording}, got {val!r}")
         setattr(opts, key, val)
-    for name in ("pcg_tol", "safety", "mcc_tol", "power_tol", "tol_pod", "newton_tol"):
-        if getattr(opts, name) <= 0:
-            raise ConfigError(f"solver.{name} must be positive")
-    if opts.tol_update < 0:
-        raise ConfigError("solver.tol_update must be >= 0")
     if opts.output_every < 1:
         raise ConfigError("solver.output_every must be >= 1")
     if opts.snapshot_every is not None and opts.snapshot_every < 1:
@@ -218,9 +228,12 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         raise ConfigError(f"source: {exc}") from exc
 
     probe_id = int(_require(doc, "probe", ""))
-    t_end = float(_require(doc, "t_end", ""))
-    if t_end <= 0:
-        raise ConfigError("t_end must be positive")
+    try:
+        t_end = float(_require(doc, "t_end", ""))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"t_end: {exc}") from exc
+    if not 0 < t_end < math.inf:
+        raise ConfigError(f"t_end must be finite and > 0, got {t_end!r}")
     options = _parse_solver(doc.get("solver", {}))
 
     seed_env = os.environ.get("EDDY2D_SEED")

@@ -1,4 +1,5 @@
-"""Shared fixtures: compact problems small enough for dense oracles."""
+"""Shared fixtures: compact problems small enough for dense oracles, and the
+out-of-range scenario values that parsing must reject."""
 import numpy as np
 import pytest
 
@@ -59,3 +60,30 @@ def dense_kS(blocks) -> np.ndarray:
     K_cn = blocks.K_cn.toarray()
     K_nn = blocks.K_nn.toarray()
     return K_cn @ np.linalg.solve(K_nn, K_cn.T)
+
+
+NAN, INF = float("nan"), float("inf")
+
+# (key path, value) pairs that parsing must reject with a ConfigError that
+# names the key path: non-finite or out of the option's range
+BAD_SCENARIO_VALUES = [
+    ("t_end", NAN), ("t_end", INF), ("t_end", 0.0), ("t_end", -1.0),
+    ("solver.dt_override", NAN), ("solver.dt_override", INF),
+    ("solver.dt_override", 0.0), ("solver.dt_override", -1.0),
+    ("solver.pcg_tol", NAN), ("solver.pcg_tol", 1.0),
+    ("solver.mcc_tol", NAN), ("solver.mcc_tol", 2.0),
+    ("solver.power_tol", INF), ("solver.power_tol", 0.0),
+    ("solver.newton_tol", NAN), ("solver.newton_tol", 1.5),
+    ("solver.safety", 3.0), ("solver.safety", 0.0), ("solver.safety", NAN),
+    ("solver.tol_update", NAN), ("solver.tol_update", INF), ("solver.tol_update", -1e-3),
+    ("solver.tol_pod", NAN), ("solver.tol_pod", INF), ("solver.tol_pod", 0.0),
+    ("solver.power_max_iter", INF),
+]
+
+
+def set_key_path(doc: dict, path: str, value) -> None:
+    """Set the dotted key path in a scenario document, creating sections."""
+    *parents, leaf = path.split(".")
+    for key in parents:
+        doc = doc.setdefault(key, {})
+    doc[leaf] = value

@@ -9,6 +9,8 @@ import eddy2d
 from eddy2d.cli import EXIT_CONFIG, EXIT_INSTABILITY, EXIT_OK, main
 from eddy2d.scenario import bundled_scenario_path
 
+from conftest import BAD_SCENARIO_VALUES, set_key_path
+
 
 def small_scenario_doc(nonlinear=False, **solver):
     steel = ({"kappa": 5e7, "law": "brauer", "k1": 520.6, "k2": 49.4, "k3": 1.46}
@@ -99,6 +101,22 @@ def test_config_error_exit_code(tmp_path, capsys):
     path.write_text('{"mesh": {}}')
     assert main(["run", "--config", str(path), "--method", "explicit",
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("path,value", BAD_SCENARIO_VALUES,
+                         ids=[f"{p}={v!r}" for p, v in BAD_SCENARIO_VALUES])
+@pytest.mark.parametrize("command", ["run", "cfl"])
+def test_out_of_range_value_exits_config(tmp_path, capsys, command, path, value):
+    doc = small_scenario_doc()
+    set_key_path(doc, path, value)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [command, "--config", str(cfg)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    assert path in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_missing_config_resolves_to_error(tmp_path):

@@ -19,6 +19,7 @@ from eddy2d.integrate import (
     run_explicit,
     run_implicit,
 )
+from eddy2d.linalg import SparseMatrix
 from eddy2d.materials import MaterialModel
 from eddy2d.mesh import RegionTag, generate_rect_mesh
 from eddy2d.scenario import bundled_scenario_path, load_scenario
@@ -52,6 +53,10 @@ def dense_lambda_max(problem, K_cc=None):
     return float(w.max())
 
 
+def plate2d_problem():
+    return load_scenario(bundled_scenario_path("plate2d")).build_problem()
+
+
 # -------------------------------------------------------------------- MccSolver
 
 def test_mcc_pcg_solves_tightly(mini_problem):
@@ -61,6 +66,49 @@ def test_mcc_pcg_solves_tightly(mini_problem):
     x = mcc.solve(b)
     res = np.linalg.norm(mini_problem.blocks.M_cc.matvec(x) - b) / np.linalg.norm(b)
     assert res <= 1e-10
+
+
+@pytest.mark.parametrize("make_problem", [
+    lambda: make_mini_problem(nonlinear=False),
+    plate2d_problem,
+], ids=["mini", "plate2d"])
+def test_mcc_factored_solve_is_exact_in_one_iteration(make_problem):
+    # the factor of M_cc preconditions PCG exactly: one iteration per solve,
+    # however many solves came before
+    m_cc = make_problem().blocks.M_cc
+    dense = m_cc.toarray()
+    mcc = MccSolver(m_cc, "pcg", tol=1e-12)
+    rng = np.random.default_rng(5)
+    for k in range(1, 6):
+        b = rng.standard_normal(m_cc.nrows)
+        x = mcc.solve(b)
+        ref = np.linalg.solve(dense, b)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert mcc.solves_total == k
+        assert mcc.iterations_total <= k
+
+
+def test_mcc_singular_mass_raises_solver_error():
+    with pytest.raises(SolverError, match="M_cc"):
+        MccSolver(SparseMatrix.from_dense([[1.0, 0.0], [0.0, 0.0]]), "pcg")
+
+
+def test_run_explicit_counts_one_mass_iteration_per_solve():
+    sc = load_scenario(bundled_scenario_path("plate2d"))
+    problem = sc.build_problem()
+    res = run_explicit(problem, sc.source, 6e-3, sc.options)  # about 20 steps
+    summary = res.summary()
+    assert summary["mass_solves_total"] >= res.step_count > 0
+    assert 0 < summary["mass_iterations_total"] <= summary["mass_solves_total"]
+
+
+def test_run_explicit_zero_drive_stays_at_rest(mini_problem):
+    # a zero drive makes every bracket zero; the M_cc solve of a zero
+    # right-hand side must not inherit the last power-iteration solution
+    res = run_explicit(mini_problem, make_mini_source(i_max=0.0), 0.01,
+                       SolverOptions(seed=3))
+    assert res.step_count > 0
+    assert not res.probe.any()
 
 
 def test_mcc_lumped_mode(mini_problem):
@@ -300,10 +348,6 @@ def test_update_rebuilds_kcc_from_current_field(mini_problem_nonlinear):
     _, updated = maybe_update_kcc(state, problem, 0.0)
     assert updated
     assert_kcc_matches_reassembly(problem, state)
-
-
-def plate2d_problem():
-    return load_scenario(bundled_scenario_path("plate2d")).build_problem()
 
 
 @pytest.mark.parametrize("make_problem", [

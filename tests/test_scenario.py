@@ -1,9 +1,12 @@
 import json
+import re
 
 import pytest
 
 from eddy2d.errors import ConfigError
 from eddy2d.scenario import bundled_scenario_path, load_scenario, parse_scenario, resolve_config
+
+from conftest import BAD_SCENARIO_VALUES, set_key_path
 
 
 def minimal_doc():
@@ -121,6 +124,37 @@ def test_nonpositive_tolerance_rejected(tmp_path):
     doc["solver"] = {"pcg_tol": 0.0}
     with pytest.raises(ConfigError, match="pcg_tol"):
         load_scenario(write_doc(tmp_path, doc))
+
+
+@pytest.mark.parametrize("path,value", BAD_SCENARIO_VALUES,
+                         ids=[f"{p}={v!r}" for p, v in BAD_SCENARIO_VALUES])
+def test_out_of_range_value_rejected_with_path(tmp_path, path, value):
+    doc = minimal_doc()
+    set_key_path(doc, path, value)
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        load_scenario(write_doc(tmp_path, doc))
+
+
+# the values the tests and the benchmark use, and each end of every
+# admissible range; test_bundled_* cover the bundled scenarios
+@pytest.mark.parametrize("path,value", [
+    ("t_end", 0.75), ("t_end", 1e-30), ("t_end", 0.003),
+    ("solver.dt_override", 1e-3), ("solver.dt_override", 0.04 / 50),
+    ("solver.pcg_tol", 1e-6), ("solver.pcg_tol", 0.999),
+    ("solver.mcc_tol", 1e-10), ("solver.mcc_tol", 1e-13),
+    ("solver.power_tol", 1e-5), ("solver.power_tol", 1e-12),
+    ("solver.newton_tol", 1e-8), ("solver.newton_tol", 1e-12),
+    ("solver.safety", 0.95), ("solver.safety", 1.0), ("solver.safety", 1e-3),
+    ("solver.tol_update", 0.0), ("solver.tol_update", 1e-3), ("solver.tol_update", 1e-2),
+    ("solver.tol_pod", 1e4), ("solver.tol_pod", 1e8),
+    ("solver.power_max_iter", 50000),
+])
+def test_in_range_value_accepted(path, value):
+    doc = minimal_doc()
+    set_key_path(doc, path, value)
+    sc = parse_scenario(json.loads(json.dumps(doc)))
+    parsed = sc.t_end if path == "t_end" else getattr(sc.options, path.split(".")[1])
+    assert parsed == value
 
 
 def test_bad_strategy_rejected(tmp_path):
