@@ -334,6 +334,11 @@ class KccRebuildMap:
     conductor element's geometric stiffness (b b^T + c c^T) / (4 A) by its
     nu and sums the entries into their slots of the data array with one
     bincount. Entries that are geometrically zero get no slot.
+
+    ``mu`` is each conductor element's lambda_max(K_geom,e, M_e), the
+    element-by-element bound (Irons & Treharne 1971; Fried 1973) that lets
+    ``growth_bound`` limit how far lambda_max of (K_cc - K_S, M_cc) moves
+    between two sets of element reluctivities.
     """
 
     conductor: ElementData
@@ -344,16 +349,31 @@ class KccRebuildMap:
     base: np.ndarray           # nonconducting contribution per slot
     indptr: np.ndarray
     indices: np.ndarray
+    mu: np.ndarray             # (E_c,) lambda_max(K_geom,e, M_e)
 
-    def rebuild(self, a_c: np.ndarray) -> SparseMatrix:
+    def nu(self, a_c: np.ndarray) -> np.ndarray:
+        """Reluctivity of each conductor element at the field of a_c."""
         ae = np.append(a_c, 0.0)[self.dofs]
-        nu_e = self.conductor.nu(self.conductor.b2_local(ae))
+        return self.conductor.nu(self.conductor.b2_local(ae))
+
+    def rebuild(self, nu_e: np.ndarray) -> SparseMatrix:
+        """K_cc with the conductor element reluctivities nu_e (from ``nu``)."""
         vals = self.base + np.bincount(self.entry_slot,
                                        weights=self.entry_geom * nu_e[self.entry_element],
                                        minlength=self.base.size)
         n_c = self.indptr.size - 1
         return SparseMatrix(scipy.sparse.csr_matrix((vals, self.indices, self.indptr),
                                                     shape=(n_c, n_c)))
+
+    def growth_bound(self, nu_e: np.ndarray, nu_ref: np.ndarray) -> float:
+        """Upper bound on lambda_max(K_cc(nu_e) - K_S, M_cc) minus
+        lambda_max(K_cc(nu_ref) - K_S, M_cc). K_S is constant, so by Weyl's
+        inequality the growth is at most lambda_max(D, M_cc) with
+        D = sum_e (nu_e - nu_ref,e) K_geom,e, and x^T D x <= sum_e
+        (nu_e - nu_ref,e)^+ mu_e x_e^T M_e x_e <= max_e (...) x^T M_cc x,
+        since M_cc is the sum of the conductor element masses. Dirichlet
+        zeros in x_e only shrink x_e^T K_geom,e x_e / x_e^T M_e x_e."""
+        return float(np.max(np.maximum(nu_e - nu_ref, 0.0) * self.mu, initial=0.0))
 
 
 def kcc_rebuild_map(mesh: Mesh2D, part: DofPartition, data: ElementData) -> KccRebuildMap:
@@ -382,7 +402,20 @@ def kcc_rebuild_map(mesh: Mesh2D, part: DofPartition, data: ElementData) -> KccR
     base = np.bincount(slot[src.size:], weights=v, minlength=uniq.size)
     dofs = index[cond.nodes]
     return KccRebuildMap(cond, np.where(dofs >= 0, dofs, n_c), src // 9, geom[src],
-                         slot[:src.size], base, pattern.indptr, pattern.indices)
+                         slot[:src.size], base, pattern.indptr, pattern.indices,
+                         _element_lambda_max(cond))
+
+
+def _element_lambda_max(data: ElementData) -> np.ndarray:
+    """lambda_max(K_geom,e, M_e) of each element, in closed form.
+    K_geom = (b b^T + c c^T) / (4 A) annihilates the constant vector, on
+    whose complement MASS_TEMPLATE acts as I / 12, so the pencil's
+    lambda_max is 12 lambda_max(K_geom) / (kappa A). The nonzero eigenvalues
+    of K_geom are those of the 2x2 Gram matrix of b and c over 4 A."""
+    b, c = data.b, data.c
+    bb, cc, bc = (b * b).sum(axis=1), (c * c).sum(axis=1), (b * c).sum(axis=1)
+    lam_geom = 0.5 * (bb + cc + np.hypot(bb - cc, 2.0 * bc)) / (4.0 * data.area)
+    return 12.0 * lam_geom / (data.kappa * data.area)
 
 
 def coil_elements(mesh: Mesh2D, coil_id: int) -> np.ndarray:

@@ -21,8 +21,11 @@ conducting solution has drifted from the state of the last rebuild by more
 than tol_update in relative l2 norm. A rebuild does not reassemble: the
 KccRebuildMap built by discretize for nonlinear problems scales the stored
 geometric stiffness of each conductor element by nu(B^2(a_c)) and sums it
-into K_cc's fixed pattern. A rebuild re-estimates lambda_max and may shrink
-dt (never grow it mid-run).
+into K_cc's fixed pattern. After a rebuild, lambda_max is re-estimated
+only when dt times an upper bound on it exceeds 1 + safety, half the
+margin that safety leaves below 2; the bound is the last estimate plus
+KccRebuildMap.growth_bound of the element reluctivities since then. A
+re-estimate may shrink dt, never grow it mid-run.
 
 The implicit Euler / Newton-Raphson path on the full DAE serves as the
 accuracy reference; it is unconditionally stable and reassembles the
@@ -201,6 +204,10 @@ class SolverState:
     """Mutable time-stepper state. K_cc_current is always the stiffness block
     assembled at a_c_last_update; j_sn is the source of the last step.
 
+    For nonlinear problems nu_e holds the conductor element reluctivities
+    K_cc_current was built from, and nu_est those of the last lambda_max
+    estimate; both are None for linear ones.
+
     Invariant: a_n = pinv(K_nn) (j_sn - K_cn^T a_c) to PCG tolerance.
     new_state starts consistent (all zero) and every explicit_step restores
     it; the step relies on it for its Schur term. A caller that overwrites
@@ -216,7 +223,10 @@ class SolverState:
     dt: float = 0.0
     lam_max: float = 0.0
     lam_vec: np.ndarray | None = None
+    nu_e: np.ndarray | None = None
+    nu_est: np.ndarray | None = None
     update_count: int = 0
+    estimate_count: int = 0
     step_count: int = 0
 
 
@@ -229,6 +239,7 @@ def new_state(problem: AssembledProblem) -> SolverState:
         a_c_last_update=np.zeros(nc),
         K_cc_current=problem.blocks.K_cc,
         j_sn=np.zeros(nn),
+        nu_e=problem.kcc_map.nu(np.zeros(nc)) if problem.is_nonlinear else None,
     )
 
 
@@ -237,7 +248,8 @@ def estimate_cfl(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurConte
     """safety * 2 / lambda_max(M_cc^-1 (K_cc - K_S)) with lambda_max from
     power iteration on the matrix-free operator. The solves run in a
     dedicated estimation context so the run's recycling histories stay
-    untouched; state.lam_vec warm-starts re-estimation after updates."""
+    untouched; state.lam_vec warm-starts re-estimation after updates.
+    Records the estimate with the reluctivities it was made at (nu_est)."""
     n_c = blocks.n_c
     if n_c == 0:
         raise SolverError("no conducting DoFs: the Schur ODE is empty")
@@ -258,6 +270,8 @@ def estimate_cfl(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurConte
         raise SolverError(f"nonpositive dominant eigenvalue {report.value:.3e}")
     state.lam_max = report.value
     state.lam_vec = report.vector
+    state.nu_est = state.nu_e
+    state.estimate_count += 1
     return opts.safety * 2.0 / report.value
 
 
@@ -302,7 +316,8 @@ def maybe_update_kcc(state: SolverState, problem: AssembledProblem,
     if not trigger:
         return state, False
     if problem.kcc_map is not None:
-        state.K_cc_current = problem.kcc_map.rebuild(state.a_c)
+        state.nu_e = problem.kcc_map.nu(state.a_c)
+        state.K_cc_current = problem.kcc_map.rebuild(state.nu_e)
     state.a_c_last_update = state.a_c.copy()
     state.update_count += 1
     return state, True
@@ -325,6 +340,7 @@ class RunResult:
     lam_max_initial: float
     lam_max_final: float
     update_count: int
+    cfl_estimates: int
     stats: object
     max_dae_residual: float
     mass_solves: int
@@ -351,6 +367,7 @@ class RunResult:
             "lambda_max_initial": self.lam_max_initial,
             "lambda_max_final": self.lam_max_final,
             "update_count": self.update_count,
+            "cfl_estimates": self.cfl_estimates,
             "pcg_solves": getattr(self.stats, "n_solves", 0),
             "pcg_iterations_total": getattr(self.stats, "total_iterations", 0),
             "pcg_iterations_mean": getattr(self.stats, "mean_iterations", lambda: 0.0)(),
@@ -393,7 +410,10 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
                  opts: SolverOptions) -> RunResult:
     """Explicit Euler from t=0 to t_end (within half a step). dt is fixed to
     the CFL estimate at start; re-estimation after K_cc updates may shrink
-    it, never grow it."""
+    it, never grow it. A rebuild re-estimates only when dt * (lam_max +
+    growth_bound) exceeds 1 + safety: the bound may spend half the margin
+    safety leaves below the stability limit 2, the other half covers the
+    power iteration's own error."""
     t_start = time.perf_counter()
     blocks = problem.blocks
     ctx = SchurContext(blocks, tol=opts.pcg_tol, max_iter=opts.pcg_max_iter,
@@ -443,7 +463,9 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
         # selective updates only matter when K_cc actually depends on a_c
         if problem.is_nonlinear:
             _, updated = maybe_update_kcc(state, problem, opts.tol_update)
-            if updated:
+            # lam_max + growth_bound bounds the rebuilt K_cc's lambda_max
+            if updated and state.dt * (state.lam_max + problem.kcc_map.growth_bound(
+                    state.nu_e, state.nu_est)) > 1.0 + opts.safety:
                 dt_new = estimate_cfl(state, blocks, ctx, mcc, opts)
                 if opts.dt_override is None and dt_new < state.dt:
                     state.dt = dt_new
@@ -458,6 +480,7 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
         dt_initial=dt_initial, dt_final=state.dt,
         lam_max_initial=lam_initial, lam_max_final=state.lam_max,
         update_count=state.update_count,
+        cfl_estimates=state.estimate_count,
         stats=ctx.stats,
         max_dae_residual=max_dae,
         mass_solves=mcc.solves_total,
@@ -604,6 +627,7 @@ def run_implicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
         dt_initial=dt, dt_final=dt,
         lam_max_initial=0.0, lam_max_final=0.0,
         update_count=newton_total,
+        cfl_estimates=0,
         stats=None,
         max_dae_residual=0.0,
         mass_solves=0,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .assembly import MaterialTable, SourceSpec
-from .errors import ConfigError
+from .errors import ConfigError, MeshError
 from .integrate import AssembledProblem, SolverOptions, discretize
 from .materials import NU0, MaterialModel
 from .mesh import Mesh2D, RegionTag, generate_rect_mesh, load_mesh
@@ -91,24 +91,43 @@ def _require(doc: dict, key: str, path: str):
 
 
 def _check_keys(doc: dict, allowed: set, path: str):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path.rstrip('.') or 'scenario'} must be an object")
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown key {path}{sorted(unknown)[0]!r}")
 
 
+def _finite(val, path: str) -> float:
+    """A finite JSON number (not a bool) as float."""
+    try:
+        ok = not isinstance(val, bool) and math.isfinite(val)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{path} must be a finite number, got {val!r}")
+    return float(val)
+
+
+def _int(val, path: str) -> int:
+    """An integral JSON number (not a bool) as int."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)) \
+            or isinstance(val, float) and not val.is_integer():
+        raise ConfigError(f"{path} must be an integer, got {val!r}")
+    return int(val)
+
+
 def _parse_material(doc: dict, path: str) -> MaterialModel:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must be an object")
     _check_keys(doc, _MATERIAL_KEYS, path + ".")
     law = doc.get("law", "linear")
-    kappa = float(doc.get("kappa", 0.0))
+    num = {key: _finite(val, f"{path}.{key}") for key, val in doc.items() if key != "law"}
+    kappa = num.get("kappa", 0.0)
     try:
         if law == "linear":
-            return MaterialModel.linear(kappa, float(doc.get("nu", NU0)))
+            return MaterialModel.linear(kappa, num.get("nu", NU0))
         if law == "brauer":
-            return MaterialModel.brauer(kappa, float(_require(doc, "k1", path + ".")),
-                                        float(_require(doc, "k2", path + ".")),
-                                        float(_require(doc, "k3", path + ".")))
+            return MaterialModel.brauer(kappa, *(_require(num, k, path + ".")
+                                                 for k in ("k1", "k2", "k3")))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}.law must be 'linear' or 'brauer', got {law!r}")
@@ -172,10 +191,10 @@ def _parse_solver(doc: dict) -> SolverOptions:
         try:
             if val is not None and key in _FLOAT_RANGES:
                 val = float(val)
-            elif val is not None and key in _INT_OPTS:
-                val = int(val)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"solver.{key}: {exc}") from exc
+        if val is not None and key in _INT_OPTS:
+            val = _int(val, f"solver.{key}")
         if val is not None and key in _FLOAT_RANGES:
             ok, wording = _FLOAT_RANGES[key]
             if not ok(val):
@@ -195,8 +214,6 @@ def _parse_solver(doc: dict) -> SolverOptions:
 
 
 def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario must be a JSON object")
     _check_keys(doc, _TOP_KEYS, "")
     mesh_spec = _require(doc, "mesh", "")
     _check_keys(mesh_spec, _MESH_KEYS, "mesh.")
@@ -206,28 +223,46 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         if extra:
             raise ConfigError(f"mesh.file excludes other mesh keys: {sorted(extra)}")
     else:
-        for key in ("width", "height", "nx", "ny"):
-            _require(mesh_spec, key, "mesh.")
-        for i, box in enumerate(mesh_spec.get("regions", [])):
-            _check_keys(box, _REGION_KEYS, f"mesh.regions[{i}].")
-            for key in _REGION_KEYS:
-                _require(box, key, f"mesh.regions[{i}].")
-            RegionTag.parse(box["tag"])
+        mesh_spec = dict(mesh_spec)
+        for key in ("width", "height"):
+            mesh_spec[key] = _finite(_require(mesh_spec, key, "mesh."), f"mesh.{key}")
+            if mesh_spec[key] <= 0:
+                raise ConfigError(f"mesh.{key} must be > 0, got {mesh_spec[key]!r}")
+        for key in ("nx", "ny"):
+            mesh_spec[key] = _int(_require(mesh_spec, key, "mesh."), f"mesh.{key}")
+            if mesh_spec[key] < 1:
+                raise ConfigError(f"mesh.{key} must be >= 1, got {mesh_spec[key]!r}")
+        boxes = mesh_spec.get("regions", [])
+        if not isinstance(boxes, list):
+            raise ConfigError(f"mesh.regions must be a list, got {boxes!r}")
+        for i, box in enumerate(boxes):
+            path = f"mesh.regions[{i}]"
+            _check_keys(box, _REGION_KEYS, path + ".")
+            box = {key: _require(box, key, path + ".") for key in sorted(_REGION_KEYS)}
+            for key in ("x0", "x1", "y0", "y1"):
+                box[key] = _finite(box[key], f"{path}.{key}")
+            if not isinstance(box["tag"], str):
+                raise ConfigError(f"{path}.tag must be a string, got {box['tag']!r}")
+            try:
+                RegionTag.parse(box["tag"])
+            except MeshError as exc:
+                raise ConfigError(f"{path}.tag: {exc}") from exc
             region_boxes.append(box)
 
     materials = _parse_materials(_require(doc, "materials", ""))
 
     src_doc = _require(doc, "source", "")
     _check_keys(src_doc, _SOURCE_KEYS, "source.")
+    coil = _int(_require(src_doc, "coil", "source."), "source.coil")
+    i_max, tau = (_finite(_require(src_doc, key, "source."), f"source.{key}")
+                  for key in ("i_max", "tau"))
+    turns = _finite(src_doc.get("turns", 1.0), "source.turns")
     try:
-        source = SourceSpec(int(_require(src_doc, "coil", "source.")),
-                            float(_require(src_doc, "i_max", "source.")),
-                            float(_require(src_doc, "tau", "source.")),
-                            float(src_doc.get("turns", 1.0)))
+        source = SourceSpec(coil, i_max, tau, turns)
     except Exception as exc:
         raise ConfigError(f"source: {exc}") from exc
 
-    probe_id = int(_require(doc, "probe", ""))
+    probe_id = _int(_require(doc, "probe", ""), "probe")
     try:
         t_end = float(_require(doc, "t_end", ""))
     except (TypeError, ValueError) as exc:

@@ -19,7 +19,6 @@ estimate makes.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,7 +107,6 @@ class SchurContext:
         }
         self.stats = IterationStats()
         self.step = 0
-        self.wall_time = 0.0
         self._estimation: "SchurContext | None" = None
 
     def estimation_context(self) -> "SchurContext":
@@ -140,7 +138,6 @@ def solve_knn(ctx: SchurContext, rhs: np.ndarray, purpose: str) -> np.ndarray:
         # zero rhs has the zero pseudo-solution; leave the history alone
         ctx.stats.record(ctx.step, purpose, ctx.strategy, 0, 0.0)
         return np.zeros(ctx.blocks.n_n)
-    t0 = time.perf_counter()
     provider = ctx.providers[purpose]
     x0 = provider.start(rhs)
     report = pcg(ctx.blocks.K_nn, rhs, x0=x0, precond=ctx.precond, tol=ctx.tol,
@@ -153,7 +150,6 @@ def solve_knn(ctx: SchurContext, rhs: np.ndarray, purpose: str) -> np.ndarray:
     provider.push(report.solution)
     ctx.stats.record(ctx.step, purpose, ctx.strategy, report.iterations,
                      report.final_relative_residual)
-    ctx.wall_time += time.perf_counter() - t0
     return report.solution
 
 

@@ -65,7 +65,8 @@ def dense_kS(blocks) -> np.ndarray:
 NAN, INF = float("nan"), float("inf")
 
 # (key path, value) pairs that parsing must reject with a ConfigError that
-# names the key path: non-finite or out of the option's range
+# names the key path: non-finite, out of the option's range, or not an
+# integer (bools included) where one is required
 BAD_SCENARIO_VALUES = [
     ("t_end", NAN), ("t_end", INF), ("t_end", 0.0), ("t_end", -1.0),
     ("solver.dt_override", NAN), ("solver.dt_override", INF),
@@ -78,6 +79,17 @@ BAD_SCENARIO_VALUES = [
     ("solver.tol_update", NAN), ("solver.tol_update", INF), ("solver.tol_update", -1e-3),
     ("solver.tol_pod", NAN), ("solver.tol_pod", INF), ("solver.tol_pod", 0.0),
     ("solver.power_max_iter", INF),
+    ("solver.seed", True), ("solver.cspe_window", True), ("solver.output_every", 2.5),
+    ("mesh.nx", INF), ("mesh.nx", "20"), ("mesh.nx", 20.5), ("mesh.nx", True),
+    ("mesh.ny", 0), ("mesh.width", NAN), ("mesh.height", -0.1),
+    ("mesh.regions", 5), ("mesh.regions", [5]),
+    ("probe", NAN), ("probe", True), ("probe", "0"),
+    ("materials.conductor:0.kappa", NAN), ("materials.conductor:0.kappa", INF),
+    ("materials.conductor:0.nu", NAN), ("materials.conductor:0.nu", INF),
+    ("materials.conductor:0.k1", NAN), ("materials.conductor:0.k2", INF),
+    ("materials.conductor:0.k3", NAN),
+    ("source.i_max", NAN), ("source.i_max", INF), ("source.tau", NAN),
+    ("source.turns", INF), ("source.coil", True),
 ]
 
 

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
 
-from eddy2d.assembly import MaterialTable, assemble, compute_b2, extract_blocks
+from eddy2d import integrate
+from eddy2d.assembly import MASS_TEMPLATE, MaterialTable, assemble, compute_b2, extract_blocks
 from eddy2d.errors import InstabilityError, SolverError
 from eddy2d.integrate import (
     MccSolver,
@@ -398,6 +401,51 @@ def test_kcc_update_does_not_reassemble(mini_problem_nonlinear, monkeypatch):
     assert updated
 
 
+def uniform_field_state(problem, b0):
+    """a_c = b0 * y on the conducting nodes: |B| = b0 in every conductor
+    element whose nodes are all free (all of them in mini and plate2d)."""
+    return b0 * problem.mesh.nodes[problem.part.free_nodes[problem.part.idx_c], 1]
+
+
+def test_rebuild_map_mu_is_element_lambda_max(mini_problem_nonlinear):
+    kmap = mini_problem_nonlinear.kcc_map
+    cond = kmap.conductor
+    for e in range(cond.area.size):
+        b, c, area = cond.b[e], cond.c[e], cond.area[e]
+        k_geom = (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
+        m_e = cond.kappa[e] * area * MASS_TEMPLATE
+        ref = scipy.linalg.eigh(k_geom, m_e, eigvals_only=True)[-1]
+        assert kmap.mu[e] == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("make_problem", [
+    lambda: make_mini_problem(nonlinear=True),
+    plate2d_problem,
+], ids=["mini", "plate2d"])
+def test_lambda_growth_bound_holds(make_problem):
+    # between every two conductor states, the exact lambda_max of the new
+    # K_cc is at most the old one plus growth_bound. The states: zero field,
+    # a uniform 1.2 T field (the bound is about 63% tight there, and every nu
+    # falls on the way back to zero, where only the positive part keeps the
+    # bound from going negative) and random fields up to about 1.2 T
+    problem = make_problem()
+    kmap = problem.kcc_map
+    n_c = problem.part.n_c
+    rng = np.random.default_rng(31)
+    cond = np.array([tag.kind == "conductor" for tag in problem.mesh.element_region])
+    states = [np.zeros(n_c), uniform_field_state(problem, 1.2)]
+    for _ in range(4):
+        a_c = rng.standard_normal(n_c)
+        a_full = problem.part.to_full(a_c, np.zeros(problem.part.n_n), problem.mesh.n_nodes)
+        b_max = np.sqrt(compute_b2(problem.mesh, a_full)[cond].max())
+        states.append(a_c * rng.uniform(0.2, 1.2) / b_max)
+    nus = [kmap.nu(a_c) for a_c in states]
+    lams = [dense_lambda_max(problem, kmap.rebuild(nu)) for nu in nus]
+    for old, new in itertools.permutations(range(len(states)), 2):
+        bound = kmap.growth_bound(nus[new], nus[old])
+        assert lams[new] <= (lams[old] + bound) * (1 + 1e-12)
+
+
 # ---------------------------------------------------------------------- Newton
 
 def test_newton_linear_one_iteration(mini_problem, mini_source):
@@ -510,6 +558,39 @@ def test_run_explicit_nonlinear_update_counts(mini_problem_nonlinear):
     # nonincreasing across the tolerance sweep, strictly fewer at the ends
     assert counts[0.0] >= counts[1e-4] >= counts[1e-3] >= counts[1e-2]
     assert counts[0.0] > counts[1e-3] > counts[1e-2]
+
+
+def test_run_explicit_gated_cfl_keeps_every_step_stable(mini_problem_nonlinear, monkeypatch):
+    # a dense eigh of every K_cc in force: the rebuilds that skip the
+    # re-estimate still step inside the stability limit dt * lambda <= 2
+    problem = mini_problem_nonlinear
+    in_force = []
+    step = integrate.explicit_step
+
+    def recording_step(state, *args):
+        in_force.append((state.dt, state.K_cc_current))
+        return step(state, *args)
+
+    monkeypatch.setattr(integrate, "explicit_step", recording_step)
+    res = run_explicit(problem, make_mini_source(i_max=2000.0), 0.05, SolverOptions(seed=3))
+    lam = {}
+    for dt, k_cc in in_force:
+        if id(k_cc) not in lam:
+            lam[id(k_cc)] = dense_lambda_max(problem, k_cc)
+        assert dt * lam[id(k_cc)] <= 2.0
+    assert len(lam) >= res.update_count >= 100
+    assert 10 * res.summary()["cfl_estimates"] <= res.update_count
+
+
+def test_summary_counts_cfl_estimates():
+    # the initial estimate plus the re-estimates the bound could not rule out
+    sc = load_scenario(bundled_scenario_path("plate2d"))
+    res = run_explicit(sc.build_problem(), sc.source, 0.15, sc.options)
+    assert res.update_count > 100
+    assert 1 <= res.summary()["cfl_estimates"] < 10
+    lin = load_scenario(bundled_scenario_path("plate2d_linear"))
+    res = run_explicit(lin.build_problem(), lin.source, 0.01, lin.options)
+    assert res.summary()["cfl_estimates"] == 1
 
 
 def test_run_explicit_tolerance_accuracy(mini_problem_nonlinear):

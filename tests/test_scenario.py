@@ -157,6 +157,18 @@ def test_in_range_value_accepted(path, value):
     assert parsed == value
 
 
+def test_integral_numbers_accepted_as_int():
+    doc = minimal_doc()
+    for path, value in [("mesh.nx", 12.0), ("mesh.ny", 1), ("probe", 0.0),
+                        ("source.coil", 0), ("solver.seed", 0), ("solver.cspe_window", 3.0)]:
+        set_key_path(doc, path, value)
+    sc = parse_scenario(json.loads(json.dumps(doc)))
+    parsed = [sc.mesh_spec["nx"], sc.mesh_spec["ny"], sc.probe_id, sc.source.coil_id,
+              sc.options.seed, sc.options.cspe_window]
+    assert parsed == [12, 1, 0, 0, 0, 3]
+    assert all(type(v) is int for v in parsed)
+
+
 def test_bad_strategy_rejected(tmp_path):
     doc = minimal_doc()
     doc["solver"] = {"strategy": "magic"}
