@@ -3,9 +3,10 @@
 The spatially discretized vector-potential system is a DAE with a singular
 mass matrix; a generalized Schur complement eliminates the nonconducting
 block and leaves a finitely stiff ODE that explicit Euler can integrate.
-The embedded K_nn solves are accelerated by subspace-projection (CSPE) or
-POD start vectors, and the nonlinear stiffness block is rebuilt only when
-the solution has moved by more than a tolerance.
+The embedded K_nn solves start from the exact solve with a factor of K_nn
+(the bundled default) or from subspace-projection (CSPE) or POD start
+vectors, and the nonlinear stiffness block is rebuilt only when the
+solution has moved by more than a tolerance.
 """
 
 from .assembly import (
@@ -47,6 +48,7 @@ from .linalg import (
     PcgReport,
     SparseMatrix,
     dense_solve_spd,
+    factor_spd,
     ic0_preconditioner,
     jacobi_preconditioner,
     mgs_extend,

@@ -156,7 +156,7 @@ def cmd_cfl(args) -> int:
     from .schur import SchurContext
 
     ctx = SchurContext(problem.blocks, tol=opts.pcg_tol, max_iter=opts.pcg_max_iter,
-                       strategy="previous")
+                       strategy=opts.strategy)
     mcc = MccSolver(problem.blocks.M_cc, opts.mcc_mode, opts.mcc_tol)
     state = new_state(problem)
     dt_cfl = estimate_cfl(state, problem.blocks, ctx, mcc, opts)
@@ -190,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-startvec", help="compare PCG start-vector strategies")
     p.add_argument("--config", required=True)
-    p.add_argument("--strategies", default="previous,cspe,pod",
-                   help="comma-separated subset of previous,cspe,pod")
+    p.add_argument("--strategies", default="previous,cspe,pod,direct",
+                   help="comma-separated subset of previous,cspe,pod,direct")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench_startvec)
 

@@ -59,7 +59,7 @@ from .assembly import (
     source_pattern,
 )
 from .errors import AssemblyError, InstabilityError, SolverError
-from .linalg import LinearOperator, SparseMatrix, pcg, power_iteration
+from .linalg import LinearOperator, SparseMatrix, factor_spd, pcg, power_iteration
 from .mesh import Mesh2D
 from .schur import SchurContext, apply_ks, recover_an, schur_rhs
 
@@ -173,15 +173,8 @@ class MccSolver:
                 raise SolverError("lumped mass has a nonpositive entry")
             self._inv_lumped = 1.0 / lumped if m_cc.nrows else np.zeros(0)
         elif m_cc.nrows:
-            # M_cc is SPD, so a symmetric ordering needs no pivoting
-            try:
-                lu = scipy.sparse.linalg.splu(m_cc.scipy().tocsc(),
-                                              permc_spec="MMD_AT_PLUS_A",
-                                              diag_pivot_thresh=0.0)
-            except RuntimeError as exc:
-                raise SolverError(f"M_cc factorization failed: {exc}") from exc
             self._op = LinearOperator.from_matrix(m_cc)
-            self._precond = LinearOperator(m_cc.nrows, lu.solve)
+            self._precond = LinearOperator(m_cc.nrows, factor_spd(m_cc, "M_cc").solve)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         if self.m_cc.nrows == 0:

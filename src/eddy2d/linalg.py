@@ -3,8 +3,9 @@
 Compressed-row matrices (backed by scipy for storage and matvec), a
 preconditioned conjugate gradient solver with start-vector support and
 per-solve iteration reporting, incomplete Cholesky / Jacobi preconditioners,
-modified Gram-Schmidt, power iteration and a Gram-matrix SVD for snapshot
-windows. PCG is hand-rolled because iteration counts and start vectors are
+a sparse LU factorization for the constant SPD blocks, modified
+Gram-Schmidt, power iteration and a Gram-matrix SVD for snapshot windows.
+PCG is hand-rolled because iteration counts and start vectors are
 first-class outputs here, not implementation details.
 """
 from __future__ import annotations
@@ -282,6 +283,18 @@ def ic0_preconditioner(A: SparseMatrix) -> Ic0Preconditioner:
     """Incomplete Cholesky IC(0). Raises Ic0Breakdown on a nonpositive pivot
     so the caller can fall back to Jacobi."""
     return Ic0Preconditioner(A)
+
+
+def factor_spd(A: SparseMatrix, name: str) -> scipy.sparse.linalg.SuperLU:
+    """Sparse LU of a constant SPD matrix, built once and reused for every
+    solve with it. A symmetric minimum-degree ordering keeps the fill small,
+    and SPD needs no pivoting. A singular matrix raises SolverError naming
+    ``name``."""
+    try:
+        return scipy.sparse.linalg.splu(A.scipy().tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                        diag_pivot_thresh=0.0)
+    except RuntimeError as exc:
+        raise SolverError(f"{name} factorization failed: {exc}") from exc
 
 
 def mgs_extend(basis: list[np.ndarray], v: np.ndarray, tol_drop: float = 1e-10):

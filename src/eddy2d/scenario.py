@@ -133,6 +133,14 @@ def _parse_material(doc: dict, path: str) -> MaterialModel:
     raise ConfigError(f"{path}.law must be 'linear' or 'brauer', got {law!r}")
 
 
+def _region_id(key: str, path: str) -> int:
+    """The integer region id after the colon of a ``kind:<id>`` key."""
+    try:
+        return int(key.split(":", 1)[1])
+    except ValueError:
+        raise ConfigError(f"{path}: region id must be an integer") from None
+
+
 def _parse_materials(doc: dict) -> MaterialTable:
     if not isinstance(doc, dict):
         raise ConfigError("materials must be an object")
@@ -149,14 +157,14 @@ def _parse_materials(doc: dict) -> MaterialTable:
                 raise ConfigError(f"{path}: nonlinear material on the air region")
             air = m
         elif key.startswith("conductor:"):
-            conductors[int(key.split(":", 1)[1])] = _parse_material(val, path)
+            conductors[_region_id(key, path)] = _parse_material(val, path)
         elif key.startswith("coil:"):
             m = _parse_material(val, path)
             if m.kappa != 0:
                 raise ConfigError(f"{path}: coil regions must have kappa = 0")
             if m.law != "linear":
                 raise ConfigError(f"{path}: nonlinear material on a coil region")
-            coils[int(key.split(":", 1)[1])] = m
+            coils[_region_id(key, path)] = m
         else:
             raise ConfigError(f"unknown key materials.{key!r}")
     try:
@@ -206,8 +214,9 @@ def _parse_solver(doc: dict) -> SolverOptions:
         raise ConfigError("solver.snapshot_every must be >= 1")
     if opts.cspe_window < 1 or opts.pod_window < 1:
         raise ConfigError("solver window sizes must be >= 1")
-    if opts.strategy not in ("previous", "cspe", "pod"):
-        raise ConfigError(f"solver.strategy must be previous|cspe|pod, got {opts.strategy!r}")
+    if opts.strategy not in ("previous", "cspe", "pod", "direct"):
+        raise ConfigError(
+            f"solver.strategy must be previous|cspe|pod|direct, got {opts.strategy!r}")
     if opts.mcc_mode not in ("pcg", "lumped"):
         raise ConfigError(f"solver.mcc_mode must be pcg|lumped, got {opts.mcc_mode!r}")
     return opts
@@ -265,7 +274,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     probe_id = _int(_require(doc, "probe", ""), "probe")
     try:
         t_end = float(_require(doc, "t_end", ""))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"t_end: {exc}") from exc
     if not 0 < t_end < math.inf:
         raise ConfigError(f"t_end must be finite and > 0, got {t_end!r}")

@@ -9,9 +9,14 @@ pseudo-inverse of K_nn turns the DAE into an ODE for the conducting DoFs:
     a_n = pinv(K_nn) (j_sn - K_cn^T a_c).
 
 K_S is never assembled; every use is an operator application backed by a
-PCG solve on K_nn. Those solves share one constant matrix, so each solve
-purpose keeps its own recycling history: histories from different
-right-hand-side families would be poor extrapolation data for each other.
+PCG solve on K_nn. K_nn never changes during a run. Under the ``direct``
+strategy it is factored once (sparse LU), and the factor serves both as the
+preconditioner and as the start vector of every solve: the start is the
+exact solution, which PCG's residual check accepts in 0 iterations. The
+other strategies precondition with IC(0) and recycle previous solutions;
+each solve purpose then keeps its own history, because histories from
+different right-hand-side families would be poor extrapolation data for
+each other.
 The time stepper makes two solves per step, ``source_term`` (the source
 increment, see ``integrate.explicit_step``) and ``recovery`` (a_n);
 ``schur_apply`` is left to K_S applications, which only the lambda_max
@@ -25,7 +30,13 @@ import numpy as np
 
 from .assembly import SystemBlocks
 from .errors import Ic0Breakdown, SolverError
-from .linalg import jacobi_preconditioner, ic0_preconditioner, pcg
+from .linalg import (
+    LinearOperator,
+    factor_spd,
+    ic0_preconditioner,
+    jacobi_preconditioner,
+    pcg,
+)
 from .startvec import make_provider
 
 PURPOSES = ("schur_apply", "source_term", "recovery")
@@ -74,10 +85,14 @@ class IterationStats:
             fh.write(f"{r.step},{r.purpose},{r.strategy},{r.iterations},{r.residual!r}\n")
 
 
-def knn_preconditioner(blocks: SystemBlocks):
-    """IC(0) on K_nn, falling back to Jacobi on breakdown."""
+def knn_preconditioner(blocks: SystemBlocks, strategy: str = "previous"):
+    """The sparse LU factor of K_nn under ``direct`` (an exact solve; a
+    singular K_nn raises SolverError), otherwise IC(0) on K_nn, falling back
+    to Jacobi on breakdown."""
     if blocks.n_n == 0:
         return None
+    if strategy == "direct":
+        return LinearOperator(blocks.n_n, factor_spd(blocks.K_nn, "K_nn").solve)
     try:
         return ic0_preconditioner(blocks.K_nn)
     except Ic0Breakdown:
@@ -86,8 +101,10 @@ def knn_preconditioner(blocks: SystemBlocks):
 
 class SchurContext:
     """Owns the K_nn preconditioner (built once per assembly; K_nn never
-    changes during a run), the per-purpose start-vector histories and the
-    iteration statistics. Single-owner mutable; not shared across threads."""
+    changes during a run), the per-purpose start-vector providers and the
+    iteration statistics. Under ``direct`` the preconditioner is the K_nn
+    factor and every provider starts from its solve. Single-owner mutable;
+    not shared across threads."""
 
     def __init__(self, blocks: SystemBlocks, tol: float = 1e-6,
                  max_iter: int | None = None, strategy: str = "previous",
@@ -98,11 +115,12 @@ class SchurContext:
         self.max_iter = max_iter
         self.strategy = strategy
         self.precond = preconditioner if preconditioner is not None \
-            else knn_preconditioner(blocks)
-        self._provider_args = dict(cspe_window=cspe_window, pod_window=pod_window,
-                                   tol_pod=tol_pod)
+            else knn_preconditioner(blocks, strategy)
+        exact_solve = self.precond.apply if self.precond is not None else None
         self.providers = {
-            purpose: make_provider(strategy, blocks.K_nn, **self._provider_args)
+            purpose: make_provider(strategy, blocks.K_nn, cspe_window=cspe_window,
+                                   pod_window=pod_window, tol_pod=tol_pod,
+                                   exact_solve=exact_solve)
             for purpose in PURPOSES
         }
         self.stats = IterationStats()
@@ -112,13 +130,15 @@ class SchurContext:
     def estimation_context(self) -> "SchurContext":
         """Context for eigenvalue estimation: shares the blocks and the
         preconditioner but keeps separate histories and statistics, so the
-        estimate is identical across start-vector strategies and the run's
+        estimate is identical across the recycling strategies and the run's
         recycling histories stay clean. Cached: successive re-estimations
-        recycle each other's solves."""
+        recycle each other's solves. Under ``direct`` it shares the factor
+        and starts every solve from it as well."""
         if self._estimation is None:
             self._estimation = SchurContext(
                 self.blocks, tol=self.tol, max_iter=self.max_iter,
-                strategy="previous", preconditioner=self.precond)
+                strategy="direct" if self.strategy == "direct" else "previous",
+                preconditioner=self.precond)
         return self._estimation
 
 

@@ -1,15 +1,18 @@
-"""Start-vector generators for the recycled PCG solves.
+"""Start-vector generators for the PCG solves on K_nn.
 
-Both strategies exploit that the K_nn solves form a multiple-right-hand-side
-sequence with a constant matrix: solutions from previous time steps span a
-subspace in which the new solution is nearly contained, so a small projected
-(Galerkin) solve yields a start vector that leaves PCG little to do.
+The recycling strategies exploit that the K_nn solves form a
+multiple-right-hand-side sequence with a constant matrix: solutions from
+previous time steps span a subspace in which the new solution is nearly
+contained, so a small projected (Galerkin) solve yields a start vector that
+leaves PCG little to do.
 
 CSPE keeps an orthonormal basis of previous solutions where at most one
 column changes per step, so all cached K_nn*v products except the newest
 are reused. POD compresses a snapshot window through the SVD and keeps only
 modes within a singular-value ratio threshold, then solves the reduced
-system U_r^T K_nn U_r.
+system U_r^T K_nn U_r. The direct strategy recycles nothing: its start
+vector is the exact solve with a sparse LU factor of K_nn, which PCG then
+only checks.
 """
 from __future__ import annotations
 
@@ -171,9 +174,30 @@ class PodCache:
         return self.U_r @ z
 
 
+class FactorSolution:
+    """Direct strategy: start from the exact solve ``exact_solve(rhs)`` with
+    a factor of K_nn. PCG accepts that start in 0 iterations, so there is no
+    history to keep."""
+
+    name = "direct"
+
+    def __init__(self, exact_solve):
+        self._solve = exact_solve
+
+    def start(self, rhs: np.ndarray) -> np.ndarray:
+        return self._solve(rhs)
+
+    def push(self, solution: np.ndarray) -> None:
+        pass
+
+
 def make_provider(strategy: str, knn: SparseMatrix, cspe_window: int = 5,
-                  pod_window: int = 10, tol_pod: float = 1e4, drop_tol: float = 1e-10):
-    """One start-vector provider per solve purpose; cold starts return zero."""
+                  pod_window: int = 10, tol_pod: float = 1e4, drop_tol: float = 1e-10,
+                  exact_solve=None):
+    """One start-vector provider per solve purpose; cold starts of the
+    recycling strategies return zero. ``direct`` needs ``exact_solve``."""
+    if strategy == "direct":
+        return FactorSolution(exact_solve)
     if strategy == "previous":
         return PreviousSolution(knn.nrows)
     if strategy == "cspe":

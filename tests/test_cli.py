@@ -6,8 +6,8 @@ import sys
 import pytest
 
 import eddy2d
-from eddy2d.cli import EXIT_CONFIG, EXIT_INSTABILITY, EXIT_OK, main
-from eddy2d.scenario import bundled_scenario_path
+from eddy2d.cli import EXIT_CONFIG, EXIT_INSTABILITY, EXIT_OK, build_parser, main
+from eddy2d.scenario import bundled_scenario_path, load_scenario
 
 from conftest import BAD_SCENARIO_VALUES, set_key_path
 
@@ -146,6 +146,21 @@ def test_bench_startvec_orderings(nonlinear_config_path, tmp_path):
         assert os.path.exists(os.path.join(out, f"result_{s}.csv"))
 
 
+def test_bench_startvec_reports_direct(config_path, tmp_path, capsys):
+    out = str(tmp_path / "bsd")
+    assert main(["bench-startvec", "--config", config_path,
+                 "--strategies", "previous,direct", "--out", out]) == EXIT_OK
+    header, rows = read_csv(os.path.join(out, "bench_startvec.csv"))
+    total = {r[0]: int(r[header.index("total_iterations")]) for r in rows}
+    assert total["direct"] == 0 < total["previous"]
+    assert "probe series agree across strategies" in capsys.readouterr().out
+
+
+def test_bench_startvec_default_strategies_include_direct():
+    args = build_parser().parse_args(["bench-startvec", "--config", "c", "--out", "o"])
+    assert args.strategies == "previous,cspe,pod,direct"
+
+
 def test_bench_update_counts(nonlinear_config_path, tmp_path):
     out = str(tmp_path / "bu")
     assert main(["bench-update", "--config", nonlinear_config_path,
@@ -172,6 +187,61 @@ def test_cfl_report(config_path, capsys):
     assert "dt_cfl" in out
     assert "not a sharp estimate" in out
     assert "projected steps" in out
+
+
+def _cfl_lambda(capsys, config) -> float:
+    assert main(["cfl", "--config", config]) == EXIT_OK
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("lambda_max"))
+    return float(line.split("=")[1].split()[0])
+
+
+def test_cfl_follows_scenario_strategy(tmp_path, capsys, monkeypatch):
+    # the bundled plate2d_linear runs direct: cfl builds no IC(0) for it and
+    # reads the lambda_max of a run and of the previous-solution strategy
+    import eddy2d.schur
+
+    doc = json.load(open(bundled_scenario_path("plate2d_linear")))
+    assert doc["solver"]["strategy"] == "direct"
+    power_tol = load_scenario(bundled_scenario_path("plate2d_linear")).options.power_tol
+    doc["solver"]["strategy"] = "previous"
+    previous = tmp_path / "previous.json"
+    previous.write_text(json.dumps(doc))
+    lam_previous = _cfl_lambda(capsys, str(previous))
+
+    def no_ic0(A):
+        raise AssertionError("IC(0) built under the direct strategy")
+
+    monkeypatch.setattr(eddy2d.schur, "ic0_preconditioner", no_ic0)
+    lam_direct = _cfl_lambda(capsys, "plate2d_linear")
+    doc["solver"]["strategy"] = "direct"
+    doc["t_end"] = 1e-3
+    quick = tmp_path / "quick.json"
+    quick.write_text(json.dumps(doc))
+    out = str(tmp_path / "oq")
+    assert main(["run", "--config", str(quick), "--method", "explicit", "--out", out]) == EXIT_OK
+    summary = json.load(open(os.path.join(out, "result_explicit_summary.json")))
+    for lam in (lam_previous, summary["lambda_max_initial"]):
+        assert abs(lam_direct - lam) <= power_tol * lam
+
+
+@pytest.mark.parametrize("kind", ["conductor", "coil"])
+@pytest.mark.parametrize("command", ["run", "cfl"])
+def test_bad_region_id_exits_config(tmp_path, capsys, command, kind):
+    doc = small_scenario_doc()
+    materials = doc["materials"]
+    if kind == "conductor":
+        materials["conductor:x"] = materials.pop("conductor:0")
+    else:
+        materials["coil:x"] = {"nu": 795774.715}
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [command, "--config", str(cfg)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    assert f"materials.{kind}:x" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_determinism_bitwise_csv(config_path, tmp_path):

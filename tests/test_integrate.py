@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -543,6 +544,22 @@ def test_run_explicit_dae_constraint(mini_problem, mini_source):
     opts = SolverOptions(seed=3)
     res = run_explicit(mini_problem, mini_source, 0.02, opts)
     assert res.max_dae_residual <= 10 * opts.pcg_tol
+
+
+def test_run_explicit_direct_tightens_dae_residual():
+    # the bundled default: every K_nn solve starts exact, so the constraint
+    # holds to roundoff (criterion 9 asks 10 * pcg_tol of the PCG strategies)
+    # and the probe stays within the answer contract of the cspe run
+    sc = load_scenario(bundled_scenario_path("plate2d"))
+    assert sc.options.strategy == "direct"
+    problem = sc.build_problem()
+    direct = run_explicit(problem, sc.source, sc.t_end, sc.options)
+    cspe = run_explicit(problem, sc.source, sc.t_end, replace(sc.options, strategy="cspe"))
+    summary = direct.summary()
+    assert summary["max_dae_residual"] <= 1e-12
+    assert summary["pcg_iterations_total"] == 0
+    assert summary["pcg_solves"] == 2 * direct.step_count
+    assert probe_deviation(direct, cspe) <= 10 * sc.options.pcg_tol
 
 
 def test_run_explicit_nonlinear_update_counts(mini_problem_nonlinear):

@@ -10,6 +10,7 @@ from eddy2d.linalg import (
     SparseMatrix,
     dense_solve_spd,
     export_matrix,
+    factor_spd,
     ic0_preconditioner,
     jacobi_preconditioner,
     mgs_orthonormalize,
@@ -263,6 +264,20 @@ def test_ic0_breakdown_signals():
     A = SparseMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])  # indefinite
     with pytest.raises(Ic0Breakdown):
         ic0_preconditioner(A)
+
+
+def test_factor_spd_solves_exactly():
+    rng = np.random.default_rng(61)
+    dense = random_spd(30, rng, cond=1e4)
+    lu = factor_spd(SparseMatrix.from_dense(dense), "A")
+    b = rng.standard_normal(30)
+    ref = np.linalg.solve(dense, b)
+    assert np.linalg.norm(lu.solve(b) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_factor_spd_names_a_singular_matrix():
+    with pytest.raises(SolverError, match="K_nn factorization failed"):
+        factor_spd(SparseMatrix.from_dense([[1.0, 0.0], [0.0, 0.0]]), "K_nn")
 
 
 # ------------------------------------------------------------------------- MGS

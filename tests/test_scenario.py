@@ -1,7 +1,9 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eddy2d.errors import ConfigError
 from eddy2d.scenario import bundled_scenario_path, load_scenario, parse_scenario, resolve_config
@@ -210,3 +212,76 @@ def test_resolve_config_bundled_and_missing(tmp_path):
     assert resolve_config("plate2d").endswith("plate2d.json")
     with pytest.raises(ConfigError, match="no such file"):
         resolve_config(str(tmp_path / "nope.json"))
+
+
+@pytest.mark.parametrize("key", ["conductor:x", "conductor:", "coil:x", "coil:1.5"])
+def test_bad_region_id_rejected_with_path(key):
+    doc = minimal_doc()
+    doc["materials"][key] = {"nu": 795774.715}
+    with pytest.raises(ConfigError, match=re.escape(f"materials.{key}")):
+        parse_scenario(doc)
+
+
+def test_huge_integer_t_end_rejected_with_path():
+    # float() of an integer beyond the double range overflows
+    doc = minimal_doc()
+    doc["t_end"] = 10 ** 400
+    with pytest.raises(ConfigError, match="t_end"):
+        parse_scenario(json.loads(json.dumps(doc)))
+
+
+def test_direct_strategy_accepted():
+    doc = minimal_doc()
+    doc["solver"] = {"strategy": "direct"}
+    assert parse_scenario(doc).options.strategy == "direct"
+
+
+# -------------------------------------------------------- parser property test
+
+BUNDLED_DOCS = {name: json.loads(Path(bundled_scenario_path(name)).read_text())
+                for name in ("plate2d", "plate2d_linear")}
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _key_paths(node, path=()):
+    """The path of every dict key and list index below ``node``."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _key_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A bundled scenario document with one key renamed or one value
+    replaced by an arbitrary JSON value. Half of the renames keep the part
+    of the key up to its first colon, so ``conductor:0`` can become
+    ``conductor:x``."""
+    doc = json.loads(json.dumps(BUNDLED_DOCS[draw(st.sampled_from(sorted(BUNDLED_DOCS)))]))
+    *parents, key = draw(st.sampled_from(list(_key_paths(doc))))
+    node = doc
+    for k in parents:
+        node = node[k]
+    if isinstance(key, str) and draw(st.booleans()):
+        prefix = draw(st.sampled_from(["", key.partition(":")[0] + ":"]))
+        node[prefix + draw(st.text(max_size=4))] = node.pop(key)
+    else:
+        node[key] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(mutated_scenarios())
+def test_mutated_scenario_parses_or_raises_config_error(doc):
+    # parse only: a bad document must end in ConfigError, never in another
+    # exception
+    try:
+        parse_scenario(doc)
+    except ConfigError:
+        pass

@@ -12,7 +12,7 @@ from eddy2d.schur import (
     solve_knn,
 )
 
-from conftest import dense_kS
+from conftest import dense_kS, make_mini_problem
 
 TOL = 1e-6
 
@@ -226,3 +226,67 @@ def test_all_strategies_reduce_or_match_iterations(mini_problem, strategy):
         solve_knn(base, rhs, "source_term")
         solve_knn(test, rhs, "source_term")
     assert test.stats.total_iterations <= base.stats.total_iterations
+
+
+# ----------------------------------------------------------- direct strategy
+
+def _plate2d_problem():
+    from eddy2d.scenario import bundled_scenario_path, load_scenario
+
+    return load_scenario(bundled_scenario_path("plate2d")).build_problem()
+
+
+@pytest.mark.parametrize("make_problem", [make_mini_problem, _plate2d_problem],
+                         ids=["mini", "plate2d"])
+def test_direct_operators_match_dense_inverses(make_problem):
+    # the K_nn factor is an exact solve: every operator matches the dense
+    # inverse to roundoff, and PCG accepts each exact start in 0 iterations
+    blocks = make_problem().blocks
+    ctx = SchurContext(blocks, tol=TOL, strategy="direct")
+    K_cn = blocks.K_cn.toarray()
+    K_nn = blocks.K_nn.toarray()
+    rng = np.random.default_rng(53)
+    for _ in range(3):
+        a_c = rng.standard_normal(blocks.n_c)
+        j = rng.standard_normal(blocks.n_n)
+        pairs = [
+            (apply_ks(ctx, a_c), K_cn @ np.linalg.solve(K_nn, K_cn.T @ a_c)),
+            (schur_rhs(ctx, j), -K_cn @ np.linalg.solve(K_nn, j)),
+            (recover_an(ctx, a_c, j), np.linalg.solve(K_nn, j - K_cn.T @ a_c)),
+        ]
+        for got, ref in pairs:
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert len(ctx.stats.records) == 9
+    assert all(r.iterations == 0 and r.strategy == "direct" for r in ctx.stats.records)
+
+
+def test_direct_builds_no_ic0(mini_problem, monkeypatch):
+    import eddy2d.schur
+
+    def no_ic0(A):
+        raise AssertionError("IC(0) built under the direct strategy")
+
+    monkeypatch.setattr(eddy2d.schur, "ic0_preconditioner", no_ic0)
+    ctx = SchurContext(mini_problem.blocks, tol=TOL, strategy="direct")
+    est = ctx.estimation_context()
+    assert est.strategy == "direct"
+    assert est.precond is ctx.precond  # one factor for both contexts
+    rng = np.random.default_rng(59)
+    apply_ks(est, rng.standard_normal(mini_problem.part.n_c))
+    recover_an(ctx, rng.standard_normal(mini_problem.part.n_c),
+               rng.standard_normal(mini_problem.part.n_n))
+    assert est.stats.total_iterations == 0 and ctx.stats.total_iterations == 0
+
+
+def test_direct_singular_knn_raises_solver_error():
+    from eddy2d.assembly import SystemBlocks
+    from eddy2d.linalg import SparseMatrix
+
+    blocks = SystemBlocks(
+        M_cc=SparseMatrix.identity(1),
+        K_cc=SparseMatrix.identity(1),
+        K_cn=SparseMatrix.from_dense([[1.0, 0.0]]),
+        K_nn=SparseMatrix.from_dense([[1.0, 0.0], [0.0, 0.0]]),
+    )
+    with pytest.raises(SolverError, match="K_nn factorization failed"):
+        SchurContext(blocks, tol=1e-10, strategy="direct")
