@@ -426,17 +426,22 @@ def coil_elements(mesh: Mesh2D, coil_id: int) -> np.ndarray:
     return np.asarray(eids, dtype=np.int64)
 
 
-def source_load_full(mesh: Mesh2D, src: SourceSpec, t: float) -> np.ndarray:
-    """Unreduced load vector over all nodes: J_z = I(t)*turns/coil_area,
-    each coil element contributing J_z * A_e / 3 per node. The entries sum
-    to I(t)*turns (partition of unity)."""
+def _unit_coil_load(mesh: Mesh2D, src: SourceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Unreduced load over all nodes at unit current, J_z = turns/coil_area
+    with each coil element contributing J_z * A_e / 3 per node, and the
+    coil element ids."""
     eids = coil_elements(mesh, src.coil_id)
     areas = signed_areas(mesh.nodes, mesh.elements)[eids]
-    coil_area = float(areas.sum())
-    jz = src.current(t) * src.turns / coil_area
+    jz_unit = src.turns / float(areas.sum())
     load = np.zeros(mesh.n_nodes)
-    np.add.at(load, mesh.elements[eids].ravel(), np.repeat(jz * areas / 3.0, 3))
-    return load
+    np.add.at(load, mesh.elements[eids].ravel(), np.repeat(jz_unit * areas / 3.0, 3))
+    return load, eids
+
+
+def source_load_full(mesh: Mesh2D, src: SourceSpec, t: float) -> np.ndarray:
+    """Unreduced load vector over all nodes at current I(t). The entries sum
+    to I(t)*turns (partition of unity)."""
+    return src.current(t) * _unit_coil_load(mesh, src)[0]
 
 
 def source_pattern(mesh: Mesh2D, src: SourceSpec, p: DofPartition) -> np.ndarray:
@@ -444,12 +449,7 @@ def source_pattern(mesh: Mesh2D, src: SourceSpec, p: DofPartition) -> np.ndarray
     j_sn(t) = I(t) * pattern. Errors if the coil support touches the
     conducting set (the partitioned system assumes excitations live entirely
     in nonconducting DoFs)."""
-    eids = coil_elements(mesh, src.coil_id)
-    areas = signed_areas(mesh.nodes, mesh.elements)[eids]
-    jz_unit = src.turns / float(areas.sum())
-    load = np.zeros(mesh.n_nodes)
-    np.add.at(load, mesh.elements[eids].ravel(), np.repeat(jz_unit * areas / 3.0, 3))
-
+    load, eids = _unit_coil_load(mesh, src)
     coil_nodes = np.unique(mesh.elements[eids].ravel())
     conducting = np.zeros(mesh.n_nodes, dtype=bool)
     conducting[p.free_nodes[p.idx_c]] = True

@@ -21,10 +21,13 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import ConfigError, Eddy2dError, InstabilityError
-from .integrate import RunResult, probe_deviation, run_explicit, run_implicit
+from .integrate import (MccSolver, RunResult, estimate_cfl, new_state, probe_deviation,
+                        run_explicit, run_implicit)
 from .materials import nu
 from .mesh import min_edge_length
-from .scenario import Scenario, load_scenario, resolve_config
+from .scenario import FLOAT_RANGES, Scenario, load_scenario, resolve_config
+from .schur import SchurContext
+from .startvec import STRATEGIES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,29 +77,37 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _entries(text: str, flag: str, parse, ok, wording: str) -> list:
+    """The comma-separated entries of ``flag`` through ``parse``, checked
+    before any run; an entry ``parse`` rejects or ``ok`` fails, or no entry
+    at all, is a ConfigError naming it."""
+    out = []
+    for entry in filter(None, (e.strip() for e in text.split(","))):
+        try:
+            val = parse(entry)
+        except ValueError:
+            val = None
+        if val is None or not ok(val):
+            raise ConfigError(f"{flag}: entry {entry!r} must be {wording}")
+        out.append(val)
+    if not out:
+        raise ConfigError(f"{flag}: no entries given")
+    return out
+
+
 def cmd_bench_startvec(args) -> int:
+    strategies = _entries(args.strategies, "--strategies", str, STRATEGIES.__contains__,
+                          "one of " + "|".join(STRATEGIES))
     scenario = load_scenario(resolve_config(args.config))
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    if not strategies:
-        raise ConfigError("no strategies given")
     problem = scenario.build_problem()
 
-    results: dict[str, RunResult] = {}
-    for strategy in strategies:
-        opts = replace(scenario.options, strategy=strategy)
-        results[strategy] = run_explicit(problem, scenario.source, scenario.t_end, opts)
-
-    os.makedirs(args.out, exist_ok=True)
-    header = ("strategy,mean_iter_source_term,mean_iter_recovery,"
-              "mean_iter_overall,total_iterations,wall_time_s\n")
-    lines = [header]
+    results = {s: run_explicit(problem, scenario.source, scenario.t_end,
+                               replace(scenario.options, strategy=s)) for s in strategies}
+    lines = ["strategy,mean_iter_overall,total_iterations,wall_time_s\n"]
     for strategy, res in results.items():
         st = res.stats
-        lines.append(
-            f"{strategy},{st.mean_iterations('source_term')!r},"
-            f"{st.mean_iterations('recovery')!r},"
-            f"{st.mean_iterations()!r},{st.total_iterations},{res.wall_time!r}\n"
-        )
+        lines.append(f"{strategy},{st.mean_iterations()!r},{st.total_iterations},"
+                     f"{res.wall_time!r}\n")
         _write_result(res, args.out, f"result_{strategy}")
     with open(os.path.join(args.out, "bench_startvec.csv"), "w", encoding="utf-8") as fh:
         fh.writelines(lines)
@@ -118,22 +129,17 @@ def cmd_bench_startvec(args) -> int:
 
 
 def cmd_bench_update(args) -> int:
+    # the every-step baseline tol = 0 anchors the comparison
+    tols = sorted({0.0, *_entries(args.tols, "--tols", float, *FLOAT_RANGES["tol_update"])})
     scenario = load_scenario(resolve_config(args.config))
-    tols = sorted({float(t) for t in args.tols.split(",") if t.strip()})
-    if 0.0 not in tols:
-        tols.insert(0, 0.0)  # the every-step baseline anchors the comparison
     problem = scenario.build_problem()
     if not problem.is_nonlinear:
         raise ConfigError("bench-update requires a nonlinear scenario; the "
                           "stiffness of a linear one never needs updating")
 
-    results: dict[float, RunResult] = {}
-    for tol in tols:
-        opts = replace(scenario.options, tol_update=tol)
-        results[tol] = run_explicit(problem, scenario.source, scenario.t_end, opts)
-
+    results = {tol: run_explicit(problem, scenario.source, scenario.t_end,
+                                 replace(scenario.options, tol_update=tol)) for tol in tols}
     baseline = results[0.0]
-    os.makedirs(args.out, exist_ok=True)
     lines = ["tol,update_count,wall_time_s,probe_max_dev_vs_baseline,step_count\n"]
     for tol in tols:
         res = results[tol]
@@ -151,10 +157,6 @@ def cmd_cfl(args) -> int:
     scenario = load_scenario(resolve_config(args.config))
     problem = scenario.build_problem()
     opts = scenario.options
-
-    from .integrate import MccSolver, estimate_cfl, new_state
-    from .schur import SchurContext
-
     ctx = SchurContext(problem.blocks, tol=opts.pcg_tol, max_iter=opts.pcg_max_iter,
                        strategy=opts.strategy)
     mcc = MccSolver(problem.blocks.M_cc, opts.mcc_mode, opts.mcc_tol)
@@ -191,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-startvec", help="compare PCG start-vector strategies")
     p.add_argument("--config", required=True)
     p.add_argument("--strategies", default="previous,cspe,pod,direct",
-                   help="comma-separated subset of previous,cspe,pod,direct")
+                   help=f"comma-separated subset of {','.join(STRATEGIES)}")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench_startvec)
 

@@ -11,10 +11,11 @@ the previous step, the source and Schur terms of the bracket collapse to
 
     -K_cn pinv(K_nn) (j_sn^m - j_sn^{m-1}) - K_cn a_n^{m-1},
 
-so a step makes two K_nn solves: the source increment and the recovery of
-a_n^m. M_cc^-1 is one M_cc solve; M_cc is constant, so MccSolver factors it
-once at set-up and PCG at mcc_tol checks each solve in one iteration. The
-scheme is stable for dt <= 2 / lambda_max(M_cc^-1 (K_cc - K_S)),
+so a step makes one K_nn solve, the recovery of a_n^m: the source
+increments (I_m - I_{m-1}) * pattern are parallel, and schur_rhs scales
+its first solve for every later one. M_cc^-1 is one M_cc solve; M_cc is
+constant, so MccSolver factors it once at set-up and PCG at mcc_tol
+checks each solve in one iteration. The scheme is stable for dt <= 2 / lambda_max(M_cc^-1 (K_cc - K_S)),
 with lambda_max estimated numerically by power iteration (the
 h^2*kappa*mu heuristic is not sharp). K_cc is rebuilt only when the
 conducting solution has drifted from the state of the last rebuild by more
@@ -272,7 +273,8 @@ def explicit_step(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurCont
                   mcc_solver: MccSolver, j_sn: np.ndarray) -> SolverState:
     """One explicit Euler step; j_sn is the source at the new time t + dt.
     Uses K_cc_current (the selective-update substitute for K_cc(a_c^{m-1}))
-    and the a_n invariant of SolverState in place of a K_S apply."""
+    and the a_n invariant of SolverState in place of a K_S apply. The one
+    K_nn solve recovers a_n; schur_rhs reuses its last source solve."""
     bracket = schur_rhs(schur_ctx, j_sn - state.j_sn) \
         - blocks.K_cn.matvec(state.a_n) \
         - state.K_cc_current.matvec(state.a_c)
@@ -399,6 +401,20 @@ def _dae_residual(blocks: SystemBlocks, a_c, a_n, j_sn) -> float:
     return rn / scale
 
 
+def _check_window(t_end: float, dt: float, method: str) -> None:
+    """A run loop takes steps of dt while more than half a step of
+    [0, t_end] is left: dt must be positive, leave at least one step and
+    at most MAX_STEPS of them."""
+    if not dt > 0:
+        raise SolverError(f"{method} dt must be positive, got {dt}")
+    if t_end / dt > MAX_STEPS:
+        raise SolverError(f"t_end/dt = {t_end / dt:.3e} exceeds the step limit")
+    if t_end <= 0.5 * dt:
+        raise SolverError(
+            f"dt = {dt:.3e} exceeds the integration window t_end = {t_end:.3e}"
+        )
+
+
 def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
                  opts: SolverOptions) -> RunResult:
     """Explicit Euler from t=0 to t_end (within half a step). dt is fixed to
@@ -415,19 +431,9 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
     mcc = MccSolver(blocks.M_cc, opts.mcc_mode, opts.mcc_tol)
     state = new_state(problem)
 
-    if opts.dt_override is not None:
-        state.dt = float(opts.dt_override)
-        estimate_cfl(state, blocks, ctx, mcc, opts)  # still record lambda_max
-    else:
-        state.dt = estimate_cfl(state, blocks, ctx, mcc, opts)
-    if state.dt <= 0:
-        raise SolverError(f"nonpositive time step {state.dt}")
-    if t_end / state.dt > MAX_STEPS:
-        raise SolverError(f"t_end/dt = {t_end / state.dt:.3e} exceeds the step limit")
-    if t_end <= 0.5 * state.dt:
-        raise SolverError(
-            f"dt = {state.dt:.3e} exceeds the integration window t_end = {t_end:.3e}"
-        )
+    dt_cfl = estimate_cfl(state, blocks, ctx, mcc, opts)  # records lambda_max
+    state.dt = dt_cfl if opts.dt_override is None else float(opts.dt_override)
+    _check_window(t_end, state.dt, "explicit")
     dt_initial = state.dt
     lam_initial = state.lam_max
 
@@ -572,14 +578,7 @@ def run_implicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
     is unconditionally stable). update_count reports the Newton total: the
     nonlinear stiffness is reassembled in every Newton iteration (linear
     problems reuse one cached factorization instead)."""
-    if dt <= 0:
-        raise SolverError(f"implicit dt must be positive, got {dt}")
-    if t_end / dt > MAX_STEPS:
-        raise SolverError(f"t_end/dt = {t_end / dt:.3e} exceeds the step limit")
-    if t_end <= 0.5 * dt:
-        raise SolverError(
-            f"dt = {dt:.3e} exceeds the integration window t_end = {t_end:.3e}"
-        )
+    _check_window(t_end, dt, "implicit")
     t_start = time.perf_counter()
     part = problem.part
     pattern = source_pattern(problem.mesh, source, part)

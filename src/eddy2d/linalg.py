@@ -101,9 +101,6 @@ class SparseMatrix:
             raise ValueError(f"dimension mismatch: matrix is {self.shape}, vector is {x.shape}")
         return self._csr @ x
 
-    def __matmul__(self, x):
-        return self.matvec(x)
-
 
 class LinearOperator:
     """Matrix-free linear map on R^dim with an optional diagonal accessor."""
@@ -124,9 +121,6 @@ class LinearOperator:
         if x.shape != (self.dim,):
             raise ValueError(f"dimension mismatch: operator dim {self.dim}, vector {x.shape}")
         return self._apply(x)
-
-    def __call__(self, x):
-        return self.apply(x)
 
     def diagonal(self) -> np.ndarray:
         if self._diagonal is None:

@@ -19,6 +19,7 @@ from .errors import ConfigError, MeshError
 from .integrate import AssembledProblem, SolverOptions, discretize
 from .materials import NU0, MaterialModel
 from .mesh import Mesh2D, RegionTag, generate_rect_mesh, load_mesh
+from .startvec import STRATEGIES
 
 _MESH_KEYS = {"width", "height", "nx", "ny", "regions", "file"}
 _REGION_KEYS = {"x0", "x1", "y0", "y1", "tag"}
@@ -149,22 +150,17 @@ def _parse_materials(doc: dict) -> MaterialTable:
     air = MaterialModel.linear(0.0, NU0)
     for key, val in doc.items():
         path = f"materials.{key}"
-        if key == "air":
-            m = _parse_material(val, path)
-            if m.kappa != 0:
-                raise ConfigError(f"{path}: air must have kappa = 0")
-            if m.law != "linear":
-                raise ConfigError(f"{path}: nonlinear material on the air region")
-            air = m
-        elif key.startswith("conductor:"):
+        if key.startswith("conductor:"):
             conductors[_region_id(key, path)] = _parse_material(val, path)
-        elif key.startswith("coil:"):
+        elif key == "air" or key.startswith("coil:"):
             m = _parse_material(val, path)
-            if m.kappa != 0:
-                raise ConfigError(f"{path}: coil regions must have kappa = 0")
-            if m.law != "linear":
-                raise ConfigError(f"{path}: nonlinear material on a coil region")
-            coils[_region_id(key, path)] = m
+            if m.kappa != 0 or m.law != "linear":
+                raise ConfigError(f"{path}: a nonconducting region needs a linear "
+                                  f"law with kappa = 0")
+            if key == "air":
+                air = m
+            else:
+                coils[_region_id(key, path)] = m
         else:
             raise ConfigError(f"unknown key materials.{key!r}")
     try:
@@ -175,7 +171,7 @@ def _parse_materials(doc: dict) -> MaterialTable:
 
 # the admissible range of each float option as (test, wording); every test
 # is a chained comparison, which is false for NaN
-_FLOAT_RANGES = {
+FLOAT_RANGES = {
     "pcg_tol": (lambda v: 0 < v < 1, "in (0, 1)"),
     "mcc_tol": (lambda v: 0 < v < 1, "in (0, 1)"),
     "power_tol": (lambda v: 0 < v < 1, "in (0, 1)"),
@@ -197,14 +193,14 @@ def _parse_solver(doc: dict) -> SolverOptions:
         if val is None and key not in _NULLABLE_OPTS:
             raise ConfigError(f"solver.{key} must not be null")
         try:
-            if val is not None and key in _FLOAT_RANGES:
+            if val is not None and key in FLOAT_RANGES:
                 val = float(val)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"solver.{key}: {exc}") from exc
         if val is not None and key in _INT_OPTS:
             val = _int(val, f"solver.{key}")
-        if val is not None and key in _FLOAT_RANGES:
-            ok, wording = _FLOAT_RANGES[key]
+        if val is not None and key in FLOAT_RANGES:
+            ok, wording = FLOAT_RANGES[key]
             if not ok(val):
                 raise ConfigError(f"solver.{key} must be {wording}, got {val!r}")
         setattr(opts, key, val)
@@ -214,9 +210,9 @@ def _parse_solver(doc: dict) -> SolverOptions:
         raise ConfigError("solver.snapshot_every must be >= 1")
     if opts.cspe_window < 1 or opts.pod_window < 1:
         raise ConfigError("solver window sizes must be >= 1")
-    if opts.strategy not in ("previous", "cspe", "pod", "direct"):
+    if opts.strategy not in STRATEGIES:
         raise ConfigError(
-            f"solver.strategy must be previous|cspe|pod|direct, got {opts.strategy!r}")
+            f"solver.strategy must be {'|'.join(STRATEGIES)}, got {opts.strategy!r}")
     if opts.mcc_mode not in ("pcg", "lumped"):
         raise ConfigError(f"solver.mcc_mode must be pcg|lumped, got {opts.mcc_mode!r}")
     return opts

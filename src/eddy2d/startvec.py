@@ -23,6 +23,9 @@ from .errors import SolverError, SpdSolveError
 from .linalg import SparseMatrix, cholesky_spd, dense_solve_spd, mgs_extend, svd_small
 
 
+STRATEGIES = ("previous", "cspe", "pod", "direct")
+
+
 class PreviousSolution:
     """Baseline strategy: start from the solution of the previous solve."""
 

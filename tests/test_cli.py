@@ -72,6 +72,19 @@ def test_run_explicit_writes_monotone_probe(tmp_path):
     assert os.path.exists(os.path.join(out, "result_explicit_iterations.csv"))
 
 
+def test_run_bundled_linear_solves_the_source_once(tmp_path):
+    # the source increments of a run are parallel: one source_term solve,
+    # then one recovery solve per step
+    out = str(tmp_path / "lin")
+    assert main(["run", "--config", "plate2d_linear", "--method", "explicit",
+                 "--out", out]) == EXIT_OK
+    header, rows = read_csv(os.path.join(out, "result_explicit_iterations.csv"))
+    purposes = [r[header.index("purpose")] for r in rows]
+    assert purposes.count("source_term") == 1
+    summary = json.load(open(os.path.join(out, "result_explicit_summary.json")))
+    assert summary["pcg_solves"] == summary["step_count"] + 1 == len(rows)
+
+
 def test_run_implicit_row_count(config_path, tmp_path):
     # dt_override drives the implicit step: t_end/50 -> exactly 50 rows
     doc = small_scenario_doc(dt_override=0.04 / 50)
@@ -159,6 +172,24 @@ def test_bench_startvec_reports_direct(config_path, tmp_path, capsys):
 def test_bench_startvec_default_strategies_include_direct():
     args = build_parser().parse_args(["bench-startvec", "--config", "c", "--out", "o"])
     assert args.strategies == "previous,cspe,pod,direct"
+
+
+@pytest.mark.parametrize("command,flag,value,bad", [
+    ("bench-startvec", "--strategies", "bogus", "bogus"),
+    ("bench-startvec", "--strategies", "previous,bogus", "bogus"),
+    ("bench-startvec", "--strategies", " , ", "--strategies"),
+    ("bench-update", "--tols", "abc", "abc"),
+    ("bench-update", "--tols", "1e-3,nan", "nan"),
+    ("bench-update", "--tols", "-1", "-1"),
+    ("bench-update", "--tols", "inf", "inf"),
+])
+def test_bench_list_arguments_checked_before_any_run(nonlinear_config_path, tmp_path,
+                                                     capsys, command, flag, value, bad):
+    out = tmp_path / "bad"
+    assert main([command, "--config", nonlinear_config_path, flag, value,
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert bad in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_update_counts(nonlinear_config_path, tmp_path):

@@ -217,8 +217,9 @@ def test_explicit_step_matches_dense_oracle(mini_problem):
 
 
 def test_explicit_steps_match_dense_recurrence(mini_problem, mini_source):
-    # ramped source from the zero state: the two-solve step reproduces the
-    # dense source / Schur-apply / recovery recurrence, one solve per family
+    # ramped source from the zero state: the one-solve step reproduces the
+    # dense source / Schur-apply / recovery recurrence; the source increments
+    # are parallel, so only step 1 solves for one
     from eddy2d.assembly import source_pattern
     blocks = mini_problem.blocks
     pat = source_pattern(mini_problem.mesh, mini_source, mini_problem.part)
@@ -245,8 +246,8 @@ def test_explicit_steps_match_dense_recurrence(mini_problem, mini_source):
 
     for m in range(1, n_steps + 1):
         purposes = sorted(r.purpose for r in ctx.stats.records if r.step == m)
-        assert purposes == ["recovery", "source_term"]
-    assert ctx.stats.n_solves == 2 * n_steps
+        assert purposes == (["recovery", "source_term"] if m == 1 else ["recovery"])
+    assert ctx.stats.n_solves == n_steps + 1
 
 
 def test_stability_dichotomy(mini_problem):
@@ -558,8 +559,33 @@ def test_run_explicit_direct_tightens_dae_residual():
     summary = direct.summary()
     assert summary["max_dae_residual"] <= 1e-12
     assert summary["pcg_iterations_total"] == 0
-    assert summary["pcg_solves"] == 2 * direct.step_count
+    assert summary["pcg_solves"] == direct.step_count + 1
     assert probe_deviation(direct, cspe) <= 10 * sc.options.pcg_tol
+
+
+def _run(method, problem, source, t_end, dt):
+    if method == "explicit":
+        return run_explicit(problem, source, t_end, SolverOptions(dt_override=dt, seed=3))
+    return run_implicit(problem, source, t_end, dt, SolverOptions())
+
+
+@pytest.mark.parametrize("method", ["explicit", "implicit"])
+def test_run_rejects_dt_beyond_the_window(mini_problem, mini_source, method):
+    with pytest.raises(SolverError, match="exceeds the integration window"):
+        _run(method, mini_problem, mini_source, 1e-3, 2e-3)
+
+
+@pytest.mark.parametrize("method", ["explicit", "implicit"])
+def test_run_rejects_too_many_steps_before_stepping(mini_problem, mini_source,
+                                                    monkeypatch, method):
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped past the step limit")
+
+    monkeypatch.setattr(integrate, "explicit_step", no_step)
+    monkeypatch.setattr(integrate, "newton_solve", no_step)
+    dt = 1e-3 / (2 * integrate.MAX_STEPS)
+    with pytest.raises(SolverError, match="exceeds the step limit"):
+        _run(method, mini_problem, mini_source, 1e-3, dt)
 
 
 def test_run_explicit_nonlinear_update_counts(mini_problem_nonlinear):

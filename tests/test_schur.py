@@ -141,6 +141,40 @@ def test_schur_rhs_dense_oracle_and_scaling(ctx, mini_problem):
     assert np.linalg.norm(got2 - 2.5 * got) <= 30 * TOL * np.linalg.norm(got2)
 
 
+def test_schur_rhs_parallel_rhs_reuses_last_solve(ctx, mini_problem):
+    j = np.random.default_rng(23).standard_normal(mini_problem.part.n_n)
+    r_ref = schur_rhs(ctx, j)
+    n_records = len(ctx.stats.records)
+    np.testing.assert_allclose(schur_rhs(ctx, -3.5 * j), -3.5 * r_ref, rtol=1e-14)
+    assert len(ctx.stats.records) == n_records  # no solve, no SolveRecord
+    assert ctx.stats.records[-1].purpose == "source_term"
+
+
+def test_schur_rhs_off_direction_solves_again(ctx, mini_problem):
+    blocks = mini_problem.blocks
+    rng = np.random.default_rng(29)
+    j = rng.standard_normal(mini_problem.part.n_n)
+    schur_rhs(ctx, j)
+    # a component orthogonal to j of 10 * tol relative size
+    e = rng.standard_normal(j.size)
+    e -= (e @ j) / (j @ j) * j
+    j2 = 2.0 * j + 10 * TOL * np.linalg.norm(2.0 * j) / np.linalg.norm(e) * e
+    got = schur_rhs(ctx, j2)
+    ref = -blocks.K_cn.toarray() @ np.linalg.solve(blocks.K_nn.toarray(), j2)
+    assert ctx.stats.n_solves == 2
+    assert np.linalg.norm(got - ref) <= 10 * TOL * np.linalg.norm(ref)
+    np.testing.assert_array_equal(ctx.j_ref, j2)  # the new pair replaces the old
+
+
+def test_schur_rhs_zero_after_stored_pair(ctx, mini_problem):
+    j = np.random.default_rng(31).standard_normal(mini_problem.part.n_n)
+    schur_rhs(ctx, j)
+    got = schur_rhs(ctx, np.zeros_like(j))
+    np.testing.assert_array_equal(got, 0.0)
+    assert ctx.stats.n_solves == 1
+    np.testing.assert_array_equal(ctx.j_ref, j)
+
+
 def test_recover_an_zero(ctx, mini_problem):
     a_n = recover_an(ctx, np.zeros(mini_problem.part.n_c), np.zeros(mini_problem.part.n_n))
     np.testing.assert_array_equal(a_n, 0.0)
