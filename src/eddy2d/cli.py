@@ -4,8 +4,8 @@ Subcommands:
   run            one explicit or implicit trajectory, CSV + JSON summary
   bench-startvec identical runs per start-vector strategy, iteration table
   bench-update   identical runs per selective-update tolerance
-  cfl            stable-step report (power iteration vs. the h^2*kappa*mu
-                 heuristic, which is known not to be sharp)
+  cfl            stable-step report: the initial estimate of an explicit run
+                 vs. the h^2*kappa*mu heuristic, which is known not to be sharp
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 explicit-scheme instability.
@@ -21,12 +21,10 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import ConfigError, Eddy2dError, InstabilityError
-from .integrate import (MccSolver, RunResult, estimate_cfl, new_state, probe_deviation,
-                        run_explicit, run_implicit)
+from .integrate import RunResult, probe_deviation, run_explicit, run_implicit, start_explicit
 from .materials import nu
 from .mesh import min_edge_length
 from .scenario import FLOAT_RANGES, Scenario, load_scenario, resolve_config
-from .schur import SchurContext
 from .startvec import STRATEGIES
 
 EXIT_OK = 0
@@ -156,12 +154,7 @@ def cmd_bench_update(args) -> int:
 def cmd_cfl(args) -> int:
     scenario = load_scenario(resolve_config(args.config))
     problem = scenario.build_problem()
-    opts = scenario.options
-    ctx = SchurContext(problem.blocks, tol=opts.pcg_tol, max_iter=opts.pcg_max_iter,
-                       strategy=opts.strategy)
-    mcc = MccSolver(problem.blocks.M_cc, opts.mcc_mode, opts.mcc_tol)
-    state = new_state(problem)
-    dt_cfl = estimate_cfl(state, problem.blocks, ctx, mcc, opts)
+    state, _, _, dt_cfl = start_explicit(problem, scenario.options)
 
     h = min_edge_length(problem.mesh)
     kappa_max = max(m.kappa for m in problem.materials.conductors.values())
@@ -169,7 +162,7 @@ def cmd_cfl(args) -> int:
     heuristic = 1.0 / (h * h * kappa_max * mu_max)
 
     print(f"lambda_max (power iteration) = {state.lam_max!r} 1/s")
-    print(f"dt_cfl = safety*2/lambda_max = {dt_cfl!r} s  (safety {opts.safety})")
+    print(f"dt_cfl = safety*2/lambda_max = {dt_cfl!r} s  (safety {scenario.options.safety})")
     print(f"projected steps for t_end={scenario.t_end}: {int(np.ceil(scenario.t_end / dt_cfl))}")
     print(f"heuristic 1/(h^2*kappa*mu) = {heuristic!r} 1/s  "
           f"(h={h!r}, kappa={kappa_max!r}, mu={mu_max!r}; not a sharp estimate)")

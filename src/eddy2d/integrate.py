@@ -32,6 +32,9 @@ The implicit Euler / Newton-Raphson path on the full DAE serves as the
 accuracy reference; it is unconditionally stable and reassembles the
 stiffness and Jacobian (newton_system) in every Newton iteration, from the
 element data discretize resolved once.
+
+run_explicit and the cfl command share one set-up, start_explicit. Both run
+loops keep their rows, probe values and snapshots in one _Trajectory.
 """
 from __future__ import annotations
 
@@ -237,6 +240,19 @@ def new_state(problem: AssembledProblem) -> SolverState:
     )
 
 
+def start_explicit(problem: AssembledProblem, opts: SolverOptions):
+    """Set-up of an explicit run: returns (state, ctx, mcc, dt_cfl), the zero
+    state with lambda_max recorded, the K_nn context, the M_cc solver and
+    the initial CFL step."""
+    blocks = problem.blocks
+    ctx = SchurContext(blocks, tol=opts.pcg_tol, max_iter=opts.pcg_max_iter,
+                       strategy=opts.strategy, cspe_window=opts.cspe_window,
+                       pod_window=opts.pod_window, tol_pod=opts.tol_pod)
+    mcc = MccSolver(blocks.M_cc, opts.mcc_mode, opts.mcc_tol)
+    state = new_state(problem)
+    return state, ctx, mcc, estimate_cfl(state, blocks, ctx, mcc, opts)
+
+
 def estimate_cfl(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurContext,
                  mcc_solver: MccSolver, opts: SolverOptions) -> float:
     """safety * 2 / lambda_max(M_cc^-1 (K_cc - K_S)) with lambda_max from
@@ -332,17 +348,17 @@ class RunResult:
     step_count: int
     dt_initial: float
     dt_final: float
-    lam_max_initial: float
-    lam_max_final: float
     update_count: int
-    cfl_estimates: int
-    stats: object
-    max_dae_residual: float
-    mass_solves: int
-    mass_iterations: int
-    newton_iterations: int
     wall_time: float
     snapshots: list = field(default_factory=list)
+    lam_max_initial: float = 0.0
+    lam_max_final: float = 0.0
+    cfl_estimates: int = 0
+    stats: object = None
+    max_dae_residual: float = 0.0
+    mass_solves: int = 0
+    mass_iterations: int = 0
+    newton_iterations: int = 0
 
     def write_csv(self, fh) -> None:
         # repr(float(.)) is the shortest round-trip form: identical doubles
@@ -372,6 +388,36 @@ class RunResult:
             "max_dae_residual": self.max_dae_residual,
             "wall_time_s": self.wall_time,
         }
+
+
+class _Trajectory:
+    """The output of one run: a row at every output_every-th step and at the
+    last, and a field snapshot at every kept step snapshot_every divides.
+    Its clock starts at creation and gives the run's wall time."""
+
+    def __init__(self, problem: AssembledProblem, opts: SolverOptions):
+        self.problem, self.opts = problem, opts
+        self.rows, self.snapshots = [], []
+        self.t_start = time.perf_counter()
+
+    def record(self, step: int, t: float, last: bool, a_c: np.ndarray, a_n: np.ndarray,
+               dt: float, iterations: int, updates: int) -> None:
+        if step % self.opts.output_every and not last:
+            return
+        problem, snapshot_every = self.problem, self.opts.snapshot_every
+        a_full = problem.part.to_full(a_c, a_n, problem.mesh.n_nodes)
+        self.rows.append((t, probe_average_b(problem, a_full), dt, iterations, updates))
+        if snapshot_every and step % snapshot_every == 0:
+            bmag = np.sqrt(compute_b2(problem.mesh, a_full, problem.elements))
+            self.snapshots.append((step, t, bmag, a_full))
+
+    def result(self, method: str, **counters) -> RunResult:
+        t, probe, dt, iterations, updates = zip(*self.rows)
+        return RunResult(method, np.asarray(t), np.asarray(probe), np.asarray(dt),
+                         np.asarray(iterations, dtype=np.int64),
+                         np.asarray(updates, dtype=np.int64),
+                         wall_time=time.perf_counter() - self.t_start,
+                         snapshots=self.snapshots, **counters)
 
 
 def probe_deviation(result: RunResult, baseline: RunResult) -> float:
@@ -423,23 +469,14 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
     growth_bound) exceeds 1 + safety: the bound may spend half the margin
     safety leaves below the stability limit 2, the other half covers the
     power iteration's own error."""
-    t_start = time.perf_counter()
+    trajectory = _Trajectory(problem, opts)
     blocks = problem.blocks
-    ctx = SchurContext(blocks, tol=opts.pcg_tol, max_iter=opts.pcg_max_iter,
-                       strategy=opts.strategy, cspe_window=opts.cspe_window,
-                       pod_window=opts.pod_window, tol_pod=opts.tol_pod)
-    mcc = MccSolver(blocks.M_cc, opts.mcc_mode, opts.mcc_tol)
-    state = new_state(problem)
-
-    dt_cfl = estimate_cfl(state, blocks, ctx, mcc, opts)  # records lambda_max
+    state, ctx, mcc, dt_cfl = start_explicit(problem, opts)
     state.dt = dt_cfl if opts.dt_override is None else float(opts.dt_override)
     _check_window(t_end, state.dt, "explicit")
-    dt_initial = state.dt
-    lam_initial = state.lam_max
+    dt_initial, lam_initial = state.dt, state.lam_max
 
     pattern = source_pattern(problem.mesh, source, problem.part)
-    rows_t, rows_p, rows_dt, rows_it, rows_up = [], [], [], [], []
-    snapshots = []
     max_dae = 0.0
     while t_end - state.t > 0.5 * state.dt:
         ctx.step = state.step_count + 1
@@ -447,17 +484,9 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
         explicit_step(state, blocks, ctx, mcc, j_sn)
         max_dae = max(max_dae, _dae_residual(blocks, state.a_c, state.a_n, j_sn))
 
-        last = t_end - state.t <= 0.5 * state.dt
-        if state.step_count % opts.output_every == 0 or last:
-            a_full = problem.part.to_full(state.a_c, state.a_n, problem.mesh.n_nodes)
-            rows_t.append(state.t)
-            rows_p.append(probe_average_b(problem, a_full))
-            rows_dt.append(state.dt)
-            rows_it.append(ctx.stats.total_iterations)
-            rows_up.append(state.update_count)
-            if opts.snapshot_every and state.step_count % opts.snapshot_every == 0:
-                bmag = np.sqrt(compute_b2(problem.mesh, a_full, problem.elements))
-                snapshots.append((state.step_count, state.t, bmag, a_full.copy()))
+        trajectory.record(state.step_count, state.t, t_end - state.t <= 0.5 * state.dt,
+                          state.a_c, state.a_n, state.dt, ctx.stats.total_iterations,
+                          state.update_count)
 
         # selective updates only matter when K_cc actually depends on a_c
         if problem.is_nonlinear:
@@ -469,25 +498,12 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
                 if opts.dt_override is None and dt_new < state.dt:
                     state.dt = dt_new
 
-    return RunResult(
-        method="explicit",
-        times=np.asarray(rows_t), probe=np.asarray(rows_p),
-        dt_series=np.asarray(rows_dt),
-        cum_iterations=np.asarray(rows_it, dtype=np.int64),
-        update_series=np.asarray(rows_up, dtype=np.int64),
-        step_count=state.step_count,
-        dt_initial=dt_initial, dt_final=state.dt,
+    return trajectory.result(
+        "explicit", step_count=state.step_count, dt_initial=dt_initial, dt_final=state.dt,
         lam_max_initial=lam_initial, lam_max_final=state.lam_max,
-        update_count=state.update_count,
-        cfl_estimates=state.estimate_count,
-        stats=ctx.stats,
-        max_dae_residual=max_dae,
-        mass_solves=mcc.solves_total,
-        mass_iterations=mcc.iterations_total,
-        newton_iterations=0,
-        wall_time=time.perf_counter() - t_start,
-        snapshots=snapshots,
-    )
+        update_count=state.update_count, cfl_estimates=state.estimate_count,
+        stats=ctx.stats, max_dae_residual=max_dae,
+        mass_solves=mcc.solves_total, mass_iterations=mcc.iterations_total)
 
 
 def _nonlinear_jacobian_term(problem: AssembledProblem, a_full: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -579,52 +595,21 @@ def run_implicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
     nonlinear stiffness is reassembled in every Newton iteration (linear
     problems reuse one cached factorization instead)."""
     _check_window(t_end, dt, "implicit")
-    t_start = time.perf_counter()
+    trajectory = _Trajectory(problem, opts)
     part = problem.part
     pattern = source_pattern(problem.mesh, source, part)
     a = np.zeros(part.n_free)
-    t = 0.0
-    step = 0
-    newton_total = 0
-    rows_t, rows_p, rows_it = [], [], []
-    snapshots = []
+    t, step, newton_total = 0.0, 0, 0
     while t_end - t > 0.5 * dt:
         t += dt
         step += 1
-        j_sn = source.current(t) * pattern
         j_s = np.zeros(part.n_free)
-        j_s[part.idx_n] = j_sn
+        j_s[part.idx_n] = source.current(t) * pattern
         a, iters = newton_solve(problem, dt, a, j_s, opts.newton_tol,
                                 opts.newton_max_iter)
         newton_total += iters
-        last = t_end - t <= 0.5 * dt
-        if step % opts.output_every == 0 or last:
-            a_full = np.zeros(problem.mesh.n_nodes)
-            a_full[part.free_nodes] = a
-            rows_t.append(t)
-            rows_p.append(probe_average_b(problem, a_full))
-            rows_it.append(newton_total)
-            if opts.snapshot_every and step % opts.snapshot_every == 0:
-                bmag = np.sqrt(compute_b2(problem.mesh, a_full, problem.elements))
-                snapshots.append((step, t, bmag, a_full.copy()))
+        trajectory.record(step, t, t_end - t <= 0.5 * dt, a[part.idx_c], a[part.idx_n],
+                          dt, newton_total, newton_total)
 
-    n_rows = len(rows_t)
-    return RunResult(
-        method="implicit",
-        times=np.asarray(rows_t), probe=np.asarray(rows_p),
-        dt_series=np.full(n_rows, dt),
-        cum_iterations=np.asarray(rows_it, dtype=np.int64),
-        update_series=np.asarray(rows_it, dtype=np.int64),
-        step_count=step,
-        dt_initial=dt, dt_final=dt,
-        lam_max_initial=0.0, lam_max_final=0.0,
-        update_count=newton_total,
-        cfl_estimates=0,
-        stats=None,
-        max_dae_residual=0.0,
-        mass_solves=0,
-        mass_iterations=0,
-        newton_iterations=newton_total,
-        wall_time=time.perf_counter() - t_start,
-        snapshots=snapshots,
-    )
+    return trajectory.result("implicit", step_count=step, dt_initial=dt, dt_final=dt,
+                             update_count=newton_total, newton_iterations=newton_total)

@@ -103,29 +103,23 @@ class SparseMatrix:
 
 
 class LinearOperator:
-    """Matrix-free linear map on R^dim with an optional diagonal accessor."""
+    """Matrix-free linear map on R^dim."""
 
-    def __init__(self, dim: int, apply_fn, diagonal: np.ndarray | None = None):
+    def __init__(self, dim: int, apply_fn):
         self.dim = dim
         self._apply = apply_fn
-        self._diagonal = diagonal
 
     @staticmethod
     def from_matrix(A: SparseMatrix) -> "LinearOperator":
         if A.nrows != A.ncols:
             raise ValueError("operator requires a square matrix")
-        return LinearOperator(A.nrows, A.matvec, A.diagonal())
+        return LinearOperator(A.nrows, A.matvec)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"dimension mismatch: operator dim {self.dim}, vector {x.shape}")
         return self._apply(x)
-
-    def diagonal(self) -> np.ndarray:
-        if self._diagonal is None:
-            raise ValueError("operator has no diagonal accessor")
-        return self._diagonal
 
 
 def _as_operator(op) -> LinearOperator:
@@ -212,7 +206,7 @@ def jacobi_preconditioner(A: SparseMatrix) -> LinearOperator:
         i = int(np.argmin(d))
         raise SolverError(f"jacobi: negative diagonal entry {d[i]:.3e} at row {i}")
     inv = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 1.0)
-    return LinearOperator(A.nrows, lambda x: inv * x, inv)
+    return LinearOperator(A.nrows, lambda x: inv * x)
 
 
 class Ic0Preconditioner(LinearOperator):
@@ -229,7 +223,7 @@ class Ic0Preconditioner(LinearOperator):
         self.L = L
         self._lu = scipy.sparse.linalg.splu(L.scipy().tocsc(), permc_spec="NATURAL",
                                             diag_pivot_thresh=0.0)
-        super().__init__(A.nrows, self._solve, None)
+        super().__init__(A.nrows, self._solve)
 
     def _solve(self, r: np.ndarray) -> np.ndarray:
         return self._lu.solve(self._lu.solve(r), trans="T")

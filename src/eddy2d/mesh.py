@@ -194,19 +194,24 @@ def load_mesh(path) -> Mesh2D:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MeshError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise MeshError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MeshError(f"{path}: a mesh file must hold a JSON object")
     for key in ("nodes", "elements", "regions", "boundary"):
         if key not in doc:
             raise MeshError(f"{path}: missing top-level key {key!r}")
     unknown = set(doc) - {"nodes", "elements", "regions", "boundary"}
     if unknown:
         raise MeshError(f"{path}: unknown top-level keys {sorted(unknown)}")
-    regions = [RegionTag.parse(s) for s in doc["regions"]]
     try:
         return Mesh2D(
             np.asarray(doc["nodes"], dtype=float),
             np.asarray(doc["elements"], dtype=np.int64),
-            regions,
+            [RegionTag.parse(s) for s in doc["regions"]],
             frozenset(int(i) for i in doc["boundary"]),
         )
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MeshError(f"{path}: malformed mesh data: {exc}") from exc

@@ -48,7 +48,10 @@ class Scenario:
     def build_mesh(self) -> Mesh2D:
         spec = self.mesh_spec
         if "file" in spec:
-            return load_mesh(spec["file"])
+            try:
+                return load_mesh(spec["file"])
+            except (OSError, MeshError) as exc:
+                raise ConfigError(f"mesh.file: {exc}") from exc
         boxes = [(b["x0"], b["x1"], b["y0"], b["y1"], RegionTag.parse(b["tag"]))
                  for b in self.region_boxes]
 
@@ -181,8 +184,12 @@ FLOAT_RANGES = {
     "tol_update": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
     "tol_pod": (lambda v: 0 < v < math.inf, "finite and > 0"),
 }
-_INT_OPTS = {"pcg_max_iter", "cspe_window", "pod_window", "power_max_iter", "seed",
-             "output_every", "snapshot_every", "newton_max_iter"}
+# the minimum of each integer option: power iteration can only converge
+# from its second iteration, and a direct run needs no PCG iteration
+_INT_MINIMUMS = {
+    "seed": 0, "pcg_max_iter": 0, "newton_max_iter": 0, "power_max_iter": 2,
+    "cspe_window": 1, "pod_window": 1, "output_every": 1, "snapshot_every": 1,
+}
 _NULLABLE_OPTS = {"pcg_max_iter", "dt_override", "snapshot_every"}
 
 
@@ -197,19 +204,15 @@ def _parse_solver(doc: dict) -> SolverOptions:
                 val = float(val)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"solver.{key}: {exc}") from exc
-        if val is not None and key in _INT_OPTS:
+        if val is not None and key in _INT_MINIMUMS:
             val = _int(val, f"solver.{key}")
+            if val < _INT_MINIMUMS[key]:
+                raise ConfigError(f"solver.{key} must be >= {_INT_MINIMUMS[key]}, got {val!r}")
         if val is not None and key in FLOAT_RANGES:
             ok, wording = FLOAT_RANGES[key]
             if not ok(val):
                 raise ConfigError(f"solver.{key} must be {wording}, got {val!r}")
         setattr(opts, key, val)
-    if opts.output_every < 1:
-        raise ConfigError("solver.output_every must be >= 1")
-    if opts.snapshot_every is not None and opts.snapshot_every < 1:
-        raise ConfigError("solver.snapshot_every must be >= 1")
-    if opts.cspe_window < 1 or opts.pod_window < 1:
-        raise ConfigError("solver window sizes must be >= 1")
     if opts.strategy not in STRATEGIES:
         raise ConfigError(
             f"solver.strategy must be {'|'.join(STRATEGIES)}, got {opts.strategy!r}")
@@ -227,6 +230,8 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         extra = set(mesh_spec) - {"file"}
         if extra:
             raise ConfigError(f"mesh.file excludes other mesh keys: {sorted(extra)}")
+        if not isinstance(mesh_spec["file"], str):
+            raise ConfigError(f"mesh.file must be a string, got {mesh_spec['file']!r}")
     else:
         mesh_spec = dict(mesh_spec)
         for key in ("width", "height"):
@@ -279,9 +284,12 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     seed_env = os.environ.get("EDDY2D_SEED")
     if seed_env is not None:
         try:
-            options.seed = int(seed_env)
-        except ValueError as exc:
-            raise ConfigError(f"EDDY2D_SEED must be an integer, got {seed_env!r}") from exc
+            seed = int(seed_env)
+        except ValueError:
+            seed = None
+        if seed is None or seed < _INT_MINIMUMS["seed"]:
+            raise ConfigError(f"EDDY2D_SEED must be an integer >= 0, got {seed_env!r}")
+        options.seed = seed
 
     return Scenario(mesh_spec, materials, source, probe_id, t_end, options,
                     name=name, region_boxes=region_boxes)

@@ -80,6 +80,10 @@ BAD_SCENARIO_VALUES = [
     ("solver.tol_pod", NAN), ("solver.tol_pod", INF), ("solver.tol_pod", 0.0),
     ("solver.power_max_iter", INF),
     ("solver.seed", True), ("solver.cspe_window", True), ("solver.output_every", 2.5),
+    ("solver.seed", -1), ("solver.pcg_max_iter", -5), ("solver.newton_max_iter", -1),
+    ("solver.power_max_iter", 0), ("solver.power_max_iter", 1),
+    ("solver.cspe_window", 0), ("solver.pod_window", 0), ("solver.output_every", 0),
+    ("solver.snapshot_every", 0),
     ("mesh.nx", INF), ("mesh.nx", "20"), ("mesh.nx", 20.5), ("mesh.nx", True),
     ("mesh.ny", 0), ("mesh.width", NAN), ("mesh.height", -0.1),
     ("mesh.regions", 5), ("mesh.regions", [5]),
@@ -99,3 +103,12 @@ def set_key_path(doc: dict, path: str, value) -> None:
     for key in parents:
         doc = doc.setdefault(key, {})
     doc[leaf] = value
+
+
+def key_paths(node, path=()):
+    """The path of every dict key and list index below ``node``."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from key_paths(child, path + (key,))

@@ -2,14 +2,20 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import asdict
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import eddy2d
-from eddy2d.cli import EXIT_CONFIG, EXIT_INSTABILITY, EXIT_OK, build_parser, main
-from eddy2d.scenario import bundled_scenario_path, load_scenario
+from eddy2d.cli import (EXIT_CONFIG, EXIT_INSTABILITY, EXIT_OK, EXIT_SOLVER, build_parser,
+                        main)
+from eddy2d.integrate import SolverOptions
+from eddy2d.mesh import save_mesh
+from eddy2d.scenario import bundled_scenario_path, load_scenario, parse_scenario
 
-from conftest import BAD_SCENARIO_VALUES, set_key_path
+from conftest import BAD_SCENARIO_VALUES, key_paths, set_key_path
 
 
 def small_scenario_doc(nonlinear=False, **solver):
@@ -252,8 +258,9 @@ def test_cfl_follows_scenario_strategy(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "oq")
     assert main(["run", "--config", str(quick), "--method", "explicit", "--out", out]) == EXIT_OK
     summary = json.load(open(os.path.join(out, "result_explicit_summary.json")))
-    for lam in (lam_previous, summary["lambda_max_initial"]):
-        assert abs(lam_direct - lam) <= power_tol * lam
+    assert abs(lam_direct - lam_previous) <= power_tol * lam_previous
+    # cfl makes the run's own set-up, so it prints the run's estimate
+    assert summary["lambda_max_initial"] == lam_direct
 
 
 @pytest.mark.parametrize("kind", ["conductor", "coil"])
@@ -272,6 +279,46 @@ def test_bad_region_id_exits_config(tmp_path, capsys, command, kind):
         argv += ["--out", str(tmp_path / "o")]
     assert main(argv) == EXIT_CONFIG
     assert f"materials.{kind}:x" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
+# what each case does to the mesh file of a good scenario: delete it, put
+# a number in place of its path, write raw text or bytes, or replace keys
+BAD_MESH_FILES = {
+    "missing": None,
+    "not_a_string": 5,
+    "malformed": "{oops",
+    "not_an_object": "[1, 2]",
+    "not_utf8": b"\xff\xfe",
+    "non_numeric": {"nodes": "abc"},
+    "ragged": {"nodes": [[0.0, 0.0], [1.0]]},
+    "bad_tag": {"regions": ["bogus"]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MESH_FILES))
+@pytest.mark.parametrize("command", ["run", "cfl"])
+def test_bad_mesh_file_exits_config(tmp_path, capsys, command, case):
+    doc = small_scenario_doc()
+    mesh_path = tmp_path / "mesh.json"
+    save_mesh(parse_scenario(doc).build_mesh(), mesh_path)
+    bad = BAD_MESH_FILES[case]
+    if bad is None:
+        mesh_path.unlink()
+    elif isinstance(bad, str):
+        mesh_path.write_text(bad)
+    elif isinstance(bad, bytes):
+        mesh_path.write_bytes(bad)
+    elif isinstance(bad, dict):
+        mesh_path.write_text(json.dumps({**json.loads(mesh_path.read_text()), **bad}))
+    doc["mesh"] = {"file": bad if isinstance(bad, int) else str(mesh_path)}
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [command, "--config", str(cfg)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    assert "mesh.file" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
 
 
@@ -320,3 +367,54 @@ def test_module_entry_prints_usage(module):
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: eddy2d")
     assert "bench-update" in proc.stdout
+
+
+# ---------------------------------------------------- end-to-end property test
+
+# a bounded pool: no large number, so a mutated nx, t_end or dt_override
+# cannot make a run long
+MUTATION_VALUES = [None, True, False, -1, 0, 1, 2, 0.5, -0.5, float("nan"),
+                   float("inf"), float("-inf"), "x", [], {}]
+
+
+def default_solver_doc():
+    """The small scenario with every solver option listed at its default."""
+    return small_scenario_doc(**asdict(SolverOptions()))
+
+
+def with_value(path, value):
+    doc = default_solver_doc()
+    set_key_path(doc, path, value)
+    return doc
+
+
+@st.composite
+def mutated_small_scenarios(draw):
+    """The default-solver small scenario with one key renamed or one value
+    replaced from MUTATION_VALUES."""
+    doc = default_solver_doc()
+    *parents, key = draw(st.sampled_from(list(key_paths(doc))))
+    node = doc
+    for k in parents:
+        node = node[k]
+    if isinstance(key, str) and draw(st.booleans()):
+        node[key + "x"] = node.pop(key)
+    else:
+        node[key] = draw(st.sampled_from(MUTATION_VALUES))
+    return doc
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(mutated_small_scenarios(), st.sampled_from(["explicit", "implicit"]))
+@example(with_value("solver.seed", -1), "explicit")
+@example(with_value("solver.newton_max_iter", -1), "implicit")
+@example(with_value("solver.power_max_iter", 1), "explicit")
+def test_mutated_scenario_run_exits_with_contract_code(doc, method):
+    # a bad document ends in an exit code, never in an escaped exception
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "mutated.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code = main(["run", "--config", cfg, "--method", method,
+                     "--out", os.path.join(tmp, "out")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_INSTABILITY)

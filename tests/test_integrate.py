@@ -532,6 +532,19 @@ def test_run_explicit_output_interval(mini_problem, mini_source):
     np.testing.assert_allclose(res.times, [5e-3, 10e-3, 15e-3, 20e-3])
 
 
+def test_run_implicit_output_interval(mini_problem, mini_source):
+    # the output rules of run_explicit: a row at every 5th step and at the
+    # last, a snapshot at every 10th step
+    opts = SolverOptions(output_every=5, snapshot_every=10)
+    res = run_implicit(mini_problem, mini_source, 23e-3, 1e-3, opts)
+    assert res.step_count == 23
+    np.testing.assert_allclose(res.times, [5e-3, 10e-3, 15e-3, 20e-3, 23e-3])
+    assert [snap[0] for snap in res.snapshots] == [10, 20]
+    for (_, t, _, a_full), row in zip(res.snapshots, (1, 3)):
+        assert t == res.times[row]
+        assert integrate.probe_average_b(mini_problem, a_full) == res.probe[row]
+
+
 def test_run_explicit_deterministic(mini_problem, mini_source):
     opts = SolverOptions(seed=3, strategy="cspe")
     r1 = run_explicit(mini_problem, mini_source, 0.01, opts)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from eddy2d.errors import ConfigError
 from eddy2d.scenario import bundled_scenario_path, load_scenario, parse_scenario, resolve_config
 
-from conftest import BAD_SCENARIO_VALUES, set_key_path
+from conftest import BAD_SCENARIO_VALUES, key_paths, set_key_path
 
 
 def minimal_doc():
@@ -149,7 +149,10 @@ def test_out_of_range_value_rejected_with_path(tmp_path, path, value):
     ("solver.safety", 0.95), ("solver.safety", 1.0), ("solver.safety", 1e-3),
     ("solver.tol_update", 0.0), ("solver.tol_update", 1e-3), ("solver.tol_update", 1e-2),
     ("solver.tol_pod", 1e4), ("solver.tol_pod", 1e8),
-    ("solver.power_max_iter", 50000),
+    ("solver.power_max_iter", 50000), ("solver.power_max_iter", 2),
+    ("solver.seed", 0), ("solver.pcg_max_iter", 0), ("solver.newton_max_iter", 0),
+    ("solver.cspe_window", 1), ("solver.pod_window", 1),
+    ("solver.output_every", 1), ("solver.snapshot_every", 1),
 ])
 def test_in_range_value_accepted(path, value):
     doc = minimal_doc()
@@ -191,6 +194,12 @@ def test_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("EDDY2D_SEED", "99")
     sc = load_scenario(write_doc(tmp_path, doc))
     assert sc.options.seed == 99
+
+
+def test_negative_seed_env_rejected(tmp_path, monkeypatch):
+    monkeypatch.setenv("EDDY2D_SEED", "-3")
+    with pytest.raises(ConfigError, match="EDDY2D_SEED"):
+        load_scenario(write_doc(tmp_path, minimal_doc()))
 
 
 def test_mesh_from_file(tmp_path):
@@ -248,15 +257,6 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
-def _key_paths(node, path=()):
-    """The path of every dict key and list index below ``node``."""
-    items = node.items() if isinstance(node, dict) else \
-        enumerate(node) if isinstance(node, list) else ()
-    for key, child in items:
-        yield path + (key,)
-        yield from _key_paths(child, path + (key,))
-
-
 @st.composite
 def mutated_scenarios(draw):
     """A bundled scenario document with one key renamed or one value
@@ -264,7 +264,7 @@ def mutated_scenarios(draw):
     of the key up to its first colon, so ``conductor:0`` can become
     ``conductor:x``."""
     doc = json.loads(json.dumps(BUNDLED_DOCS[draw(st.sampled_from(sorted(BUNDLED_DOCS)))]))
-    *parents, key = draw(st.sampled_from(list(_key_paths(doc))))
+    *parents, key = draw(st.sampled_from(list(key_paths(doc))))
     node = doc
     for k in parents:
         node = node[k]
