@@ -216,21 +216,15 @@ class ElementData:
 
 
 def element_data(mesh: Mesh2D, materials: MaterialTable) -> ElementData:
-    """Resolve every element's geometry and material once."""
-    memo: dict[RegionTag, tuple[float, float, float, float]] = {}
-    rows = np.empty((mesh.n_elements, 4))
-    for e, tag in enumerate(mesh.element_region):
-        entry = memo.get(tag)
-        if entry is None:
-            m = materials.lookup(tag)
-            if m.law == "linear":
-                entry = (m.kappa, m.nu_const, 0.0, 0.0)
-            else:
-                entry = (m.kappa, m.k1, m.k2, m.k3)
-            memo[tag] = entry
-        rows[e] = entry
+    """Resolve every element's geometry, and each distinct region's material."""
+    tags, code = mesh.region_codes
+    rows = np.empty((len(tags), 4))
+    for r, tag in enumerate(tags):
+        m = materials.lookup(tag)
+        rows[r] = (m.kappa, m.nu_const, 0.0, 0.0) if m.law == "linear" \
+            else (m.kappa, m.k1, m.k2, m.k3)
     b, c, area = _element_geometry(mesh)
-    return ElementData(mesh.elements, b, c, area, *rows.T.copy())
+    return ElementData(mesh.elements, b, c, area, *rows.T[:, code])
 
 
 def compute_b2(mesh: Mesh2D, a_full: np.ndarray, data: ElementData | None = None) -> np.ndarray:
@@ -292,13 +286,8 @@ def partition(mesh: Mesh2D) -> DofPartition:
     """Split the free DoFs into conducting (adjacent to >= 1 conductor
     element) and nonconducting sets, each in ascending node order."""
     conducting_nodes = np.zeros(mesh.n_nodes, dtype=bool)
-    for e, tag in enumerate(mesh.element_region):
-        if tag.kind == "conductor":
-            conducting_nodes[mesh.elements[e]] = True
-
-    free_mask = np.ones(mesh.n_nodes, dtype=bool)
-    free_mask[list(mesh.boundary_nodes)] = False
-    free_nodes = np.nonzero(free_mask)[0]
+    conducting_nodes[mesh.elements[mesh.region_mask(lambda t: t.kind == "conductor")]] = True
+    free_nodes = np.flatnonzero(free_index(mesh)[0] >= 0)
 
     is_c = conducting_nodes[free_nodes]
     order_c = np.nonzero(is_c)[0]
@@ -380,7 +369,7 @@ def kcc_rebuild_map(mesh: Mesh2D, part: DofPartition, data: ElementData) -> KccR
     n_c = part.n_c
     index = -np.ones(mesh.n_nodes, dtype=np.int64)
     index[part.free_nodes[part.idx_c]] = np.arange(n_c)
-    is_cond = np.array([tag.kind == "conductor" for tag in mesh.element_region], dtype=bool)
+    is_cond = mesh.region_mask(lambda t: t.kind == "conductor")
     cond, other = data.subset(is_cond), data.subset(~is_cond)
 
     # conductor entries by their position src in the raveled (E_c, 3, 3) stiffness
@@ -419,11 +408,10 @@ def _element_lambda_max(data: ElementData) -> np.ndarray:
 
 
 def coil_elements(mesh: Mesh2D, coil_id: int) -> np.ndarray:
-    eids = [e for e, tag in enumerate(mesh.element_region)
-            if tag.kind == "coil" and tag.id == coil_id]
-    if not eids:
+    eids = np.flatnonzero(mesh.region_mask(lambda tag: tag.kind == "coil" and tag.id == coil_id))
+    if not eids.size:
         raise AssemblyError(f"no elements tagged coil:{coil_id}")
-    return np.asarray(eids, dtype=np.int64)
+    return eids
 
 
 def _unit_coil_load(mesh: Mesh2D, src: SourceSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -132,10 +132,8 @@ def discretize(mesh: Mesh2D, materials: MaterialTable,
     if part.n_n and abs(Ms[part.idx_n, :]).max() > 0:
         raise AssemblyError("mass matrix touches nonconducting DoFs; partition is broken")
 
-    probe_eids = np.asarray(
-        [e for e, tag in enumerate(mesh.element_region) if tag.probe == probe_id],
-        dtype=np.int64,
-    ) if probe_id is not None else np.zeros(0, dtype=np.int64)
+    probe_eids = np.flatnonzero(mesh.region_mask(lambda tag: tag.probe == probe_id)) \
+        if probe_id is not None else np.zeros(0, dtype=np.int64)
 
     nonlinear = any(m.is_nonlinear for m in materials.conductors.values())
     kcc_map = kcc_rebuild_map(mesh, part, data) if nonlinear else None

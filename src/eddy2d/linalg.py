@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
@@ -406,4 +405,5 @@ def svd_small(X: np.ndarray, drop_tol: float = 1e-12) -> tuple[np.ndarray, np.nd
 
 def export_matrix(A: SparseMatrix, path) -> None:
     """Write A in the coordinate exchange text format (1-based indices)."""
+    import scipy.io  # imported here: only this needs it, and it slows every CLI start
     scipy.io.mmwrite(path, A.scipy(), precision=17)

@@ -1,14 +1,15 @@
 """2D triangular meshes with material-region tags.
 
 Meshes are structured right-triangle triangulations of a rectangle, tagged
-per element by a centroid-classification callback, plus a JSON file format
-for round-tripping. The outer rectangle boundary carries the homogeneous
-Dirichlet condition a = 0.
+per element by region boxes painted onto the element centroids, plus a JSON
+file format for round-tripping. The outer rectangle boundary carries the
+homogeneous Dirichlet condition a = 0.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +91,24 @@ class Mesh2D:
     def n_elements(self) -> int:
         return self.elements.shape[0]
 
+    @cached_property
+    def region_codes(self) -> tuple[list[RegionTag], np.ndarray]:
+        """The distinct tags in order of first appearance and each element's index
+        into them, grouped by tag object (no Python call per element), then by value."""
+        regions = self.element_region
+        ids = np.fromiter(map(id, regions), dtype=np.uint64, count=len(regions))
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        distinct: dict[RegionTag, int] = {}
+        code = np.empty(first.size, dtype=np.intp)
+        for u in np.argsort(first):
+            code[u] = distinct.setdefault(regions[first[u]], len(distinct))
+        return list(distinct), code[inverse]
+
+    def region_mask(self, test) -> np.ndarray:
+        """Which elements have a tag that passes ``test``, called once per distinct tag."""
+        tags, code = self.region_codes
+        return np.array([test(tag) for tag in tags], dtype=bool)[code]
+
 
 def signed_areas(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Signed area of each element (positive for CCW orientation)."""
@@ -108,13 +127,20 @@ def validate_mesh(mesh: Mesh2D) -> None:
         raise MeshError("elements must be an (E, 3) array")
     if len(mesh.element_region) != mesh.elements.shape[0]:
         raise MeshError("element_region length must match element count")
-    for e, tri in enumerate(mesh.elements):
-        if len(set(int(i) for i in tri)) != 3:
-            raise MeshError(f"element {e} has repeated node indices {tri.tolist()}")
-        if tri.min() < 0 or tri.max() >= n:
-            raise MeshError(f"element {e} references node index out of range: {tri.tolist()}")
+    n0, n1, n2 = mesh.elements.T
+    repeated = (n0 == n1) | (n1 == n2) | (n0 == n2)
+    bad = repeated | ((mesh.elements < 0) | (mesh.elements >= n)).any(axis=1)
+    if bad.any():
+        e = int(np.argmax(bad))
+        fault = "has repeated node indices" if repeated[e] \
+            else "references node index out of range:"
+        raise MeshError(f"element {e} {fault} {mesh.elements[e].tolist()}")
+    finite = np.isfinite(mesh.nodes).all(axis=1)
+    if not finite.all():
+        node = int(np.argmin(finite))
+        raise MeshError(f"node {node} has non-finite coordinates {mesh.nodes[node].tolist()}")
     areas = signed_areas(mesh.nodes, mesh.elements)
-    bad = np.nonzero(areas <= 0)[0]
+    bad = np.nonzero(~(areas > 0))[0]
     if bad.size:
         raise MeshError(f"element {int(bad[0])} has nonpositive signed area {areas[bad[0]]:.3e}")
     for i in mesh.boundary_nodes:
@@ -123,10 +149,12 @@ def validate_mesh(mesh: Mesh2D) -> None:
 
 
 def generate_rect_mesh(width: float, height: float, nx: int, ny: int,
-                       region_fn=None) -> Mesh2D:
+                       regions=()) -> Mesh2D:
     """Structured triangulation of [0,width] x [0,height] with nx x ny cells,
-    each split into two CCW triangles. ``region_fn(x, y)`` classifies element
-    centroids; default is all air."""
+    each split into two CCW triangles. ``regions`` is an ordered list of
+    ``(x0, x1, y0, y1, tag)`` boxes painted onto the element centroids: an
+    element takes the tag of the last box with x0 <= x < x1 and y0 <= y < y1,
+    air if none. A callable ``regions(x, y)`` classifies each centroid instead."""
     if width <= 0 or height <= 0:
         raise MeshError(f"domain dimensions must be positive, got {width} x {height}")
     if nx < 1 or ny < 1:
@@ -136,35 +164,27 @@ def generate_rect_mesh(width: float, height: float, nx: int, ny: int,
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    def nid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    tris = []
-    for iy in range(ny):
-        for ix in range(nx):
-            n00 = nid(ix, iy)
-            n10 = nid(ix + 1, iy)
-            n01 = nid(ix, iy + 1)
-            n11 = nid(ix + 1, iy + 1)
-            tris.append([n00, n10, n11])
-            tris.append([n00, n11, n01])
-    elements = np.asarray(tris, dtype=np.int64)
+    # node (ix, iy) is grid[iy, ix]; cells run x fastest from their lower-left node n00
+    grid = np.arange((ny + 1) * (nx + 1), dtype=np.int64).reshape(ny + 1, nx + 1)
+    n00 = grid[:-1, :-1].ravel()
+    n10, n01, n11 = n00 + 1, n00 + (nx + 1), n00 + (nx + 2)
+    elements = np.column_stack([n00, n10, n11, n00, n11, n01]).reshape(-1, 3)
 
     centroids = nodes[elements].mean(axis=1)
-    if region_fn is None:
-        regions = [AIR] * elements.shape[0]
+    if callable(regions):
+        element_region = [regions(float(cx), float(cy)) for cx, cy in centroids]
     else:
-        regions = [region_fn(float(cx), float(cy)) for cx, cy in centroids]
+        cx, cy = centroids.T
+        code = np.zeros(elements.shape[0], dtype=np.intp)
+        tags = [AIR]
+        for x0, x1, y0, y1, tag in regions:
+            code[(x0 <= cx) & (cx < x1) & (y0 <= cy) & (cy < y1)] = len(tags)
+            tags.append(tag)
+        element_region = [tags[c] for c in code.tolist()]
 
-    boundary = set()
-    for ix in range(nx + 1):
-        boundary.add(nid(ix, 0))
-        boundary.add(nid(ix, ny))
-    for iy in range(ny + 1):
-        boundary.add(nid(0, iy))
-        boundary.add(nid(nx, iy))
+    boundary = frozenset(np.concatenate([grid[0], grid[-1], grid[:, 0], grid[:, -1]]).tolist())
 
-    return Mesh2D(nodes, elements, regions, frozenset(boundary))
+    return Mesh2D(nodes, elements, element_region, boundary)
 
 
 def min_edge_length(mesh: Mesh2D) -> float:
@@ -205,12 +225,11 @@ def load_mesh(path) -> Mesh2D:
     if unknown:
         raise MeshError(f"{path}: unknown top-level keys {sorted(unknown)}")
     try:
-        return Mesh2D(
-            np.asarray(doc["nodes"], dtype=float),
-            np.asarray(doc["elements"], dtype=np.int64),
-            [RegionTag.parse(s) for s in doc["regions"]],
-            frozenset(int(i) for i in doc["boundary"]),
-        )
+        nodes = np.asarray(doc["nodes"], dtype=float)
+        elements = np.asarray(doc["elements"], dtype=np.int64)
+        tags = {s: RegionTag.parse(s) for s in dict.fromkeys(doc["regions"])}
+        return Mesh2D(nodes, elements, [tags[s] for s in doc["regions"]],
+                      frozenset(int(i) for i in doc["boundary"]))
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

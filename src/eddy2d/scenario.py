@@ -46,6 +46,7 @@ class Scenario:
     region_boxes: list = field(default_factory=list)
 
     def build_mesh(self) -> Mesh2D:
+        """The ``mesh.file`` mesh, or a generated one with ``mesh.regions`` painted in order."""
         spec = self.mesh_spec
         if "file" in spec:
             try:
@@ -54,20 +55,12 @@ class Scenario:
                 raise ConfigError(f"mesh.file: {exc}") from exc
         boxes = [(b["x0"], b["x1"], b["y0"], b["y1"], RegionTag.parse(b["tag"]))
                  for b in self.region_boxes]
-
-        def classify(x, y):
-            tag = RegionTag("air")
-            for x0, x1, y0, y1, t in boxes:  # later boxes paint over earlier ones
-                if x0 <= x < x1 and y0 <= y < y1:
-                    tag = t
-            return tag
-
         return generate_rect_mesh(spec["width"], spec["height"],
-                                  spec["nx"], spec["ny"], classify)
+                                  spec["nx"], spec["ny"], boxes)
 
     def build_problem(self) -> AssembledProblem:
         mesh = self.build_mesh()
-        present = {(t.kind, t.id) for t in mesh.element_region}
+        present = {(t.kind, t.id) for t in mesh.region_codes[0]}
         kinds = {k for k, _ in present}
         if "conductor" not in kinds:
             raise ConfigError("scenario has no conductor region; the ODE would be empty")
@@ -82,7 +75,7 @@ class Scenario:
         for kind, rid in sorted(present):
             if kind == "coil" and rid != self.source.coil_id:
                 raise ConfigError(f"coil region {rid} has no excitation entry")
-        probes = {t.probe for t in mesh.element_region if t.probe is not None}
+        probes = {t.probe for t in mesh.region_codes[0] if t.probe is not None}
         if self.probe_id not in probes:
             raise ConfigError(f"probe region {self.probe_id} not present in the mesh")
         return discretize(mesh, self.materials, self.probe_id)
@@ -303,6 +296,8 @@ def load_scenario(path) -> Scenario:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     name = os.path.splitext(os.path.basename(str(path)))[0]
     return parse_scenario(doc, name=name)
 
@@ -317,7 +312,7 @@ def bundled_scenario_path(name: str) -> str:
 
 def resolve_config(path_or_name: str) -> str:
     """Accept either a config file path or a bundled scenario name."""
-    if os.path.exists(path_or_name):
+    if os.path.isfile(path_or_name):
         return path_or_name
     try:
         return bundled_scenario_path(path_or_name)

@@ -13,20 +13,17 @@ STEEL_BRAUER = MaterialModel.brauer(5e7, 520.6, 49.4, 1.46)
 AIR = MaterialModel.linear(0.0, NU0)
 
 
-def mini_region_fn(x, y):
-    """0.1 x 0.1 domain, 10x10 cells: coil low, one conductor block above,
-    probe strip on top of the conductor."""
-    if 0.02 <= x < 0.08 and 0.01 <= y < 0.03:
-        return RegionTag("coil", 0)
-    if 0.02 <= x < 0.08 and 0.05 <= y < 0.08:
-        return RegionTag("conductor", 0)
-    if 0.02 <= x < 0.08 and 0.08 <= y < 0.09:
-        return RegionTag("air", 0, probe=0)
-    return RegionTag("air")
+# 0.1 x 0.1 domain, 10x10 cells: coil low, one conductor block above,
+# probe strip on top of the conductor
+MINI_REGIONS = [
+    (0.02, 0.08, 0.01, 0.03, RegionTag("coil", 0)),
+    (0.02, 0.08, 0.05, 0.08, RegionTag("conductor", 0)),
+    (0.02, 0.08, 0.08, 0.09, RegionTag("air", 0, probe=0)),
+]
 
 
 def make_mini_mesh():
-    return generate_rect_mesh(0.1, 0.1, 10, 10, mini_region_fn)
+    return generate_rect_mesh(0.1, 0.1, 10, 10, MINI_REGIONS)
 
 
 def make_mini_problem(nonlinear=False):

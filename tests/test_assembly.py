@@ -79,6 +79,10 @@ def test_element_mass_row_sums():
 
 # ---------------------------------------------------------------- assembly
 
+# the cells with x < 0.5 of a unit square
+HALF_CONDUCTOR = [(0.0, 0.5, 0.0, 1.0, RegionTag("conductor", 0))]
+
+
 def _mats(cond=STEEL_LINEAR):
     return MaterialTable({0: cond}, AIR)
 
@@ -118,10 +122,7 @@ def test_assembled_matrices_symmetric():
 
 
 def test_missing_material_raises():
-    def fn(x, y):
-        return RegionTag("conductor", 7)
-
-    mesh = generate_rect_mesh(1.0, 1.0, 2, 2, fn)
+    mesh = generate_rect_mesh(1.0, 1.0, 2, 2, [(0.0, 1.0, 0.0, 1.0, RegionTag("conductor", 7))])
     with pytest.raises(AssemblyError, match="conductor region 7"):
         assemble(mesh, _mats())
 
@@ -136,10 +137,7 @@ def test_partition_all_air():
 
 
 def test_partition_all_conductor():
-    def fn(x, y):
-        return RegionTag("conductor", 0)
-
-    mesh = generate_rect_mesh(1.0, 1.0, 3, 3, fn)
+    mesh = generate_rect_mesh(1.0, 1.0, 3, 3, [(0.0, 1.0, 0.0, 1.0, RegionTag("conductor", 0))])
     p = partition(mesh)
     assert p.n_n == 0
     assert p.n_c == 4
@@ -147,10 +145,7 @@ def test_partition_all_conductor():
 
 def test_partition_interface_nodes_conducting():
     # half-conductor strip: enumerate conductor-element adjacency directly
-    def fn(x, y):
-        return RegionTag("conductor", 0) if x < 0.5 else RegionTag("air")
-
-    mesh = generate_rect_mesh(1.0, 1.0, 4, 4, fn)
+    mesh = generate_rect_mesh(1.0, 1.0, 4, 4, HALF_CONDUCTOR)
     p = partition(mesh)
     adjacent = set()
     for e, tag in enumerate(mesh.element_region):
@@ -172,10 +167,7 @@ def test_partition_stable_order():
 # ---------------------------------------------------------------- blocks
 
 def test_extract_blocks_identity():
-    def fn(x, y):
-        return RegionTag("conductor", 0) if x < 0.5 else RegionTag("air")
-
-    mesh = generate_rect_mesh(1.0, 1.0, 4, 4, fn)
+    mesh = generate_rect_mesh(1.0, 1.0, 4, 4, HALF_CONDUCTOR)
     p = partition(mesh)
     I = SparseMatrix.identity(p.n_free)
     blocks = extract_blocks(I, I, p)
@@ -244,12 +236,7 @@ def test_nonlinear_update_touches_only_conductor_entries():
 # ---------------------------------------------------------------- source
 
 def _coil_mesh():
-    def fn(x, y):
-        if 0.25 <= x < 0.75 and 0.25 <= y < 0.5:
-            return RegionTag("coil", 0)
-        return RegionTag("air")
-
-    return generate_rect_mesh(1.0, 1.0, 4, 4, fn)
+    return generate_rect_mesh(1.0, 1.0, 4, 4, [(0.25, 0.75, 0.25, 0.5, RegionTag("coil", 0))])
 
 
 def test_source_zero_at_t0():
@@ -279,12 +266,9 @@ def test_source_partition_of_unity():
 
 
 def test_source_rejects_coil_touching_conductor():
-    def fn(x, y):
-        if x < 0.5:
-            return RegionTag("conductor", 0)
-        return RegionTag("coil", 0)  # coil shares interface nodes
-
-    mesh = generate_rect_mesh(1.0, 1.0, 4, 4, fn)
+    # the coil shares interface nodes with the conductor
+    mesh = generate_rect_mesh(1.0, 1.0, 4, 4, [(0.0, 1.0, 0.0, 1.0, RegionTag("coil", 0)),
+                                               *HALF_CONDUCTOR])
     p = partition(mesh)
     src = SourceSpec(0, i_max=1.0, tau=1.0)
     with pytest.raises(AssemblyError, match="coil"):

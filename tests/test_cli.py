@@ -143,6 +143,22 @@ def test_missing_config_resolves_to_error(tmp_path):
                  "--method", "explicit", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("case", ["not_utf8", "directory"])
+@pytest.mark.parametrize("command", ["run", "cfl"])
+def test_unreadable_config_exits_config(tmp_path, capsys, command, case):
+    cfg = tmp_path / "bad.json"
+    if case == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(b"\xff\xfe")
+    argv = [command, "--config", str(cfg)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    assert str(cfg) in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_bench_startvec_single_strategy(config_path, tmp_path):
     out = str(tmp_path / "bs")
     assert main(["bench-startvec", "--config", config_path,
@@ -282,8 +298,13 @@ def test_bad_region_id_exits_config(tmp_path, capsys, command, kind):
     assert not os.path.exists(tmp_path / "o")
 
 
+def _nan_coordinate(mesh_doc):
+    mesh_doc["nodes"][len(mesh_doc["nodes"]) // 2][0] = float("nan")
+
+
 # what each case does to the mesh file of a good scenario: delete it, put
-# a number in place of its path, write raw text or bytes, or replace keys
+# a number in place of its path, write raw text or bytes, replace keys, or
+# edit the saved document in place
 BAD_MESH_FILES = {
     "missing": None,
     "not_a_string": 5,
@@ -293,11 +314,12 @@ BAD_MESH_FILES = {
     "non_numeric": {"nodes": "abc"},
     "ragged": {"nodes": [[0.0, 0.0], [1.0]]},
     "bad_tag": {"regions": ["bogus"]},
+    "nan_coordinate": _nan_coordinate,
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_MESH_FILES))
-@pytest.mark.parametrize("command", ["run", "cfl"])
+@pytest.mark.parametrize("command", ["run", "cfl", "implicit"])
 def test_bad_mesh_file_exits_config(tmp_path, capsys, command, case):
     doc = small_scenario_doc()
     mesh_path = tmp_path / "mesh.json"
@@ -311,12 +333,17 @@ def test_bad_mesh_file_exits_config(tmp_path, capsys, command, case):
         mesh_path.write_bytes(bad)
     elif isinstance(bad, dict):
         mesh_path.write_text(json.dumps({**json.loads(mesh_path.read_text()), **bad}))
+    elif callable(bad):
+        mesh_doc = json.loads(mesh_path.read_text())
+        bad(mesh_doc)
+        mesh_path.write_text(json.dumps(mesh_doc))
     doc["mesh"] = {"file": bad if isinstance(bad, int) else str(mesh_path)}
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
-    argv = [command, "--config", str(cfg)]
-    if command == "run":
-        argv += ["--out", str(tmp_path / "o")]
+    argv = ["cfl", "--config", str(cfg)] if command == "cfl" else \
+        ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if command == "implicit":
+        argv += ["--method", "implicit"]
     assert main(argv) == EXIT_CONFIG
     assert "mesh.file" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
@@ -367,6 +394,17 @@ def test_module_entry_prints_usage(module):
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: eddy2d")
     assert "bench-update" in proc.stdout
+
+
+def test_cli_import_leaves_out_scipy_io():
+    # scipy.io serves only export_matrix, so importing it would slow every start
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eddy2d.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, eddy2d.cli; print('scipy.io' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------- end-to-end property test
