@@ -15,7 +15,6 @@ from .assembly import (
     SourceSpec,
     SystemBlocks,
     assemble,
-    assemble_source,
     compute_b2,
     extract_blocks,
     partition,
@@ -52,12 +51,11 @@ from .linalg import (
     ic0_preconditioner,
     jacobi_preconditioner,
     mgs_extend,
-    mgs_orthonormalize,
     pcg,
     power_iteration,
     svd_small,
 )
-from .materials import MU0, NU0, MaterialModel, dnu_db2, nu
+from .materials import MU0, NU0, MaterialModel
 from .mesh import Mesh2D, RegionTag, generate_rect_mesh, load_mesh, min_edge_length, save_mesh
 from .scenario import Scenario, bundled_scenario_path, load_scenario
 from .schur import IterationStats, SchurContext, apply_ks, recover_an, schur_rhs, solve_knn

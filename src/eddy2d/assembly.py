@@ -22,7 +22,7 @@ import scipy.sparse
 from .errors import AssemblyError
 from .linalg import SparseMatrix
 from .materials import MaterialModel
-from .mesh import Mesh2D, RegionTag, signed_areas
+from .mesh import Mesh2D, RegionTag
 
 MASS_TEMPLATE = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
@@ -137,47 +137,6 @@ class SourceSpec:
         return self.i_max * (1.0 - np.exp(-t / self.tau))
 
 
-def _triangle_coeffs(nodes3: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    x, y = nodes3[:, 0], nodes3[:, 1]
-    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
-    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
-    return b, c, area
-
-
-def element_stiffness(nodes3: np.ndarray, nu_val: float) -> np.ndarray:
-    """P1 stiffness nu * (b_i b_j + c_i c_j) / (4 A); symmetric, zero row sums."""
-    b, c, area = _triangle_coeffs(np.asarray(nodes3, dtype=float))
-    if area <= 0:
-        raise AssemblyError(f"degenerate triangle with signed area {area:.3e}")
-    return nu_val * (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
-
-
-def element_mass(nodes3: np.ndarray, kappa: float) -> np.ndarray:
-    """Consistent P1 mass kappa * A / 12 * [[2,1,1],[1,2,1],[1,1,2]]."""
-    if kappa < 0:
-        raise AssemblyError(f"kappa must be >= 0, got {kappa}")
-    _, _, area = _triangle_coeffs(np.asarray(nodes3, dtype=float))
-    if area <= 0:
-        raise AssemblyError(f"degenerate triangle with signed area {area:.3e}")
-    return kappa * area * MASS_TEMPLATE
-
-
-def _element_geometry(mesh: Mesh2D):
-    p = mesh.nodes[mesh.elements]  # (E, 3, 2)
-    x, y = p[:, :, 0], p[:, :, 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = signed_areas(mesh.nodes, mesh.elements)
-    return b, c, area
-
-
-def _b2(b: np.ndarray, c: np.ndarray, area: np.ndarray, ae: np.ndarray) -> np.ndarray:
-    dx = (ae * b).sum(axis=1) / (2.0 * area)
-    dy = (ae * c).sum(axis=1) / (2.0 * area)
-    return dx * dx + dy * dy
-
-
 def _bbcc(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """(E, 3, 3) products b b^T + c c^T of the element stiffness."""
     return b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
@@ -188,8 +147,8 @@ class ElementData:
     """Per-element geometry and materials, resolved once per (mesh, materials).
 
     nodes: (E, 3) node indices; b, c: (E, 3) P1 gradient coefficients; area:
-    signed areas. Materials are (kappa, k1, k2, k3) with linear laws encoded
-    as k2 = k3 = 0, so nu = k1 + k2*exp(k3*b2) covers both laws vectorized.
+    signed areas. Materials are kappa and the MaterialModel.coefficients
+    (k1, k2, k3), so nu = k1 + k2*exp(k3*b2) covers both laws vectorized.
     """
 
     nodes: np.ndarray
@@ -206,7 +165,9 @@ class ElementData:
 
     def b2_local(self, ae: np.ndarray) -> np.ndarray:
         """|B|^2 per element from its (E, 3) nodal values: B = (da/dy, -da/dx)."""
-        return _b2(self.b, self.c, self.area, ae)
+        dx = (ae * self.b).sum(axis=1) / (2.0 * self.area)
+        dy = (ae * self.c).sum(axis=1) / (2.0 * self.area)
+        return dx * dx + dy * dy
 
     def nu(self, b2: np.ndarray) -> np.ndarray:
         return self.k1 + self.k2 * np.exp(self.k3 * b2)
@@ -221,21 +182,19 @@ def element_data(mesh: Mesh2D, materials: MaterialTable) -> ElementData:
     rows = np.empty((len(tags), 4))
     for r, tag in enumerate(tags):
         m = materials.lookup(tag)
-        rows[r] = (m.kappa, m.nu_const, 0.0, 0.0) if m.law == "linear" \
-            else (m.kappa, m.k1, m.k2, m.k3)
-    b, c, area = _element_geometry(mesh)
-    return ElementData(mesh.elements, b, c, area, *rows.T[:, code])
+        rows[r] = (m.kappa, *m.coefficients)
+    x, y = np.moveaxis(mesh.nodes[mesh.elements], 2, 0)  # each (E, 3)
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    return ElementData(mesh.elements, b, c, mesh.areas, *rows.T[:, code])
 
 
-def compute_b2(mesh: Mesh2D, a_full: np.ndarray, data: ElementData | None = None) -> np.ndarray:
-    """Per-element |B|^2 from the P1 gradient of the full nodal vector
-    (Dirichlet zeros included), for every element of the mesh or for the
-    elements of ``data``."""
+def compute_b2(mesh: Mesh2D, a_full: np.ndarray, data: ElementData) -> np.ndarray:
+    """Per-element |B|^2 of the elements of ``data`` from the P1 gradient of
+    the full nodal vector (Dirichlet zeros included)."""
     a_full = np.asarray(a_full, dtype=float)
     if a_full.shape != (mesh.n_nodes,):
         raise AssemblyError(f"expected full nodal vector of length {mesh.n_nodes}")
-    if data is None:
-        return _b2(*_element_geometry(mesh), a_full[mesh.elements])
     return data.b2_local(a_full[data.nodes])
 
 
@@ -259,11 +218,11 @@ def element_coo(nodes: np.ndarray, vals: np.ndarray, index: np.ndarray):
 
 
 def assemble(mesh: Mesh2D, materials: MaterialTable, a_full: np.ndarray | None = None,
-             reduce: bool = True, data: ElementData | None = None
-             ) -> tuple[SparseMatrix, SparseMatrix]:
-    """Assemble (M, K) with nu from the element B^2 of ``a_full`` (zero field
-    when None). ``reduce`` eliminates Dirichlet rows/columns by deletion.
-    ``data`` is ``element_data(mesh, materials)`` when the caller holds it."""
+             data: ElementData | None = None) -> tuple[SparseMatrix, SparseMatrix]:
+    """Assemble (M, K) on the free DoFs, with nu from the element B^2 of
+    ``a_full`` (zero field when None); Dirichlet rows/columns are eliminated
+    by deletion. ``data`` is ``element_data(mesh, materials)`` when the
+    caller holds it."""
     if data is None:
         data = element_data(mesh, materials)
     element_b2 = compute_b2(mesh, a_full, data) if a_full is not None \
@@ -271,10 +230,7 @@ def assemble(mesh: Mesh2D, materials: MaterialTable, a_full: np.ndarray | None =
     k_vals = _bbcc(data.b, data.c) * (data.nu(element_b2) / (4.0 * data.area))[:, None, None]
     m_vals = MASS_TEMPLATE[None, :, :] * (data.kappa * data.area)[:, None, None]
 
-    if reduce:
-        index, n = free_index(mesh)
-    else:
-        index, n = np.arange(mesh.n_nodes), mesh.n_nodes
+    index, n = free_index(mesh)
     rows, cols, k_flat = element_coo(mesh.elements, k_vals, index)
     _, _, m_flat = element_coo(mesh.elements, m_vals, index)
     K = SparseMatrix.from_coo(n, n, rows, cols, k_flat)
@@ -407,48 +363,25 @@ def _element_lambda_max(data: ElementData) -> np.ndarray:
     return 12.0 * lam_geom / (data.kappa * data.area)
 
 
-def coil_elements(mesh: Mesh2D, coil_id: int) -> np.ndarray:
-    eids = np.flatnonzero(mesh.region_mask(lambda tag: tag.kind == "coil" and tag.id == coil_id))
-    if not eids.size:
-        raise AssemblyError(f"no elements tagged coil:{coil_id}")
-    return eids
-
-
-def _unit_coil_load(mesh: Mesh2D, src: SourceSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Unreduced load over all nodes at unit current, J_z = turns/coil_area
-    with each coil element contributing J_z * A_e / 3 per node, and the
-    coil element ids."""
-    eids = coil_elements(mesh, src.coil_id)
-    areas = signed_areas(mesh.nodes, mesh.elements)[eids]
-    jz_unit = src.turns / float(areas.sum())
-    load = np.zeros(mesh.n_nodes)
-    np.add.at(load, mesh.elements[eids].ravel(), np.repeat(jz_unit * areas / 3.0, 3))
-    return load, eids
-
-
-def source_load_full(mesh: Mesh2D, src: SourceSpec, t: float) -> np.ndarray:
-    """Unreduced load vector over all nodes at current I(t). The entries sum
-    to I(t)*turns (partition of unity)."""
-    return src.current(t) * _unit_coil_load(mesh, src)[0]
-
-
 def source_pattern(mesh: Mesh2D, src: SourceSpec, p: DofPartition) -> np.ndarray:
     """Unit-current load restricted to the nonconducting partition, so that
-    j_sn(t) = I(t) * pattern. Errors if the coil support touches the
-    conducting set (the partitioned system assumes excitations live entirely
-    in nonconducting DoFs)."""
-    load, eids = _unit_coil_load(mesh, src)
-    coil_nodes = np.unique(mesh.elements[eids].ravel())
+    j_sn(t) = I(t) * pattern: J_z = turns/coil_area, and each coil element
+    contributes J_z * A_e / 3 per node. Errors if the coil support touches
+    the conducting set (the partitioned system assumes excitations live
+    entirely in nonconducting DoFs)."""
+    eids = np.flatnonzero(mesh.region_mask(lambda tag: tag.kind == "coil"
+                                           and tag.id == src.coil_id))
+    if not eids.size:
+        raise AssemblyError(f"no elements tagged coil:{src.coil_id}")
     conducting = np.zeros(mesh.n_nodes, dtype=bool)
     conducting[p.free_nodes[p.idx_c]] = True
-    if np.any(conducting[coil_nodes]):
+    if np.any(conducting[mesh.elements[eids]]):
         raise AssemblyError(
             "coil region overlaps the conductor support; excitation must lie "
             "entirely in the nonconducting partition"
         )
+    areas = mesh.areas[eids]
+    jz_unit = src.turns / float(areas.sum())
+    load = np.zeros(mesh.n_nodes)
+    np.add.at(load, mesh.elements[eids].ravel(), np.repeat(jz_unit * areas / 3.0, 3))
     return load[p.free_nodes[p.idx_n]]
-
-
-def assemble_source(mesh: Mesh2D, src: SourceSpec, t: float, p: DofPartition) -> np.ndarray:
-    """Source vector at time t, restricted to the nonconducting partition."""
-    return src.current(t) * source_pattern(mesh, src, p)

@@ -18,11 +18,9 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .errors import ConfigError, Eddy2dError, InstabilityError
-from .integrate import RunResult, probe_deviation, run_explicit, run_implicit, start_explicit
-from .materials import nu
+from .integrate import (RunResult, fixed_step_count, probe_deviation, run_explicit,
+                        run_implicit, start_explicit)
 from .mesh import min_edge_length
 from .scenario import FLOAT_RANGES, Scenario, load_scenario, resolve_config
 from .startvec import STRATEGIES
@@ -156,14 +154,17 @@ def cmd_cfl(args) -> int:
     problem = scenario.build_problem()
     state, _, _, dt_cfl = start_explicit(problem, scenario.options)
 
+    # conductor elements are the ones with kappa > 0; nu(0) by the runs' own law
     h = min_edge_length(problem.mesh)
-    kappa_max = max(m.kappa for m in problem.materials.conductors.values())
-    mu_max = max(1.0 / nu(m, 0.0) for m in problem.materials.conductors.values())
+    conductor = problem.elements.kappa > 0
+    kappa_max = float(problem.elements.kappa.max())
+    mu_max = float((1.0 / problem.elements.nu(0.0)[conductor]).max())
     heuristic = 1.0 / (h * h * kappa_max * mu_max)
 
     print(f"lambda_max (power iteration) = {state.lam_max!r} 1/s")
     print(f"dt_cfl = safety*2/lambda_max = {dt_cfl!r} s  (safety {scenario.options.safety})")
-    print(f"projected steps for t_end={scenario.t_end}: {int(np.ceil(scenario.t_end / dt_cfl))}")
+    print(f"projected steps for t_end={scenario.t_end}: "
+          f"{fixed_step_count(scenario.t_end, dt_cfl)}")
     print(f"heuristic 1/(h^2*kappa*mu) = {heuristic!r} 1/s  "
           f"(h={h!r}, kappa={kappa_max!r}, mu={mu_max!r}; not a sharp estimate)")
     return EXIT_OK

@@ -72,7 +72,8 @@ MAX_STEPS = 50_000_000
 
 @dataclass
 class SolverOptions:
-    """Numeric knobs for a run; defaults match the bundled scenarios."""
+    """Numeric knobs for a run. The bundled scenarios override two
+    defaults: they set strategy "direct" and their own seed."""
 
     pcg_tol: float = 1e-6
     pcg_max_iter: int | None = None
@@ -457,6 +458,19 @@ def _check_window(t_end: float, dt: float, method: str) -> None:
         raise SolverError(
             f"dt = {dt:.3e} exceeds the integration window t_end = {t_end:.3e}"
         )
+
+
+def fixed_step_count(t_end: float, dt: float) -> int:
+    """Number of steps a run loop takes over [0, t_end] at a fixed dt, by
+    the loops' own rule and float arithmetic: step while more than half a
+    step is left. More than MAX_STEPS steps are refused, as the loops do."""
+    if t_end / dt > MAX_STEPS:
+        raise SolverError(f"t_end/dt = {t_end / dt:.3e} exceeds the step limit")
+    t, steps = 0.0, 0
+    while t_end - t > 0.5 * dt:
+        t += dt
+        steps += 1
+    return steps
 
 
 def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,

@@ -300,17 +300,6 @@ def mgs_extend(basis: list[np.ndarray], v: np.ndarray, tol_drop: float = 1e-10):
     return r / nr if nr > tol_drop * nv else None
 
 
-def mgs_orthonormalize(columns, tol_drop: float = 1e-10) -> list[np.ndarray]:
-    """Orthonormal basis of ``columns`` by mgs_extend, dropping the columns
-    it rejects."""
-    basis: list[np.ndarray] = []
-    for v in columns:
-        q = mgs_extend(basis, v, tol_drop)
-        if q is not None:
-            basis.append(q)
-    return basis
-
-
 @dataclass
 class PowerReport:
     value: float

@@ -54,32 +54,15 @@ class MaterialModel:
         return MaterialModel(kappa=kappa, law="brauer", k1=k1, k2=k2, k3=k3)
 
     @property
+    def coefficients(self) -> tuple[float, float, float]:
+        """(k1, k2, k3) of nu(b2) = k1 + k2*exp(k3*b2), the one form in which
+        assembly and the CFL heuristic evaluate either law: a linear law is
+        (nu_const, 0, 0)."""
+        if self.law == "linear":
+            return self.nu_const, 0.0, 0.0
+        return self.k1, self.k2, self.k3
+
+    @property
     def is_nonlinear(self) -> bool:
         return self.law == "brauer" and self.k2 > 0 and self.k3 > 0
 
-
-def _check_b2(b2):
-    b2 = np.asarray(b2, dtype=float)
-    if np.any(b2 < 0):
-        raise ValueError("b2 must be >= 0 (it is a squared flux density)")
-    return b2
-
-
-def nu(model: MaterialModel, b2):
-    """Reluctivity nu (m/H) at squared flux density b2 (T^2). Vectorized."""
-    b2 = _check_b2(b2)
-    if model.law == "linear":
-        out = np.full_like(b2, model.nu_const)
-    else:
-        out = model.k1 + model.k2 * np.exp(model.k3 * b2)
-    return out if out.ndim else float(out)
-
-
-def dnu_db2(model: MaterialModel, b2):
-    """Derivative d(nu)/d(B^2), needed for the Newton Jacobian. Vectorized."""
-    b2 = _check_b2(b2)
-    if model.law == "linear":
-        out = np.zeros_like(b2)
-    else:
-        out = model.k2 * model.k3 * np.exp(model.k3 * b2)
-    return out if out.ndim else float(out)

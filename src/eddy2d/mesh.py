@@ -104,19 +104,20 @@ class Mesh2D:
             code[u] = distinct.setdefault(regions[first[u]], len(distinct))
         return list(distinct), code[inverse]
 
+    @cached_property
+    def areas(self) -> np.ndarray:
+        """Signed area of each element (positive for CCW orientation),
+        computed once: validation, assembly and the coil load all read it."""
+        p = self.nodes[self.elements]
+        areas = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                       - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        areas.setflags(write=False)
+        return areas
+
     def region_mask(self, test) -> np.ndarray:
         """Which elements have a tag that passes ``test``, called once per distinct tag."""
         tags, code = self.region_codes
         return np.array([test(tag) for tag in tags], dtype=bool)[code]
-
-
-def signed_areas(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """Signed area of each element (positive for CCW orientation)."""
-    p = nodes[elements]
-    return 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
 
 
 def validate_mesh(mesh: Mesh2D) -> None:
@@ -139,7 +140,7 @@ def validate_mesh(mesh: Mesh2D) -> None:
     if not finite.all():
         node = int(np.argmin(finite))
         raise MeshError(f"node {node} has non-finite coordinates {mesh.nodes[node].tolist()}")
-    areas = signed_areas(mesh.nodes, mesh.elements)
+    areas = mesh.areas
     bad = np.nonzero(~(areas > 0))[0]
     if bad.size:
         raise MeshError(f"element {int(bad[0])} has nonpositive signed area {areas[bad[0]]:.3e}")

@@ -14,6 +14,8 @@ import os
 from dataclasses import dataclass, field
 from importlib import resources
 
+import numpy as np
+
 from .assembly import MaterialTable, SourceSpec
 from .errors import ConfigError, MeshError
 from .integrate import AssembledProblem, SolverOptions, discretize
@@ -75,6 +77,14 @@ class Scenario:
         for kind, rid in sorted(present):
             if kind == "coil" and rid != self.source.coil_id:
                 raise ConfigError(f"coil region {rid} has no excitation entry")
+        # the excitation must lie in the nonconducting partition: a coil may
+        # meet a conductor on the Dirichlet boundary only
+        coil = mesh.region_mask(lambda t: t.kind == "coil" and t.id == self.source.coil_id)
+        shared = np.intersect1d(mesh.elements[coil],
+                                mesh.elements[mesh.region_mask(lambda t: t.kind == "conductor")])
+        if not mesh.boundary_nodes.issuperset(shared.tolist()):
+            raise ConfigError(f"source.coil: coil region {self.source.coil_id} shares "
+                              "nodes with a conductor region")
         probes = {t.probe for t in mesh.region_codes[0] if t.probe is not None}
         if self.probe_id not in probes:
             raise ConfigError(f"probe region {self.probe_id} not present in the mesh")

@@ -5,18 +5,16 @@ from eddy2d.assembly import (
     MaterialTable,
     SourceSpec,
     assemble,
-    assemble_source,
     compute_b2,
-    element_mass,
-    element_stiffness,
+    element_data,
     extract_blocks,
     partition,
-    source_load_full,
+    source_pattern,
 )
 from eddy2d.errors import AssemblyError
 from eddy2d.linalg import SparseMatrix
 from eddy2d.materials import MaterialModel, NU0
-from eddy2d.mesh import RegionTag, generate_rect_mesh, signed_areas
+from eddy2d.mesh import Mesh2D, RegionTag, generate_rect_mesh
 
 from conftest import AIR, STEEL_BRAUER, STEEL_LINEAR, make_mini_mesh
 
@@ -24,10 +22,22 @@ UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 # -------------------------------------------------------------- element level
+# assemble on a one-triangle mesh without Dirichlet nodes returns the
+# element matrices themselves, on the vectorized path every run takes
+
+def one_triangle(tri, material):
+    """Unreduced (M, K) of the triangle ``tri`` made of ``material``, a
+    conductor when it conducts and air otherwise."""
+    conducts = material.kappa > 0
+    mesh = Mesh2D(tri, [[0, 1, 2]], [RegionTag("conductor" if conducts else "air")])
+    table = MaterialTable({0: material}, AIR) if conducts else MaterialTable({}, material)
+    M, K = assemble(mesh, table)
+    return M.toarray(), K.toarray()
+
 
 def test_element_stiffness_unit_right_triangle():
     # hand evaluation of the cotangent formula for nu = 1
-    K = element_stiffness(UNIT_RIGHT, 1.0)
+    _, K = one_triangle(UNIT_RIGHT, MaterialModel.linear(0.0, 1.0))
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     np.testing.assert_allclose(K, expected, atol=1e-14)
 
@@ -36,36 +46,31 @@ def test_element_stiffness_row_sums_zero():
     rng = np.random.default_rng(2)
     for _ in range(5):
         tri = rng.random((3, 2)) * 2.0
-        area = signed_areas(tri, np.array([[0, 1, 2]]))[0]
-        if abs(area) < 1e-3:
+        twice_area = np.linalg.det(tri[1:] - tri[0])
+        if abs(twice_area) < 2e-3:
             continue
-        if area < 0:
+        if twice_area < 0:
             tri[[1, 2]] = tri[[2, 1]]
-        K = element_stiffness(tri, 2.5)
+        _, K = one_triangle(tri, MaterialModel.linear(0.0, 2.5))
         np.testing.assert_allclose(K.sum(axis=1), 0.0, atol=1e-12)
         np.testing.assert_allclose(K, K.T, atol=1e-14)
 
 
 def test_element_stiffness_scale_invariant_2d():
     # in 2D the (b, c) coefficients scale with s and the area with s^2
-    K1 = element_stiffness(UNIT_RIGHT, 3.0)
-    K2 = element_stiffness(2.0 * UNIT_RIGHT, 3.0)
+    _, K1 = one_triangle(UNIT_RIGHT, MaterialModel.linear(0.0, 3.0))
+    _, K2 = one_triangle(2.0 * UNIT_RIGHT, MaterialModel.linear(0.0, 3.0))
     np.testing.assert_allclose(K2, K1, atol=1e-14)
 
 
-def test_element_stiffness_degenerate_rejected():
-    tri = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(AssemblyError):
-        element_stiffness(tri, 1.0)
-
-
 def test_element_mass_zero_kappa():
-    np.testing.assert_array_equal(element_mass(UNIT_RIGHT, 0.0), np.zeros((3, 3)))
+    M, _ = one_triangle(UNIT_RIGHT, AIR)
+    np.testing.assert_array_equal(M, np.zeros((3, 3)))
 
 
 def test_element_mass_formula():
     # area 1/2, kappa 12 -> (1/2)*[[2,1,1],[1,2,1],[1,1,2]]
-    M = element_mass(UNIT_RIGHT, 12.0)
+    M, _ = one_triangle(UNIT_RIGHT, MaterialModel.linear(12.0, 570.0))
     expected = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]])
     np.testing.assert_allclose(M, expected, atol=1e-14)
 
@@ -73,7 +78,7 @@ def test_element_mass_formula():
 def test_element_mass_row_sums():
     tri = np.array([[0.0, 0.0], [2.0, 0.0], [0.5, 1.5]])
     area = 0.5 * (2.0 * 1.5)
-    M = element_mass(tri, 7.0)
+    M, _ = one_triangle(tri, MaterialModel.linear(7.0, 570.0))
     np.testing.assert_allclose(M.sum(axis=1), 7.0 * area / 3.0, rtol=1e-14)
 
 
@@ -106,9 +111,11 @@ def test_linear_assembly_independent_of_a():
 
 
 def test_unreduced_stiffness_kills_constants():
-    mesh = generate_rect_mesh(1.0, 1.0, 2, 2)
-    table = _mats()
-    _, K = assemble(mesh, table, reduce=False)
+    # with no Dirichlet nodes every node is a DoF
+    rect = generate_rect_mesh(1.0, 1.0, 2, 2, HALF_CONDUCTOR)
+    mesh = Mesh2D(rect.nodes, rect.elements, rect.element_region)
+    _, K = assemble(mesh, _mats())
+    assert K.shape == (mesh.n_nodes, mesh.n_nodes)
     ones = np.ones(mesh.n_nodes)
     np.testing.assert_allclose(K.matvec(ones), 0.0, atol=1e-10 * NU0)
 
@@ -243,26 +250,24 @@ def test_source_zero_at_t0():
     mesh = _coil_mesh()
     p = partition(mesh)
     src = SourceSpec(0, i_max=10.0, tau=0.5, turns=3.0)
-    np.testing.assert_array_equal(assemble_source(mesh, src, 0.0, p), 0.0)
+    np.testing.assert_array_equal(src.current(0.0) * source_pattern(mesh, src, p), 0.0)
 
 
 def test_source_limit_proportional_to_imax():
-    mesh = _coil_mesh()
-    p = partition(mesh)
     src = SourceSpec(0, i_max=10.0, tau=0.5, turns=3.0)
-    j_late = assemble_source(mesh, src, 1e3, p)
-    j_mid = assemble_source(mesh, src, 0.5 * np.log(2.0), p)  # I = i_max/2
-    np.testing.assert_allclose(j_late, 2.0 * j_mid, rtol=1e-12)
+    assert src.current(1e3) == 10.0
+    assert src.current(0.5 * np.log(2.0)) == pytest.approx(5.0, rel=1e-15)
 
 
 def test_source_partition_of_unity():
-    # sum of the unrestricted load = I(t) * turns
-    mesh = _coil_mesh()
+    # with no Dirichlet nodes and no conductor the pattern covers every
+    # node, and its entries sum to turns
+    rect = _coil_mesh()
+    mesh = Mesh2D(rect.nodes, rect.elements, rect.element_region)
     src = SourceSpec(0, i_max=10.0, tau=0.5, turns=3.0)
-    t = 0.7
-    load = source_load_full(mesh, src, t)
-    expected = src.current(t) * src.turns
-    assert load.sum() == pytest.approx(expected, rel=1e-12)
+    pattern = source_pattern(mesh, src, partition(mesh))
+    assert pattern.size == mesh.n_nodes
+    assert pattern.sum() == pytest.approx(src.turns, rel=1e-12)
 
 
 def test_source_rejects_coil_touching_conductor():
@@ -272,21 +277,23 @@ def test_source_rejects_coil_touching_conductor():
     p = partition(mesh)
     src = SourceSpec(0, i_max=1.0, tau=1.0)
     with pytest.raises(AssemblyError, match="coil"):
-        assemble_source(mesh, src, 1.0, p)
+        source_pattern(mesh, src, p)
 
 
 # ---------------------------------------------------------------- compute_b2
 
 def test_b2_zero_field():
     mesh = make_mini_mesh()
-    np.testing.assert_array_equal(compute_b2(mesh, np.zeros(mesh.n_nodes)), 0.0)
+    data = element_data(mesh, _mats())
+    np.testing.assert_array_equal(compute_b2(mesh, np.zeros(mesh.n_nodes), data), 0.0)
 
 
 def test_b2_linear_field():
     # a(x, y) = y gives B = (1, 0) everywhere, so b2 = 1
     mesh = generate_rect_mesh(1.0, 1.0, 3, 3)
     a = mesh.nodes[:, 1].copy()
-    np.testing.assert_allclose(compute_b2(mesh, a), 1.0, rtol=1e-12)
+    data = element_data(mesh, MaterialTable({}, AIR))
+    np.testing.assert_allclose(compute_b2(mesh, a, data), 1.0, rtol=1e-12)
 
 
 def test_b2_matches_interpolant_gradient_oracle():
@@ -294,7 +301,7 @@ def test_b2_matches_interpolant_gradient_oracle():
     mesh = generate_rect_mesh(1.0, 1.0, 4, 4)
     rng = np.random.default_rng(33)
     a = rng.standard_normal(mesh.n_nodes)
-    b2 = compute_b2(mesh, a)
+    b2 = compute_b2(mesh, a, element_data(mesh, MaterialTable({}, AIR)))
 
     def interp(eid, x, y):
         tri = mesh.elements[eid]
@@ -316,7 +323,7 @@ def test_b2_matches_interpolant_gradient_oracle():
 def test_b2_wrong_length_rejected():
     mesh = make_mini_mesh()
     with pytest.raises(AssemblyError):
-        compute_b2(mesh, np.zeros(3))
+        compute_b2(mesh, np.zeros(3), element_data(mesh, _mats()))
 
 
 # ---------------------------------------------------------------- materials table

@@ -242,11 +242,14 @@ def test_cfl_report(config_path, capsys):
     assert "projected steps" in out
 
 
-def _cfl_lambda(capsys, config) -> float:
+def _cfl_line(capsys, config, start) -> str:
+    """The line of the ``eddy2d cfl`` report that begins with ``start``."""
     assert main(["cfl", "--config", config]) == EXIT_OK
-    line = next(ln for ln in capsys.readouterr().out.splitlines()
-                if ln.startswith("lambda_max"))
-    return float(line.split("=")[1].split()[0])
+    return next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith(start))
+
+
+def _cfl_lambda(capsys, config) -> float:
+    return float(_cfl_line(capsys, config, "lambda_max").split("=")[1].split()[0])
 
 
 def test_cfl_follows_scenario_strategy(tmp_path, capsys, monkeypatch):
@@ -277,6 +280,39 @@ def test_cfl_follows_scenario_strategy(tmp_path, capsys, monkeypatch):
     assert abs(lam_direct - lam_previous) <= power_tol * lam_previous
     # cfl makes the run's own set-up, so it prints the run's estimate
     assert summary["lambda_max_initial"] == lam_direct
+
+
+def test_cfl_projected_steps_match_the_run(tmp_path, capsys):
+    # t_end a quarter step past step 40: ceil(t_end / dt) would say 41, but
+    # a run steps only while more than half a step is left
+    doc = small_scenario_doc()
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps(doc))
+    dt = float(_cfl_line(capsys, str(cfg), "dt_cfl").rsplit(" = ", 1)[1].split()[0])
+    doc["t_end"] = 40.25 * dt
+    cfg.write_text(json.dumps(doc))
+    assert _cfl_line(capsys, str(cfg), "projected steps").endswith(": 40")
+    out = str(tmp_path / "o")
+    assert main(["run", "--config", str(cfg), "--method", "explicit", "--out", out]) == EXIT_OK
+    summary = json.load(open(os.path.join(out, "result_explicit_summary.json")))
+    assert summary["dt_initial"] == dt
+    assert summary["step_count"] == 40
+
+
+@pytest.mark.parametrize("argv", [["run", "--method", "explicit"],
+                                  ["run", "--method", "implicit"], ["cfl"]])
+def test_coil_touching_conductor_exits_config(tmp_path, capsys, argv):
+    # the coil sits on top of the conductor block and shares its edge nodes
+    doc = small_scenario_doc()
+    doc["mesh"]["regions"][0].update(y0=0.08, y1=0.09)
+    cfg = tmp_path / "touching.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [*argv, "--config", str(cfg)]
+    if argv[0] == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    assert "source.coil" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
 
 
 @pytest.mark.parametrize("kind", ["conductor", "coil"])

@@ -368,7 +368,7 @@ def test_kcc_rebuild_matches_reassembly(make_problem):
         state.a_c = rng.standard_normal(problem.part.n_c)
         state.a_n = rng.standard_normal(problem.part.n_n)
         a_full = problem.part.to_full(state.a_c, state.a_n, problem.mesh.n_nodes)
-        b_max = np.sqrt(compute_b2(problem.mesh, a_full)[cond].max())
+        b_max = np.sqrt(compute_b2(problem.mesh, a_full, problem.elements)[cond].max())
         scale = rng.uniform(0.2, 1.2) / b_max  # conductor B up to 1.2 T
         state.a_c *= scale
         state.a_n *= scale
@@ -439,7 +439,7 @@ def test_lambda_growth_bound_holds(make_problem):
     for _ in range(4):
         a_c = rng.standard_normal(n_c)
         a_full = problem.part.to_full(a_c, np.zeros(problem.part.n_n), problem.mesh.n_nodes)
-        b_max = np.sqrt(compute_b2(problem.mesh, a_full)[cond].max())
+        b_max = np.sqrt(compute_b2(problem.mesh, a_full, problem.elements)[cond].max())
         states.append(a_c * rng.uniform(0.2, 1.2) / b_max)
     nus = [kmap.nu(a_c) for a_c in states]
     lams = [dense_lambda_max(problem, kmap.rebuild(nu)) for nu in nus]
@@ -451,9 +451,9 @@ def test_lambda_growth_bound_holds(make_problem):
 # ---------------------------------------------------------------------- Newton
 
 def test_newton_linear_one_iteration(mini_problem, mini_source):
-    from eddy2d.assembly import assemble_source
+    from eddy2d.assembly import source_pattern
     part = mini_problem.part
-    j_sn = assemble_source(mini_problem.mesh, mini_source, 0.05, part)
+    j_sn = mini_source.current(0.05) * source_pattern(mini_problem.mesh, mini_source, part)
     j_s = np.zeros(part.n_free)
     j_s[part.idx_n] = j_sn
     a, iters = newton_solve(mini_problem, 1e-3, np.zeros(part.n_free), j_s)
@@ -599,6 +599,15 @@ def test_run_rejects_too_many_steps_before_stepping(mini_problem, mini_source,
     dt = 1e-3 / (2 * integrate.MAX_STEPS)
     with pytest.raises(SolverError, match="exceeds the step limit"):
         _run(method, mini_problem, mini_source, 1e-3, dt)
+
+
+def test_fixed_step_count_follows_the_run_loop_rule():
+    # steps end at 0.4, 0.8; the 0.2 left is not more than half a step
+    assert integrate.fixed_step_count(1.0, 0.4) == 2
+    assert integrate.fixed_step_count(1.0, 2.5) == 0
+    assert integrate.fixed_step_count(1.0, 0.25) == 4
+    with pytest.raises(SolverError, match="exceeds the step limit"):
+        integrate.fixed_step_count(1.0, 0.5 / integrate.MAX_STEPS)
 
 
 def test_run_explicit_nonlinear_update_counts(mini_problem_nonlinear):

@@ -13,11 +13,12 @@ from eddy2d.linalg import (
     factor_spd,
     ic0_preconditioner,
     jacobi_preconditioner,
-    mgs_orthonormalize,
+    mgs_extend,
     pcg,
     power_iteration,
     svd_small,
 )
+from eddy2d.startvec import CspeCache
 
 from conftest import make_mini_problem
 
@@ -282,22 +283,31 @@ def test_factor_spd_names_a_singular_matrix():
 
 # ------------------------------------------------------------------------- MGS
 
+def orthonormalized(columns):
+    """The basis CSPE holds after pushing ``columns``: each push extends it
+    by mgs_extend, and a window as large as the input evicts nothing."""
+    cache = CspeCache(SparseMatrix.identity(columns[0].size), window=len(columns))
+    for v in columns:
+        cache.push(v)
+    return cache.columns
+
+
 def test_mgs_already_orthogonal():
-    out = mgs_orthonormalize([np.array([2.0, 0.0]), np.array([0.0, 3.0])])
+    out = orthonormalized([np.array([2.0, 0.0]), np.array([0.0, 3.0])])
     np.testing.assert_allclose(out[0], [1.0, 0.0])
     np.testing.assert_allclose(out[1], [0.0, 1.0])
 
 
 def test_mgs_drops_near_duplicate():
-    out = mgs_orthonormalize([np.array([1.0, 0.0]), np.array([1.0, 1e-14])],
-                             tol_drop=1e-10)
-    assert len(out) == 1
+    basis = [np.array([1.0, 0.0])]
+    assert mgs_extend(basis, np.array([1.0, 1e-14]), tol_drop=1e-10) is None
+    assert mgs_extend(basis, np.zeros(2)) is None
 
 
 def test_mgs_gram_identity():
     rng = np.random.default_rng(41)
     vecs = [rng.standard_normal(100) for _ in range(5)]
-    out = mgs_orthonormalize(vecs)
+    out = orthonormalized(vecs)
     Q = np.column_stack(out)
     gram = Q.T @ Q
     assert np.abs(gram - np.eye(5)).max() <= 1e-10
@@ -306,7 +316,7 @@ def test_mgs_gram_identity():
 def test_mgs_preserves_span():
     rng = np.random.default_rng(43)
     vecs = [rng.standard_normal(10) for _ in range(3)]
-    out = mgs_orthonormalize(vecs)
+    out = orthonormalized(vecs)
     V = np.column_stack(vecs)
     Q = np.column_stack(out)
     # each original vector is reproduced by its projection onto the basis

@@ -12,7 +12,6 @@ from eddy2d.mesh import (
     load_mesh,
     min_edge_length,
     save_mesh,
-    signed_areas,
 )
 from eddy2d.scenario import bundled_scenario_path, parse_scenario
 
@@ -49,13 +48,13 @@ def test_rejects_bad_dimensions():
 
 def test_areas_sum_to_domain_area():
     mesh = generate_rect_mesh(2.0, 1.5, 7, 5)
-    total = signed_areas(mesh.nodes, mesh.elements).sum()
+    total = mesh.areas.sum()
     assert abs(total - 2.0 * 1.5) <= 1e-12 * 3.0
 
 
 def test_all_elements_ccw():
     mesh = generate_rect_mesh(3.0, 2.0, 6, 4)
-    assert signed_areas(mesh.nodes, mesh.elements).min() > 0
+    assert mesh.areas.min() > 0
 
 
 def test_min_edge_length_unit_square():
@@ -113,6 +112,12 @@ def test_load_rejects_clockwise_element(tmp_path):
     )
     with pytest.raises(MeshError, match="element 0"):
         load_mesh(path)
+
+
+def test_collinear_triangle_rejected():
+    with pytest.raises(MeshError, match="element 0 has nonpositive signed area"):
+        Mesh2D(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+               np.array([[0, 1, 2]]), [RegionTag("air")])
 
 
 def test_load_parse_error_has_line_number(tmp_path):
