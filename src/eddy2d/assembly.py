@@ -217,14 +217,11 @@ def element_coo(nodes: np.ndarray, vals: np.ndarray, index: np.ndarray):
     return rows[keep], cols[keep], vals.reshape(-1)[keep]
 
 
-def assemble(mesh: Mesh2D, materials: MaterialTable, a_full: np.ndarray | None = None,
-             data: ElementData | None = None) -> tuple[SparseMatrix, SparseMatrix]:
-    """Assemble (M, K) on the free DoFs, with nu from the element B^2 of
-    ``a_full`` (zero field when None); Dirichlet rows/columns are eliminated
-    by deletion. ``data`` is ``element_data(mesh, materials)`` when the
-    caller holds it."""
-    if data is None:
-        data = element_data(mesh, materials)
+def assemble(mesh: Mesh2D, data: ElementData,
+             a_full: np.ndarray | None = None) -> tuple[SparseMatrix, SparseMatrix]:
+    """Assemble (M, K) on the free DoFs from ``element_data(mesh, materials)``,
+    with nu from the element B^2 of ``a_full`` (zero field when None);
+    Dirichlet rows/columns are eliminated by deletion."""
     element_b2 = compute_b2(mesh, a_full, data) if a_full is not None \
         else np.zeros(mesh.n_elements)
     k_vals = _bbcc(data.b, data.c) * (data.nu(element_b2) / (4.0 * data.area))[:, None, None]
@@ -302,13 +299,15 @@ class KccRebuildMap:
         return self.conductor.nu(self.conductor.b2_local(ae))
 
     def rebuild(self, nu_e: np.ndarray) -> SparseMatrix:
-        """K_cc with the conductor element reluctivities nu_e (from ``nu``)."""
+        """K_cc with the conductor element reluctivities nu_e (from ``nu``),
+        its values written into the fixed pattern with no CSR construction.
+        A slot whose sum is exactly 0.0 stays stored as a zero, which leaves
+        every product with a finite vector unchanged."""
         vals = self.base + np.bincount(self.entry_slot,
                                        weights=self.entry_geom * nu_e[self.entry_element],
                                        minlength=self.base.size)
         n_c = self.indptr.size - 1
-        return SparseMatrix(scipy.sparse.csr_matrix((vals, self.indices, self.indptr),
-                                                    shape=(n_c, n_c)))
+        return SparseMatrix.from_canonical((n_c, n_c), self.indptr, self.indices, vals)
 
     def growth_bound(self, nu_e: np.ndarray, nu_ref: np.ndarray) -> float:
         """Upper bound on lambda_max(K_cc(nu_e) - K_S, M_cc) minus

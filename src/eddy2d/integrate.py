@@ -15,7 +15,8 @@ so a step makes one K_nn solve, the recovery of a_n^m: the source
 increments (I_m - I_{m-1}) * pattern are parallel, and schur_rhs scales
 its first solve for every later one. M_cc^-1 is one M_cc solve; M_cc is
 constant, so MccSolver factors it once at set-up and PCG at mcc_tol
-checks each solve in one iteration. The scheme is stable for dt <= 2 / lambda_max(M_cc^-1 (K_cc - K_S)),
+checks each solve in one iteration, one M_cc product per solve. The scheme
+is stable for dt <= 2 / lambda_max(M_cc^-1 (K_cc - K_S)),
 with lambda_max estimated numerically by power iteration (the
 h^2*kappa*mu heuristic is not sharp). K_cc is rebuilt only when the
 conducting solution has drifted from the state of the last rebuild by more
@@ -63,7 +64,7 @@ from .assembly import (
     source_pattern,
 )
 from .errors import AssemblyError, InstabilityError, SolverError
-from .linalg import LinearOperator, SparseMatrix, factor_spd, pcg, power_iteration
+from .linalg import LinearOperator, SparseMatrix, factor_spd, norm2, pcg, power_iteration
 from .mesh import Mesh2D
 from .schur import SchurContext, apply_ks, recover_an, schur_rhs
 
@@ -124,7 +125,7 @@ class AssembledProblem:
 def discretize(mesh: Mesh2D, materials: MaterialTable,
                probe_id: int | None = None) -> AssembledProblem:
     data = element_data(mesh, materials)
-    M, K = assemble(mesh, materials, None, data=data)
+    M, K = assemble(mesh, data)
     part = partition(mesh)
     blocks = extract_blocks(M, K, part)
 
@@ -157,8 +158,9 @@ class MccSolver:
     lumped diagonal. The factor is built once at set-up, so each PCG solve
     takes one iteration; PCG with ``tol`` then checks that solve's residual.
     PCG starts from zero: with an exact preconditioner a warm start saves no
-    iteration, and a zero b would hand the start vector back unsolved.
-    Counts solves and PCG iterations."""
+    iteration, and a zero b would hand the start vector back unsolved. From
+    zero its first residual is b itself, so a solve applies M_cc once, in
+    its one iteration. Counts solves and PCG iterations."""
 
     def __init__(self, m_cc: SparseMatrix, mode: str = "pcg", tol: float = 1e-10,
                  max_iter: int | None = None):
@@ -294,7 +296,7 @@ def explicit_step(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurCont
         - blocks.K_cn.matvec(state.a_n) \
         - state.K_cc_current.matvec(state.a_c)
     state.a_c = state.a_c + state.dt * mcc_solver.solve(bracket)
-    norm = float(np.linalg.norm(state.a_c))
+    norm = norm2(state.a_c)
     # the 1e30 guard trips growing modes long before anything physical gets
     # there and before downstream solves overflow
     if not np.isfinite(norm) or norm > 1e30:
@@ -318,11 +320,11 @@ def maybe_update_kcc(state: SolverState, problem: AssembledProblem,
     K_cn and K_nn are never touched: the nonlinearity lives in conductor
     elements, whose DoFs are all conducting or Dirichlet, so the rebuild
     (problem.kcc_map) reads a_c alone. A linear K_cc stays constant."""
-    ref = float(np.linalg.norm(state.a_c_last_update))
+    ref = norm2(state.a_c_last_update)
     if ref == 0.0:
-        trigger = float(np.linalg.norm(state.a_c)) > 0.0
+        trigger = norm2(state.a_c) > 0.0
     else:
-        trigger = float(np.linalg.norm(state.a_c - state.a_c_last_update)) / ref > tol_update
+        trigger = norm2(state.a_c - state.a_c_last_update) / ref > tol_update
     if not trigger:
         return state, False
     if problem.kcc_map is not None:
@@ -437,16 +439,16 @@ def _dae_residual(blocks: SystemBlocks, a_c, a_n, j_sn) -> float:
         return 0.0
     coupling = blocks.K_nc.matvec(a_c)
     res = coupling + blocks.K_nn.matvec(a_n) - j_sn
-    rn = float(np.linalg.norm(res))
-    scale = float(np.linalg.norm(j_sn))
+    rn = norm2(res)
+    scale = norm2(j_sn)
     if scale == 0.0:
-        scale = float(np.linalg.norm(coupling))
+        scale = norm2(coupling)
     if scale == 0.0:
         return 0.0 if rn == 0.0 else np.inf
     return rn / scale
 
 
-def _check_window(t_end: float, dt: float, method: str) -> None:
+def check_window(t_end: float, dt: float, method: str) -> None:
     """A run loop takes steps of dt while more than half a step of
     [0, t_end] is left: dt must be positive, leave at least one step and
     at most MAX_STEPS of them."""
@@ -485,7 +487,7 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
     blocks = problem.blocks
     state, ctx, mcc, dt_cfl = start_explicit(problem, opts)
     state.dt = dt_cfl if opts.dt_override is None else float(opts.dt_override)
-    _check_window(t_end, state.dt, "explicit")
+    check_window(t_end, state.dt, "explicit")
     dt_initial, lam_initial = state.dt, state.lam_max
 
     pattern = source_pattern(problem.mesh, source, problem.part)
@@ -549,7 +551,7 @@ def newton_system(problem: AssembledProblem, dt: float, a_old: np.ndarray,
     a_full = np.zeros(problem.mesh.n_nodes)
     a_full[problem.part.free_nodes] = a
     if problem.is_nonlinear:
-        _, K = assemble(problem.mesh, problem.materials, a_full, data=problem.elements)
+        _, K = assemble(problem.mesh, problem.elements, a_full)
         A = Mdt + K.scipy()
     else:
         A = Mdt + problem.K_red.scipy()
@@ -606,7 +608,7 @@ def run_implicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
     is unconditionally stable). update_count reports the Newton total: the
     nonlinear stiffness is reassembled in every Newton iteration (linear
     problems reuse one cached factorization instead)."""
-    _check_window(t_end, dt, "implicit")
+    check_window(t_end, dt, "implicit")
     trajectory = _Trajectory(problem, opts)
     part = problem.part
     pattern = source_pattern(problem.mesh, source, part)

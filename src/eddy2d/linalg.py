@@ -1,6 +1,6 @@
 """Sparse and small-dense kernels.
 
-Compressed-row matrices (backed by scipy for storage and matvec), a
+Compressed-row matrices (their products run scipy's compiled CSR kernel), a
 preconditioned conjugate gradient solver with start-vector support and
 per-solve iteration reporting, incomplete Cholesky / Jacobi preconditioners,
 a sparse LU factorization for the constant SPD blocks, modified
@@ -10,12 +10,14 @@ first-class outputs here, not implementation details.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse import _sparsetools  # the compiled CSR kernels behind csr @ x
 
 from .errors import Ic0Breakdown, SolverError, SpdSolveError
 
@@ -23,9 +25,14 @@ from .errors import Ic0Breakdown, SolverError, SpdSolveError
 class SparseMatrix:
     """Compressed-row sparse real matrix.
 
-    After construction the stored pattern is canonical: column indices
-    strictly increasing within each row, duplicates summed, explicit zeros
-    dropped. Immutable; safe to share across threads.
+    Owns its canonical CSR arrays: column indices strictly increasing within
+    each row, duplicates summed. ``matvec`` runs the compiled CSR kernel on
+    them directly, the routine ``csr @ x`` ends in, without scipy's operator
+    dispatch. The scipy view (``scipy()``) is built on first use and shares
+    the arrays. The constructor canonicalizes what it is given and drops
+    explicit zeros; ``from_canonical`` trusts arrays that are already
+    canonical and keeps any stored zero they hold. Immutable; safe to share
+    across threads.
     """
 
     def __init__(self, csr: scipy.sparse.csr_matrix):
@@ -33,9 +40,24 @@ class SparseMatrix:
         csr.sum_duplicates()
         csr.eliminate_zeros()
         csr.sort_indices()
+        self._set(csr.shape, csr.indptr, csr.indices, csr.data, csr)
+
+    def _set(self, shape, indptr, indices, data, csr=None) -> None:
+        self._shape = (int(shape[0]), int(shape[1]))
+        self._indptr, self._indices, self._data = indptr, indices, data
         self._csr = csr
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_canonical(cls, shape: tuple[int, int], indptr: np.ndarray,
+                       indices: np.ndarray, data: np.ndarray) -> "SparseMatrix":
+        """Wrap CSR arrays that are already canonical (sorted, duplicate-free
+        column indices per row, float64 data, matching index dtypes) without
+        copying or checking them."""
+        m = cls.__new__(cls)
+        m._set(shape, indptr, indices, data)
+        return m
 
     @staticmethod
     def from_coo(nrows: int, ncols: int, rows, cols, values) -> "SparseMatrix":
@@ -56,49 +78,55 @@ class SparseMatrix:
 
     @property
     def nrows(self) -> int:
-        return self._csr.shape[0]
+        return self._shape[0]
 
     @property
     def ncols(self) -> int:
-        return self._csr.shape[1]
+        return self._shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._csr.shape
+        return self._shape
 
     @property
     def nnz(self) -> int:
-        return self._csr.nnz
+        return int(self._indptr[-1])
 
     @property
     def row_offsets(self) -> np.ndarray:
-        return self._csr.indptr
+        return self._indptr
 
     @property
     def col_indices(self) -> np.ndarray:
-        return self._csr.indices
+        return self._indices
 
     @property
     def values(self) -> np.ndarray:
-        return self._csr.data
+        return self._data
 
     def scipy(self) -> scipy.sparse.csr_matrix:
+        if self._csr is None:
+            self._csr = scipy.sparse.csr_matrix(
+                (self._data, self._indices, self._indptr), shape=self._shape)
         return self._csr
 
     def toarray(self) -> np.ndarray:
-        return self._csr.toarray()
+        return self.scipy().toarray()
 
     def diagonal(self) -> np.ndarray:
-        return self._csr.diagonal()
+        return self.scipy().diagonal()
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self._csr.T.tocsr())
+        return SparseMatrix(self.scipy().T.tocsr())
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.ncols,):
-            raise ValueError(f"dimension mismatch: matrix is {self.shape}, vector is {x.shape}")
-        return self._csr @ x
+        nrows, ncols = self._shape
+        if x.shape != (ncols,):
+            raise ValueError(f"dimension mismatch: matrix is {self._shape}, vector is {x.shape}")
+        y = np.zeros(nrows)
+        _sparsetools.csr_matvec(nrows, ncols, self._indptr, self._indices, self._data, x, y)
+        return y
 
 
 class LinearOperator:
@@ -119,6 +147,12 @@ class LinearOperator:
         if x.shape != (self.dim,):
             raise ValueError(f"dimension mismatch: operator dim {self.dim}, vector {x.shape}")
         return self._apply(x)
+
+
+def norm2(v: np.ndarray) -> float:
+    """Euclidean norm of a real vector as sqrt(v.dot(v)): for a contiguous
+    one the arithmetic np.linalg.norm does, bitwise, without its dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def _as_operator(op) -> LinearOperator:
@@ -143,7 +177,8 @@ def pcg(op, b: np.ndarray, x0: np.ndarray | None = None,
     ||op x0|| <= tol * ||x0|| (exactly zero x0 counts as converged).
     For consistent singular systems the returned solution's null-space
     component equals that of x0. A NaN during iteration is a hard error
-    (indefinite or inconsistent system).
+    (indefinite or inconsistent system). With no x0 the start is zero and
+    the first residual is b itself, so op is applied once per iteration.
     """
     op = _as_operator(op)
     n = op.dim
@@ -155,18 +190,18 @@ def pcg(op, b: np.ndarray, x0: np.ndarray | None = None,
         max_iter = max(10 * n, 100)
     apply_m = precond.apply if precond is not None else (lambda v: v)
 
-    bnorm = float(np.linalg.norm(b))
+    bnorm = norm2(b)
     if n == 0:
         return PcgReport(x, 0, True, 0.0)
     if bnorm == 0.0:
-        xnorm = float(np.linalg.norm(x))
+        xnorm = norm2(x)
         if xnorm == 0.0:
             return PcgReport(x, 0, True, 0.0)
-        res = float(np.linalg.norm(op.apply(x)))
+        res = norm2(op.apply(x))
         return PcgReport(x, 0, res <= tol * xnorm, res / xnorm)
 
-    r = b - op.apply(x)
-    rel = float(np.linalg.norm(r)) / bnorm
+    r = b.copy() if x0 is None else b - op.apply(x)  # b - A 0 is b bitwise
+    rel = norm2(r) / bnorm
     if rel <= tol:
         return PcgReport(x, 0, True, rel)
 
@@ -184,7 +219,7 @@ def pcg(op, b: np.ndarray, x0: np.ndarray | None = None,
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
-        rnorm = float(np.linalg.norm(r))
+        rnorm = norm2(r)
         if not np.isfinite(rnorm):
             raise SolverError(f"pcg: non-finite residual at iteration {k}")
         rel = rnorm / bnorm

@@ -17,8 +17,8 @@ from importlib import resources
 import numpy as np
 
 from .assembly import MaterialTable, SourceSpec
-from .errors import ConfigError, MeshError
-from .integrate import AssembledProblem, SolverOptions, discretize
+from .errors import ConfigError, MeshError, SolverError
+from .integrate import AssembledProblem, SolverOptions, check_window, discretize
 from .materials import NU0, MaterialModel
 from .mesh import Mesh2D, RegionTag, generate_rect_mesh, load_mesh
 from .startvec import STRATEGIES
@@ -283,6 +283,13 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     if not 0 < t_end < math.inf:
         raise ConfigError(f"t_end must be finite and > 0, got {t_end!r}")
     options = _parse_solver(doc.get("solver", {}))
+    if options.dt_override is not None:
+        # a fixed step that leaves no step of t_end, or too many, is a fact
+        # of the scenario alone: refuse it by the run loops' own rule
+        try:
+            check_window(t_end, options.dt_override, "dt_override")
+        except SolverError as exc:
+            raise ConfigError(f"solver.dt_override: {exc}") from exc
 
     seed_env = os.environ.get("EDDY2D_SEED")
     if seed_env is not None:

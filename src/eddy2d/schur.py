@@ -36,6 +36,7 @@ from .linalg import (
     factor_spd,
     ic0_preconditioner,
     jacobi_preconditioner,
+    norm2,
     pcg,
 )
 from .startvec import make_provider
@@ -147,7 +148,7 @@ def solve_knn(ctx: SchurContext, rhs: np.ndarray, purpose: str) -> np.ndarray:
     if ctx.blocks.n_n == 0:
         return np.zeros(0)
     rhs = np.asarray(rhs, dtype=float)
-    if float(np.linalg.norm(rhs)) == 0.0:
+    if norm2(rhs) == 0.0:
         # zero rhs has the zero pseudo-solution; leave the history alone
         ctx.stats.record(ctx.step, purpose, ctx.strategy, 0, 0.0)
         return np.zeros(ctx.blocks.n_n)
@@ -181,7 +182,7 @@ def schur_rhs(ctx: SchurContext, j_sn: np.ndarray) -> np.ndarray:
     j = np.asarray(j_sn, dtype=float)
     if ctx.j_ref is not None:
         c = float(ctx.j_ref @ j) / float(ctx.j_ref @ ctx.j_ref)
-        if float(np.linalg.norm(j - c * ctx.j_ref)) <= ctx.tol * float(np.linalg.norm(j)):
+        if norm2(j - c * ctx.j_ref) <= ctx.tol * norm2(j):
             return c * ctx.r_ref
     r = -ctx.blocks.K_cn.matvec(solve_knn(ctx, j, "source_term"))
     if float(j @ j) > 0.0:

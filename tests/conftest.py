@@ -62,12 +62,14 @@ def dense_kS(blocks) -> np.ndarray:
 NAN, INF = float("nan"), float("inf")
 
 # (key path, value) pairs that parsing must reject with a ConfigError that
-# names the key path: non-finite, out of the option's range, or not an
-# integer (bools included) where one is required
+# names the key path: non-finite, out of the option's range, not an integer
+# (bools included) where one is required, or a dt_override that leaves no
+# step of t_end or more than MAX_STEPS of them
 BAD_SCENARIO_VALUES = [
     ("t_end", NAN), ("t_end", INF), ("t_end", 0.0), ("t_end", -1.0),
     ("solver.dt_override", NAN), ("solver.dt_override", INF),
     ("solver.dt_override", 0.0), ("solver.dt_override", -1.0),
+    ("solver.dt_override", 10.0), ("solver.dt_override", 1e-12),
     ("solver.pcg_tol", NAN), ("solver.pcg_tol", 1.0),
     ("solver.mcc_tol", NAN), ("solver.mcc_tol", 2.0),
     ("solver.power_tol", INF), ("solver.power_tol", 0.0),

@@ -31,7 +31,7 @@ def one_triangle(tri, material):
     conducts = material.kappa > 0
     mesh = Mesh2D(tri, [[0, 1, 2]], [RegionTag("conductor" if conducts else "air")])
     table = MaterialTable({0: material}, AIR) if conducts else MaterialTable({}, material)
-    M, K = assemble(mesh, table)
+    M, K = assemble(mesh, element_data(mesh, table))
     return M.toarray(), K.toarray()
 
 
@@ -95,7 +95,7 @@ def _mats(cond=STEEL_LINEAR):
 def test_all_air_mass_is_zero():
     mesh = generate_rect_mesh(1.0, 1.0, 3, 3)
     table = MaterialTable({}, AIR)
-    M, K = assemble(mesh, table)
+    M, K = assemble(mesh, element_data(mesh, table))
     assert M.nnz == 0
 
 
@@ -104,8 +104,9 @@ def test_linear_assembly_independent_of_a():
     table = _mats()
     rng = np.random.default_rng(8)
     a = rng.standard_normal(mesh.n_nodes)
-    M0, K0 = assemble(mesh, table, None)
-    M1, K1 = assemble(mesh, table, a)
+    data = element_data(mesh, table)
+    M0, K0 = assemble(mesh, data, None)
+    M1, K1 = assemble(mesh, data, a)
     np.testing.assert_array_equal(K0.values, K1.values)
     np.testing.assert_array_equal(K0.col_indices, K1.col_indices)
 
@@ -114,7 +115,7 @@ def test_unreduced_stiffness_kills_constants():
     # with no Dirichlet nodes every node is a DoF
     rect = generate_rect_mesh(1.0, 1.0, 2, 2, HALF_CONDUCTOR)
     mesh = Mesh2D(rect.nodes, rect.elements, rect.element_region)
-    _, K = assemble(mesh, _mats())
+    _, K = assemble(mesh, element_data(mesh, _mats()))
     assert K.shape == (mesh.n_nodes, mesh.n_nodes)
     ones = np.ones(mesh.n_nodes)
     np.testing.assert_allclose(K.matvec(ones), 0.0, atol=1e-10 * NU0)
@@ -122,7 +123,7 @@ def test_unreduced_stiffness_kills_constants():
 
 def test_assembled_matrices_symmetric():
     mesh = make_mini_mesh()
-    M, K = assemble(mesh, _mats(STEEL_BRAUER),
+    M, K = assemble(mesh, element_data(mesh, _mats(STEEL_BRAUER)),
                     np.random.default_rng(5).standard_normal(mesh.n_nodes) * 0.01)
     assert np.abs(K.toarray() - K.toarray().T).max() <= 1e-9
     assert np.abs(M.toarray() - M.toarray().T).max() <= 1e-12
@@ -131,7 +132,7 @@ def test_assembled_matrices_symmetric():
 def test_missing_material_raises():
     mesh = generate_rect_mesh(1.0, 1.0, 2, 2, [(0.0, 1.0, 0.0, 1.0, RegionTag("conductor", 7))])
     with pytest.raises(AssemblyError, match="conductor region 7"):
-        assemble(mesh, _mats())
+        assemble(mesh, element_data(mesh, _mats()))
 
 
 # ---------------------------------------------------------------- partition
@@ -221,8 +222,9 @@ def test_nonlinear_update_touches_only_conductor_entries():
     table = MaterialTable({0: STEEL_BRAUER}, AIR)
     rng = np.random.default_rng(21)
     a = rng.standard_normal(mesh.n_nodes) * 0.05
-    _, K0 = assemble(mesh, table, None)
-    _, K1 = assemble(mesh, table, a)
+    data = element_data(mesh, table)
+    _, K0 = assemble(mesh, data, None)
+    _, K1 = assemble(mesh, data, a)
     p = partition(mesh)
     b0 = extract_blocks(K0, K0, p)
     b1 = extract_blocks(K1, K1, p)

@@ -138,6 +138,18 @@ def test_out_of_range_value_exits_config(tmp_path, capsys, command, path, value)
     assert not os.path.exists(tmp_path / "o")
 
 
+@pytest.mark.parametrize("dt", [10.0, 1e-12])
+@pytest.mark.parametrize("method", ["explicit", "implicit"])
+def test_dt_override_outside_the_window_exits_config(tmp_path, capsys, method, dt):
+    # with t_end 0.04, 10.0 leaves no step and 1e-12 needs more than MAX_STEPS
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(small_scenario_doc(dt_override=dt)))
+    assert main(["run", "--config", str(cfg), "--method", method,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "solver.dt_override" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_missing_config_resolves_to_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.json"),
                  "--method", "explicit", "--out", str(tmp_path / "o")]) == EXIT_CONFIG

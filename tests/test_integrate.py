@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
 from eddy2d import integrate
 from eddy2d.assembly import MASS_TEMPLATE, MaterialTable, assemble, compute_b2, extract_blocks
@@ -336,7 +337,7 @@ def assert_kcc_matches_reassembly(problem, state):
     another order than scipy sums CSR duplicates, so bitwise parity is not
     attainable."""
     a_full = problem.part.to_full(state.a_c, state.a_n, problem.mesh.n_nodes)
-    _, K = assemble(problem.mesh, problem.materials, a_full)
+    _, K = assemble(problem.mesh, problem.elements, a_full)
     ref = extract_blocks(problem.M_red, K, problem.part).K_cc
     got = state.K_cc_current
     np.testing.assert_array_equal(got.row_offsets, ref.row_offsets)
@@ -375,6 +376,21 @@ def test_kcc_rebuild_matches_reassembly(make_problem):
         _, updated = maybe_update_kcc(state, problem, 0.0)
         assert updated
         assert_kcc_matches_reassembly(problem, state)
+
+
+def test_kcc_rebuild_is_the_csr_of_its_pattern(mini_problem_nonlinear):
+    # rebuild fills the fixed pattern in place; the canonicalizing
+    # constructor on the same arrays gives the same matrix
+    kmap = mini_problem_nonlinear.kcc_map
+    nu_e = kmap.nu(np.random.default_rng(37).standard_normal(kmap.indptr.size - 1) * 1e-2)
+    got = kmap.rebuild(nu_e)
+    vals = got.values.copy()
+    ref = SparseMatrix(scipy.sparse.csr_matrix((vals, kmap.indices, kmap.indptr),
+                                               shape=got.shape))
+    np.testing.assert_array_equal(got.row_offsets, ref.row_offsets)
+    np.testing.assert_array_equal(got.col_indices, ref.col_indices)
+    np.testing.assert_array_equal(got.values, ref.values)
+    np.testing.assert_array_equal(got.toarray(), ref.toarray())
 
 
 def test_kcc_rebuild_ignores_a_n(mini_problem_nonlinear):
@@ -471,7 +487,7 @@ def test_newton_scalar_vs_root_finder():
     def stiffness(a):
         a_full = np.zeros(problem.mesh.n_nodes)
         a_full[problem.part.free_nodes] = a
-        _, K = assemble(problem.mesh, problem.materials, a_full)
+        _, K = assemble(problem.mesh, problem.elements, a_full)
         return K.toarray()[0, 0]
 
     def F(a):

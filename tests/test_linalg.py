@@ -61,6 +61,29 @@ def test_spmv_dimension_mismatch():
         A.matvec(np.ones(4))
 
 
+def mini_nonlinear_matrices():
+    """The blocks of the nonlinear mini problem and a K_cc rebuilt at a
+    random conductor field, by name."""
+    problem = make_mini_problem(nonlinear=True)
+    blocks = problem.blocks
+    a_c = np.random.default_rng(17).standard_normal(problem.part.n_c) * 1e-2
+    return {"K_cc": blocks.K_cc, "K_cn": blocks.K_cn, "K_nc": blocks.K_nc,
+            "K_nn": blocks.K_nn, "M_cc": blocks.M_cc,
+            "K_cc_rebuilt": problem.kcc_map.rebuild(problem.kcc_map.nu(a_c))}
+
+
+@pytest.mark.parametrize("name", ["K_cc", "K_cn", "K_nc", "K_nn", "M_cc", "K_cc_rebuilt"])
+def test_matvec_is_scipys_product_bitwise(name):
+    A = mini_nonlinear_matrices()[name]
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal(A.ncols)
+    strided = rng.standard_normal(2 * A.ncols)[::2]
+    for v in (x, strided):
+        np.testing.assert_array_equal(A.matvec(v), A.scipy() @ v)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        A.matvec(np.ones(A.ncols + 1))
+
+
 def test_csr_invariants():
     rng = np.random.default_rng(3)
     rows = rng.integers(0, 10, 60)
@@ -105,6 +128,17 @@ def test_pcg_exact_start_vector_zero_iterations():
     b = A.matvec(x_exact)
     rep = pcg(A, b, x0=x_exact, tol=1e-10)
     assert rep.converged and rep.iterations == 0
+
+
+def test_pcg_from_zero_applies_the_operator_once_per_iteration():
+    # the zero start's residual is b itself: no apply before the first iteration
+    rng = np.random.default_rng(31)
+    D = random_spd(12, rng)
+    applies = []
+    op = LinearOperator(12, lambda v: applies.append(1) or D @ v)
+    rep = pcg(op, rng.standard_normal(12), tol=1e-10)
+    assert rep.converged and rep.iterations > 0
+    assert len(applies) == rep.iterations
 
 
 def test_pcg_2x2_closed_form():

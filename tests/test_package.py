@@ -32,3 +32,30 @@ def test_every_top_level_definition_is_used_in_src():
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
                     if name not in used and name not in LIBRARY_ENTRY_POINTS)
     assert not unused, f"defined in src but used only outside it: {unused}"
+
+
+def _private_scipy_imports(tree: ast.AST) -> list[str]:
+    """Modules of the form scipy.<pkg>._<name> that ``tree`` imports."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [n for n in names
+                  if n.startswith("scipy.") and any(p.startswith("_") for p in n.split(".")[1:])]
+    return found
+
+
+def test_private_scipy_modules_are_imported_by_linalg_alone():
+    # scipy's internals may move between releases; one module depends on them
+    offenders = {path.name: _private_scipy_imports(ast.parse(path.read_text(encoding="utf-8")))
+                 for path in sorted(SRC.glob("*.py")) if path.name != "linalg.py"}
+    offenders = {name: mods for name, mods in offenders.items() if mods}
+    assert not offenders, f"private scipy modules imported outside linalg.py: {offenders}"
+    for stmt in ("from scipy.sparse import _sparsetools", "import scipy.sparse._sparsetools",
+                 "from scipy.sparse._sparsetools import csr_matvec"):
+        assert _private_scipy_imports(ast.parse(stmt)), stmt
+    assert not _private_scipy_imports(ast.parse("import scipy.sparse.linalg"))
