@@ -43,7 +43,6 @@ from .integrate import (
     run_implicit,
 )
 from .linalg import (
-    LinearOperator,
     PcgReport,
     SparseMatrix,
     dense_solve_spd,

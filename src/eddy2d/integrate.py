@@ -64,7 +64,7 @@ from .assembly import (
     source_pattern,
 )
 from .errors import AssemblyError, InstabilityError, SolverError
-from .linalg import LinearOperator, SparseMatrix, factor_spd, norm2, pcg, power_iteration
+from .linalg import SparseMatrix, factor_spd, norm2, pcg, power_iteration
 from .mesh import Mesh2D
 from .schur import SchurContext, apply_ks, recover_an, schur_rhs
 
@@ -162,14 +162,12 @@ class MccSolver:
     zero its first residual is b itself, so a solve applies M_cc once, in
     its one iteration. Counts solves and PCG iterations."""
 
-    def __init__(self, m_cc: SparseMatrix, mode: str = "pcg", tol: float = 1e-10,
-                 max_iter: int | None = None):
+    def __init__(self, m_cc: SparseMatrix, mode: str = "pcg", tol: float = 1e-10):
         if mode not in ("pcg", "lumped"):
             raise SolverError(f"unknown M_cc solver mode {mode!r}")
         self.m_cc = m_cc
         self.mode = mode
         self.tol = tol
-        self.max_iter = max_iter
         self.solves_total = 0
         self.iterations_total = 0
         if mode == "lumped":
@@ -178,8 +176,7 @@ class MccSolver:
                 raise SolverError("lumped mass has a nonpositive entry")
             self._inv_lumped = 1.0 / lumped if m_cc.nrows else np.zeros(0)
         elif m_cc.nrows:
-            self._op = LinearOperator.from_matrix(m_cc)
-            self._precond = LinearOperator(m_cc.nrows, factor_spd(m_cc, "M_cc").solve)
+            self._precond = factor_spd(m_cc, "M_cc").solve
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         if self.m_cc.nrows == 0:
@@ -187,8 +184,7 @@ class MccSolver:
         self.solves_total += 1
         if self.mode == "lumped":
             return self._inv_lumped * b
-        report = pcg(self._op, b, precond=self._precond,
-                     tol=self.tol, max_iter=self.max_iter)
+        report = pcg(self.m_cc, b, precond=self._precond, tol=self.tol)
         if not report.converged:
             raise SolverError(
                 f"M_cc solve did not converge (residual {report.final_relative_residual:.3e})"
@@ -269,7 +265,7 @@ def estimate_cfl(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurConte
     def apply_op(x):
         return mcc_solver.solve(state.K_cc_current.matvec(x) - apply_ks(est_ctx, x))
 
-    report = power_iteration(LinearOperator(n_c, apply_op), tol=opts.power_tol,
+    report = power_iteration(apply_op, n_c, tol=opts.power_tol,
                              max_iter=opts.power_max_iter, seed=opts.seed,
                              v0=state.lam_vec)
     if not report.converged:

@@ -6,7 +6,9 @@ per-solve iteration reporting, incomplete Cholesky / Jacobi preconditioners,
 a sparse LU factorization for the constant SPD blocks, modified
 Gram-Schmidt, power iteration and a Gram-matrix SVD for snapshot windows.
 PCG is hand-rolled because iteration counts and start vectors are
-first-class outputs here, not implementation details.
+first-class outputs here, not implementation details. PCG takes the matrix
+itself and a preconditioner as a plain function r -> M^-1 r; power
+iteration takes a function and its dimension.
 """
 from __future__ import annotations
 
@@ -129,34 +131,10 @@ class SparseMatrix:
         return y
 
 
-class LinearOperator:
-    """Matrix-free linear map on R^dim."""
-
-    def __init__(self, dim: int, apply_fn):
-        self.dim = dim
-        self._apply = apply_fn
-
-    @staticmethod
-    def from_matrix(A: SparseMatrix) -> "LinearOperator":
-        if A.nrows != A.ncols:
-            raise ValueError("operator requires a square matrix")
-        return LinearOperator(A.nrows, A.matvec)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"dimension mismatch: operator dim {self.dim}, vector {x.shape}")
-        return self._apply(x)
-
-
 def norm2(v: np.ndarray) -> float:
     """Euclidean norm of a real vector as sqrt(v.dot(v)): for a contiguous
     one the arithmetic np.linalg.norm does, bitwise, without its dispatch."""
     return math.sqrt(v.dot(v))
-
-
-def _as_operator(op) -> LinearOperator:
-    return op if isinstance(op, LinearOperator) else LinearOperator.from_matrix(op)
 
 
 @dataclass
@@ -167,28 +145,28 @@ class PcgReport:
     final_relative_residual: float
 
 
-def pcg(op, b: np.ndarray, x0: np.ndarray | None = None,
-        precond: LinearOperator | None = None, tol: float = 1e-6,
-        max_iter: int | None = None) -> PcgReport:
+def pcg(A: SparseMatrix, b: np.ndarray, x0: np.ndarray | None = None,
+        precond=None, tol: float = 1e-6, max_iter: int | None = None) -> PcgReport:
     """Preconditioned conjugate gradients for SPD (or consistent SPSD) systems.
 
-    Convergence criterion is the relative residual ||b - op x|| / ||b||.
+    ``A`` is a square matrix, or anything with ``nrows`` and ``matvec``;
+    ``precond`` is a function r -> M^-1 r (None for no preconditioning).
+    Convergence criterion is the relative residual ||b - A x|| / ||b||.
     With b = 0 the solver returns x0 and reports converged when
-    ||op x0|| <= tol * ||x0|| (exactly zero x0 counts as converged).
+    ||A x0|| <= tol * ||x0|| (exactly zero x0 counts as converged).
     For consistent singular systems the returned solution's null-space
     component equals that of x0. A NaN during iteration is a hard error
     (indefinite or inconsistent system). With no x0 the start is zero and
-    the first residual is b itself, so op is applied once per iteration.
+    the first residual is b itself, so A is applied once per iteration.
     """
-    op = _as_operator(op)
-    n = op.dim
+    n = A.nrows
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({n},)")
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     if max_iter is None:
         max_iter = max(10 * n, 100)
-    apply_m = precond.apply if precond is not None else (lambda v: v)
+    apply_m = precond if precond is not None else (lambda v: v)
 
     bnorm = norm2(b)
     if n == 0:
@@ -197,10 +175,10 @@ def pcg(op, b: np.ndarray, x0: np.ndarray | None = None,
         xnorm = norm2(x)
         if xnorm == 0.0:
             return PcgReport(x, 0, True, 0.0)
-        res = norm2(op.apply(x))
+        res = norm2(A.matvec(x))
         return PcgReport(x, 0, res <= tol * xnorm, res / xnorm)
 
-    r = b.copy() if x0 is None else b - op.apply(x)  # b - A 0 is b bitwise
+    r = b.copy() if x0 is None else b - A.matvec(x)  # b - A 0 is b bitwise
     rel = norm2(r) / bnorm
     if rel <= tol:
         return PcgReport(x, 0, True, rel)
@@ -209,7 +187,7 @@ def pcg(op, b: np.ndarray, x0: np.ndarray | None = None,
     p = z.copy()
     rz = float(r @ z)
     for k in range(1, max_iter + 1):
-        q = op.apply(p)
+        q = A.matvec(p)
         pq = float(p @ q)
         if not np.isfinite(pq) or pq <= 0.0:
             raise SolverError(
@@ -233,23 +211,23 @@ def pcg(op, b: np.ndarray, x0: np.ndarray | None = None,
     return PcgReport(x, max_iter, False, rel)
 
 
-def jacobi_preconditioner(A: SparseMatrix) -> LinearOperator:
-    """Elementwise division by diag(A); identity on zero-diagonal rows."""
+def jacobi_preconditioner(A: SparseMatrix):
+    """The function r -> r / diag(A), identity on zero-diagonal rows."""
     d = A.diagonal()
     if np.any(d < 0):
         i = int(np.argmin(d))
         raise SolverError(f"jacobi: negative diagonal entry {d[i]:.3e} at row {i}")
     inv = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 1.0)
-    return LinearOperator(A.nrows, lambda x: inv * x)
+    return lambda r: inv * r
 
 
-class Ic0Preconditioner(LinearOperator):
+class Ic0Preconditioner:
     """Zero-fill incomplete Cholesky on the pattern of A.
 
-    Applies (L L^T)^-1 with two sparse triangular solves in C. SuperLU
-    factors the triangular L once under natural ordering with no pivoting,
-    which leaves L as its own factor with no fill, so memory and time per
-    apply stay O(nnz(L)).
+    Called on r, applies (L L^T)^-1 with two sparse triangular solves in C.
+    SuperLU factors the triangular L once under natural ordering with no
+    pivoting, which leaves L as its own factor with no fill, so memory and
+    time per apply stay O(nnz(L)).
     """
 
     def __init__(self, A: SparseMatrix):
@@ -257,7 +235,9 @@ class Ic0Preconditioner(LinearOperator):
         self.L = L
         self._lu = scipy.sparse.linalg.splu(L.scipy().tocsc(), permc_spec="NATURAL",
                                             diag_pivot_thresh=0.0)
-        super().__init__(A.nrows, self._solve)
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        return self._solve(r)
 
     def _solve(self, r: np.ndarray) -> np.ndarray:
         return self._lu.solve(self._lu.solve(r), trans="T")
@@ -343,13 +323,12 @@ class PowerReport:
     iterations: int
 
 
-def power_iteration(op, tol: float = 1e-8, max_iter: int = 5000,
+def power_iteration(apply, n: int, tol: float = 1e-8, max_iter: int = 5000,
                     seed: int = 0, v0: np.ndarray | None = None) -> PowerReport:
-    """Dominant-eigenvalue estimate via power iteration with the Rayleigh
-    quotient; converged when the successive relative change is <= tol.
-    Deterministic for a fixed seed; ``v0`` warm-starts the iteration."""
-    op = _as_operator(op)
-    n = op.dim
+    """Dominant-eigenvalue estimate of the linear map ``apply`` on R^n via
+    power iteration with the Rayleigh quotient; converged when the
+    successive relative change is <= tol. Deterministic for a fixed seed;
+    ``v0`` warm-starts the iteration."""
     if n == 0:
         raise SolverError("power_iteration: empty operator")
     rng = np.random.default_rng(seed)
@@ -362,7 +341,7 @@ def power_iteration(op, tol: float = 1e-8, max_iter: int = 5000,
     lam = 0.0
     reseeded = False
     for k in range(1, max_iter + 1):
-        y = op.apply(x)
+        y = apply(x)
         lam_new = float(x @ y)
         ny = float(np.linalg.norm(y))
         if ny == 0.0:

@@ -207,6 +207,20 @@ def save_mesh(mesh: Mesh2D, path) -> None:
         fh.write("\n")
 
 
+def _entries(doc: dict, key: str, integral: bool) -> np.ndarray:
+    """The mesh-file array ``doc[key]`` as int64 (``integral``) or float.
+    Each entry must be a JSON number, and an integral one for indices:
+    numpy's own conversion would read true as 1 and "0" as 0.0, and
+    truncate the index 0.5 to 0."""
+    arr = np.asarray(doc[key], dtype=object)
+    for v in arr.flat:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                or integral and isinstance(v, float) and not v.is_integer():
+            kind = "an integer" if integral else "a number"
+            raise MeshError(f"{key} entry {v!r} is not {kind}")
+    return arr.astype(np.int64 if integral else float)
+
+
 def load_mesh(path) -> Mesh2D:
     """Load a mesh file, validating all invariants. Parse errors carry the
     line number; invariant violations name the offending element or node."""
@@ -226,11 +240,11 @@ def load_mesh(path) -> Mesh2D:
     if unknown:
         raise MeshError(f"{path}: unknown top-level keys {sorted(unknown)}")
     try:
-        nodes = np.asarray(doc["nodes"], dtype=float)
-        elements = np.asarray(doc["elements"], dtype=np.int64)
+        nodes = _entries(doc, "nodes", integral=False)
+        elements = _entries(doc, "elements", integral=True)
         tags = {s: RegionTag.parse(s) for s in dict.fromkeys(doc["regions"])}
         return Mesh2D(nodes, elements, [tags[s] for s in doc["regions"]],
-                      frozenset(int(i) for i in doc["boundary"]))
+                      frozenset(_entries(doc, "boundary", integral=True).tolist()))
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -27,12 +27,7 @@ _MESH_KEYS = {"width", "height", "nx", "ny", "regions", "file"}
 _REGION_KEYS = {"x0", "x1", "y0", "y1", "tag"}
 _MATERIAL_KEYS = {"kappa", "law", "nu", "k1", "k2", "k3"}
 _SOURCE_KEYS = {"coil", "i_max", "tau", "turns"}
-_SOLVER_KEYS = {
-    "pcg_tol", "pcg_max_iter", "strategy", "cspe_window", "pod_window", "tol_pod",
-    "tol_update", "safety", "mcc_mode", "mcc_tol", "power_tol", "power_max_iter",
-    "seed", "output_every", "dt_override", "snapshot_every",
-    "newton_tol", "newton_max_iter",
-}
+_SOLVER_KEYS = {f.name for f in fields(SolverOptions)}
 _TOP_KEYS = {"mesh", "materials", "source", "probe", "t_end", "solver"}
 
 
@@ -202,11 +197,8 @@ def _parse_solver(doc: dict) -> SolverOptions:
     for key, val in doc.items():
         if val is None and key not in _NULLABLE_OPTS:
             raise ConfigError(f"solver.{key} must not be null")
-        try:
-            if val is not None and key in FLOAT_RANGES:
-                val = float(val)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"solver.{key}: {exc}") from exc
+        if val is not None and key in FLOAT_RANGES:
+            val = _finite(val, f"solver.{key}")
         if val is not None and key in _INT_MINIMUMS:
             val = _int(val, f"solver.{key}")
             if val < _INT_MINIMUMS[key]:
@@ -276,12 +268,9 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         raise ConfigError(f"source: {exc}") from exc
 
     probe_id = _int(_require(doc, "probe", ""), "probe")
-    try:
-        t_end = float(_require(doc, "t_end", ""))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"t_end: {exc}") from exc
-    if not 0 < t_end < math.inf:
-        raise ConfigError(f"t_end must be finite and > 0, got {t_end!r}")
+    t_end = _finite(_require(doc, "t_end", ""), "t_end")
+    if t_end <= 0:
+        raise ConfigError(f"t_end must be > 0, got {t_end!r}")
     options = _parse_solver(doc.get("solver", {}))
     if options.dt_override is not None:
         # a fixed step that leaves no step of t_end, or too many, is a fact
@@ -290,16 +279,6 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
             check_window(t_end, options.dt_override, "dt_override")
         except SolverError as exc:
             raise ConfigError(f"solver.dt_override: {exc}") from exc
-
-    seed_env = os.environ.get("EDDY2D_SEED")
-    if seed_env is not None:
-        try:
-            seed = int(seed_env)
-        except ValueError:
-            seed = None
-        if seed is None or seed < _INT_MINIMUMS["seed"]:
-            raise ConfigError(f"EDDY2D_SEED must be an integer >= 0, got {seed_env!r}")
-        options.seed = seed
 
     return Scenario(mesh_spec, materials, source, probe_id, t_end, options,
                     name=name, region_boxes=region_boxes)

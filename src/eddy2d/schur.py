@@ -32,7 +32,6 @@ import numpy as np
 from .assembly import SystemBlocks
 from .errors import Ic0Breakdown, SolverError
 from .linalg import (
-    LinearOperator,
     factor_spd,
     ic0_preconditioner,
     jacobi_preconditioner,
@@ -77,13 +76,14 @@ class IterationStats:
 
 
 def knn_preconditioner(blocks: SystemBlocks, strategy: str = "previous"):
-    """The sparse LU factor of K_nn under ``direct`` (an exact solve; a
-    singular K_nn raises SolverError), otherwise IC(0) on K_nn, falling back
-    to Jacobi on breakdown."""
+    """The K_nn preconditioner as a function r -> M^-1 r: the solve with the
+    sparse LU factor of K_nn under ``direct`` (exact; a singular K_nn raises
+    SolverError), otherwise IC(0) on K_nn, falling back to Jacobi on
+    breakdown."""
     if blocks.n_n == 0:
         return None
     if strategy == "direct":
-        return LinearOperator(blocks.n_n, factor_spd(blocks.K_nn, "K_nn").solve)
+        return factor_spd(blocks.K_nn, "K_nn").solve
     try:
         return ic0_preconditioner(blocks.K_nn)
     except Ic0Breakdown:
@@ -95,8 +95,9 @@ class SchurContext:
     changes during a run), the per-purpose start-vector providers, the
     iteration statistics and the last source solve of ``schur_rhs`` (the
     right-hand side ``j_ref`` and its result ``r_ref``). Under ``direct``
-    the preconditioner is the K_nn factor and every provider starts from
-    its solve. Single-owner mutable; not shared across threads."""
+    the preconditioner is the solve with the K_nn factor, and every
+    provider starts from it. Single-owner mutable; not shared across
+    threads."""
 
     def __init__(self, blocks: SystemBlocks, tol: float = 1e-6,
                  max_iter: int | None = None, strategy: str = "previous",
@@ -108,11 +109,10 @@ class SchurContext:
         self.strategy = strategy
         self.precond = preconditioner if preconditioner is not None \
             else knn_preconditioner(blocks, strategy)
-        exact_solve = self.precond.apply if self.precond is not None else None
         self.providers = {
             purpose: make_provider(strategy, blocks.K_nn, cspe_window=cspe_window,
                                    pod_window=pod_window, tol_pod=tol_pod,
-                                   exact_solve=exact_solve)
+                                   exact_solve=self.precond)
             for purpose in PURPOSES
         }
         self.stats = IterationStats()

@@ -67,14 +67,16 @@ NAN, INF = float("nan"), float("inf")
 # step of t_end or more than MAX_STEPS of them
 BAD_SCENARIO_VALUES = [
     ("t_end", NAN), ("t_end", INF), ("t_end", 0.0), ("t_end", -1.0),
+    ("t_end", True), ("t_end", "0.75"),
     ("solver.dt_override", NAN), ("solver.dt_override", INF),
     ("solver.dt_override", 0.0), ("solver.dt_override", -1.0),
     ("solver.dt_override", 10.0), ("solver.dt_override", 1e-12),
-    ("solver.pcg_tol", NAN), ("solver.pcg_tol", 1.0),
+    ("solver.pcg_tol", NAN), ("solver.pcg_tol", 1.0), ("solver.pcg_tol", "1e-6"),
     ("solver.mcc_tol", NAN), ("solver.mcc_tol", 2.0),
     ("solver.power_tol", INF), ("solver.power_tol", 0.0),
     ("solver.newton_tol", NAN), ("solver.newton_tol", 1.5),
     ("solver.safety", 3.0), ("solver.safety", 0.0), ("solver.safety", NAN),
+    ("solver.safety", True),
     ("solver.tol_update", NAN), ("solver.tol_update", INF), ("solver.tol_update", -1e-3),
     ("solver.tol_pod", NAN), ("solver.tol_pod", INF), ("solver.tol_pod", 0.0),
     ("solver.power_max_iter", INF),

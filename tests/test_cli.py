@@ -361,6 +361,7 @@ BAD_MESH_FILES = {
     "not_utf8": b"\xff\xfe",
     "non_numeric": {"nodes": "abc"},
     "ragged": {"nodes": [[0.0, 0.0], [1.0]]},
+    "fractional_boundary": {"boundary": [0.7]},
     "bad_tag": {"regions": ["bogus"]},
     "nan_coordinate": _nan_coordinate,
 }

@@ -6,7 +6,6 @@ import scipy.sparse
 
 from eddy2d.errors import Ic0Breakdown, SolverError, SpdSolveError
 from eddy2d.linalg import (
-    LinearOperator,
     SparseMatrix,
     dense_solve_spd,
     export_matrix,
@@ -102,11 +101,11 @@ def test_csr_invariants():
 def test_operator_linearity():
     rng = np.random.default_rng(11)
     D = rng.standard_normal((20, 20))
-    op = LinearOperator.from_matrix(SparseMatrix.from_dense(D))
+    A = SparseMatrix.from_dense(D)
     x, y = rng.standard_normal(20), rng.standard_normal(20)
     a, b = 1.7, -0.3
-    lhs = op.apply(a * x + b * y)
-    rhs = a * op.apply(x) + b * op.apply(y)
+    lhs = A.matvec(a * x + b * y)
+    rhs = a * A.matvec(x) + b * A.matvec(y)
     scale = np.abs(D).max()
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * (np.linalg.norm(x) + np.linalg.norm(y)) * scale
 
@@ -130,15 +129,34 @@ def test_pcg_exact_start_vector_zero_iterations():
     assert rep.converged and rep.iterations == 0
 
 
+class CountingMatrix:
+    """The nrows/matvec protocol pcg needs, counting its products."""
+
+    def __init__(self, D):
+        self.D, self.nrows, self.products = D, D.shape[0], 0
+
+    def matvec(self, x):
+        self.products += 1
+        return self.D @ x
+
+
 def test_pcg_from_zero_applies_the_operator_once_per_iteration():
     # the zero start's residual is b itself: no apply before the first iteration
     rng = np.random.default_rng(31)
-    D = random_spd(12, rng)
-    applies = []
-    op = LinearOperator(12, lambda v: applies.append(1) or D @ v)
-    rep = pcg(op, rng.standard_normal(12), tol=1e-10)
+    A = CountingMatrix(random_spd(12, rng))
+    rep = pcg(A, rng.standard_normal(12), tol=1e-10)
     assert rep.converged and rep.iterations > 0
-    assert len(applies) == rep.iterations
+    assert A.products == rep.iterations
+
+
+def test_pcg_with_a_factor_solve_converges_in_one_iteration():
+    # the exact factor as preconditioner: the first search direction is A^-1 b
+    rng = np.random.default_rng(33)
+    A = SparseMatrix.from_dense(random_spd(15, rng, cond=1e4))
+    b = rng.standard_normal(15)
+    rep = pcg(A, b, precond=factor_spd(A, "A").solve, tol=1e-10)
+    assert rep.converged and rep.iterations == 1
+    np.testing.assert_allclose(A.matvec(rep.solution), b, atol=1e-9)
 
 
 def test_pcg_2x2_closed_form():
@@ -207,19 +225,19 @@ def test_pcg_report_residual_invariant():
 def test_jacobi_elementwise():
     A = SparseMatrix.from_dense([[2.0, 0.0], [0.0, 4.0]])
     M = jacobi_preconditioner(A)
-    np.testing.assert_allclose(M.apply(np.array([2.0, 8.0])), [1.0, 2.0])
+    np.testing.assert_allclose(M(np.array([2.0, 8.0])), [1.0, 2.0])
 
 
 def test_jacobi_identity():
     M = jacobi_preconditioner(SparseMatrix.identity(3))
     x = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(M.apply(x), x)
+    np.testing.assert_array_equal(M(x), x)
 
 
 def test_jacobi_zero_row_passthrough():
     A = SparseMatrix.from_dense([[1.0, 0.0], [0.0, 0.0]])
     M = jacobi_preconditioner(A)
-    np.testing.assert_array_equal(M.apply(np.array([3.0, 5.0])), [3.0, 5.0])
+    np.testing.assert_array_equal(M(np.array([3.0, 5.0])), [3.0, 5.0])
 
 
 def test_jacobi_negative_diagonal_raises():
@@ -279,7 +297,7 @@ def test_ic0_apply_matches_dense_inverse(build):
     L = M.L.toarray()
     r = np.random.default_rng(37).standard_normal(A.nrows)
     ref = np.linalg.solve(L @ L.T, r)
-    assert np.linalg.norm(M.apply(r) - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(M(r) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_ic0_memory_stays_sparse():
@@ -288,7 +306,7 @@ def test_ic0_memory_stays_sparse():
     r = np.ones(A.nrows)
     tracemalloc.start()
     try:
-        ic0_preconditioner(A).apply(r)
+        ic0_preconditioner(A)(r)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -362,14 +380,13 @@ def test_mgs_preserves_span():
 
 def test_power_iteration_diagonal():
     A = SparseMatrix.from_dense(np.diag([1.0, 2.0, 3.0]))
-    rep = power_iteration(A, tol=1e-10, max_iter=2000, seed=1)
+    rep = power_iteration(A.matvec, A.nrows, tol=1e-10, max_iter=2000, seed=1)
     assert rep.converged
     assert rep.value == pytest.approx(3.0, rel=1e-8)
 
 
 def test_power_iteration_scalar_operator():
-    op = LinearOperator(1, lambda x: 7.5 * x)
-    rep = power_iteration(op, tol=1e-12, max_iter=50, seed=0)
+    rep = power_iteration(lambda x: 7.5 * x, 1, tol=1e-12, max_iter=50, seed=0)
     assert rep.value == pytest.approx(7.5, rel=1e-14)
 
 
@@ -377,7 +394,8 @@ def test_power_iteration_vs_dense_oracle():
     rng = np.random.default_rng(53)
     D = random_spd(20, rng, gap=1.5)
     lam_ref = np.linalg.eigvalsh(D).max()
-    rep = power_iteration(SparseMatrix.from_dense(D), tol=1e-9, max_iter=20000, seed=2)
+    rep = power_iteration(SparseMatrix.from_dense(D).matvec, 20, tol=1e-9, max_iter=20000,
+                          seed=2)
     assert rep.converged
     assert abs(rep.value - lam_ref) <= 10 * 1e-9 * lam_ref
 
@@ -385,15 +403,16 @@ def test_power_iteration_vs_dense_oracle():
 def test_power_iteration_scaling_invariance():
     rng = np.random.default_rng(59)
     D = random_spd(15, rng)
-    r1 = power_iteration(SparseMatrix.from_dense(D), tol=1e-10, max_iter=20000, seed=3)
-    r2 = power_iteration(SparseMatrix.from_dense(3.0 * D), tol=1e-10, max_iter=20000, seed=3)
+    r1 = power_iteration(SparseMatrix.from_dense(D).matvec, 15, tol=1e-10, max_iter=20000,
+                         seed=3)
+    r2 = power_iteration(SparseMatrix.from_dense(3.0 * D).matvec, 15, tol=1e-10,
+                         max_iter=20000, seed=3)
     assert r2.value == pytest.approx(3.0 * r1.value, rel=1e-6)
 
 
 def test_power_iteration_errors_after_second_annihilation():
-    op = LinearOperator(3, lambda x: np.zeros(3))
     with pytest.raises(SolverError, match="annihilated"):
-        power_iteration(op, tol=1e-8, max_iter=50, seed=5)
+        power_iteration(lambda x: np.zeros(3), 3, tol=1e-8, max_iter=50, seed=5)
 
 
 def test_pcg_preserves_null_space_component_of_x0():
@@ -413,7 +432,7 @@ def test_power_iteration_reseeds_on_annihilation():
     def apply(x):
         return x - first * (first @ x)
 
-    rep = power_iteration(LinearOperator(3, apply), tol=1e-8, max_iter=500, seed=4)
+    rep = power_iteration(apply, 3, tol=1e-8, max_iter=500, seed=4)
     assert rep.value == pytest.approx(1.0, rel=1e-6)
 
 

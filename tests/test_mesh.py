@@ -127,6 +127,33 @@ def test_load_parse_error_has_line_number(tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("patch,message", [
+    ({"elements": [[0.5, 1, 2]]}, "elements entry 0.5 is not an integer"),
+    ({"elements": [[True, 1, 2]]}, "elements entry True is not an integer"),
+    ({"boundary": [0.7, 1, 2]}, "boundary entry 0.7 is not an integer"),
+    ({"boundary": [True, 2]}, "boundary entry True is not an integer"),
+    ({"nodes": [["0", 0], [1, 0], [0, 1]]}, "nodes entry '0' is not a number"),
+    ({"nodes": [[False, 0], [1, 0], [0, 1]]}, "nodes entry False is not a number"),
+])
+def test_load_rejects_non_number_entries_naming_file_and_key(tmp_path, patch, message):
+    # numpy's conversion alone would truncate 0.5 and 0.7 to node 0 and read
+    # true as node 1 and "0" as 0.0
+    path = tmp_path / "bad.json"
+    doc = {"nodes": [[0, 0], [1, 0], [0, 1]], "elements": [[0, 1, 2]],
+           "regions": ["air"], "boundary": [0, 1, 2]}
+    path.write_text(json.dumps({**doc, **patch}))
+    with pytest.raises(MeshError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_mesh(path)
+
+
+def test_load_accepts_integral_float_indices(tmp_path):
+    path = tmp_path / "mesh.json"
+    path.write_text('{"nodes": [[0,0],[1,0],[0,1]], "elements": [[0.0,1,2]],'
+                    ' "regions": ["air"], "boundary": [2.0]}')
+    mesh = load_mesh(path)
+    assert mesh.elements.tolist() == [[0, 1, 2]] and mesh.boundary_nodes == {2}
+
+
 def test_region_tag_string_roundtrip():
     for tag in (RegionTag("air"), RegionTag("conductor", 3), RegionTag("coil", 1),
                 RegionTag("air", 0, probe=0), RegionTag("conductor", 2, probe=1)):

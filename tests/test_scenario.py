@@ -188,20 +188,6 @@ def test_parse_error_reports_line(tmp_path):
         load_scenario(path)
 
 
-def test_seed_env_override(tmp_path, monkeypatch):
-    doc = minimal_doc()
-    doc["solver"] = {"seed": 7}
-    monkeypatch.setenv("EDDY2D_SEED", "99")
-    sc = load_scenario(write_doc(tmp_path, doc))
-    assert sc.options.seed == 99
-
-
-def test_negative_seed_env_rejected(tmp_path, monkeypatch):
-    monkeypatch.setenv("EDDY2D_SEED", "-3")
-    with pytest.raises(ConfigError, match="EDDY2D_SEED"):
-        load_scenario(write_doc(tmp_path, minimal_doc()))
-
-
 def test_mesh_from_file(tmp_path):
     from eddy2d.mesh import save_mesh
     from eddy2d.scenario import parse_scenario
