@@ -10,7 +10,9 @@ definiteness. DoFs are then permuted into the conducting set c (nodes
 adjacent to at least one conductor element) followed by the nonconducting
 set n; interface nodes land in c, which keeps M_cc positive definite.
 For nonlinear problems, KccRebuildMap recomputes K_cc(a_c) on its fixed
-pattern without reassembling.
+pattern without reassembling. The field evaluations a time step repeats
+(the conductor B^2 of a rebuild, the probe's |B|) are B2Maps: compiled CSR
+products built once at set-up.
 """
 from __future__ import annotations
 
@@ -84,6 +86,12 @@ class DofPartition:
     @property
     def idx_n(self) -> np.ndarray:
         return self.perm[self.n_c:]
+
+    def positions(self, n_nodes: int) -> np.ndarray:
+        """Position of each mesh node in [a_c | a_n] (-1 on the Dirichlet boundary)."""
+        pos = -np.ones(n_nodes, dtype=np.int64)
+        pos[self.free_nodes[self.perm]] = np.arange(self.n_free)
+        return pos
 
     def to_full(self, a_c: np.ndarray, a_n: np.ndarray, n_nodes: int) -> np.ndarray:
         """Scatter (a_c, a_n) into a full node vector with Dirichlet zeros."""
@@ -189,6 +197,33 @@ def element_data(mesh: Mesh2D, materials: MaterialTable) -> ElementData:
     return ElementData(mesh.elements, b, c, mesh.areas, *rows.T[:, code])
 
 
+@dataclass(frozen=True)
+class B2Map:
+    """|B|^2 of a fixed set of elements as one compiled product on a DoF
+    vector. Row e of ``grad`` holds the element's b and row E + e its c, in
+    local node order with Dirichlet columns left out, so ``grad`` x gives
+    the sums of ElementData.b2_local, bitwise; the rest is its arithmetic."""
+
+    grad: SparseMatrix     # (2 E, n)
+    two_area: np.ndarray   # (E,) 2 A
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        g = self.grad.matvec(x)
+        n = self.two_area.size
+        dx = g[:n] / self.two_area
+        dy = g[n:] / self.two_area
+        return dx * dx + dy * dy
+
+
+def b2_map(data: ElementData, index: np.ndarray, n: int) -> B2Map:
+    """The B2Map of the elements of ``data`` on the n-vector that holds each
+    node's value at ``index[node]`` (-1 for a Dirichlet zero)."""
+    cols = index[data.nodes]
+    grad = SparseMatrix.from_rows(n, np.concatenate([cols, cols]),
+                                  np.concatenate([data.b, data.c]))
+    return B2Map(grad, 2.0 * data.area)
+
+
 def compute_b2(mesh: Mesh2D, a_full: np.ndarray, data: ElementData) -> np.ndarray:
     """Per-element |B|^2 of the elements of ``data`` from the P1 gradient of
     the full nodal vector (Dirichlet zeros included)."""
@@ -270,12 +305,12 @@ class KccRebuildMap:
     """K_cc(a_c) of a nonlinear problem on a CSR pattern fixed at setup.
 
     Every node of a conductor element is conducting or Dirichlet, so the
-    conductor elements' B^2 depends on a_c alone (``dofs`` indexes a_c, with
-    n_c standing for a Dirichlet zero). Nonconducting elements are linear, so
-    their share of K_cc is the constant ``base``. A rebuild scales each
-    conductor element's geometric stiffness (b b^T + c c^T) / (4 A) by its
-    nu and sums the entries into their slots of the data array with one
-    bincount. Entries that are geometrically zero get no slot.
+    conductor elements' B^2 depends on a_c alone: ``b2`` evaluates it with
+    one product on a_c. Nonconducting elements are linear, so their share of
+    K_cc is the constant ``base``. A rebuild is the product of ``slots``
+    (CSR slot x conductor element: the element's geometric stiffness
+    (b b^T + c c^T) / (4 A) in that slot) with the element reluctivities,
+    added to ``base``. Entries that are geometrically zero get no slot.
 
     ``mu`` is each conductor element's lambda_max(K_geom,e, M_e), the
     element-by-element bound (Irons & Treharne 1971; Fried 1973) that lets
@@ -284,10 +319,8 @@ class KccRebuildMap:
     """
 
     conductor: ElementData
-    dofs: np.ndarray           # (E_c, 3) a_c index of each conductor-element node
-    entry_element: np.ndarray  # conductor element of each stored entry
-    entry_geom: np.ndarray     # its geometric stiffness
-    entry_slot: np.ndarray     # its slot in the CSR data array
+    b2: B2Map                  # conductor elements' B^2 from a_c
+    slots: SparseMatrix        # (nnz, E_c) geometric stiffness per slot and element
     base: np.ndarray           # nonconducting contribution per slot
     indptr: np.ndarray
     indices: np.ndarray
@@ -295,17 +328,14 @@ class KccRebuildMap:
 
     def nu(self, a_c: np.ndarray) -> np.ndarray:
         """Reluctivity of each conductor element at the field of a_c."""
-        ae = np.append(a_c, 0.0)[self.dofs]
-        return self.conductor.nu(self.conductor.b2_local(ae))
+        return self.conductor.nu(self.b2(a_c))
 
     def rebuild(self, nu_e: np.ndarray) -> SparseMatrix:
         """K_cc with the conductor element reluctivities nu_e (from ``nu``),
         its values written into the fixed pattern with no CSR construction.
         A slot whose sum is exactly 0.0 stays stored as a zero, which leaves
         every product with a finite vector unchanged."""
-        vals = self.base + np.bincount(self.entry_slot,
-                                       weights=self.entry_geom * nu_e[self.entry_element],
-                                       minlength=self.base.size)
+        vals = self.base + self.slots.matvec(nu_e)
         n_c = self.indptr.size - 1
         return SparseMatrix.from_canonical((n_c, n_c), self.indptr, self.indices, vals)
 
@@ -322,8 +352,8 @@ class KccRebuildMap:
 
 def kcc_rebuild_map(mesh: Mesh2D, part: DofPartition, data: ElementData) -> KccRebuildMap:
     n_c = part.n_c
-    index = -np.ones(mesh.n_nodes, dtype=np.int64)
-    index[part.free_nodes[part.idx_c]] = np.arange(n_c)
+    index = part.positions(mesh.n_nodes)
+    index[index >= n_c] = -1
     is_cond = mesh.region_mask(lambda t: t.kind == "conductor")
     cond, other = data.subset(is_cond), data.subset(~is_cond)
 
@@ -344,10 +374,12 @@ def kcc_rebuild_map(mesh: Mesh2D, part: DofPartition, data: ElementData) -> KccR
     pattern = scipy.sparse.csr_matrix(
         (np.ones(uniq.size), (uniq // n_c, uniq % n_c)), shape=(n_c, n_c))
     base = np.bincount(slot[src.size:], weights=v, minlength=uniq.size)
-    dofs = index[cond.nodes]
-    return KccRebuildMap(cond, np.where(dofs >= 0, dofs, n_c), src // 9, geom[src],
-                         slot[:src.size], base, pattern.indptr, pattern.indices,
-                         _element_lambda_max(cond))
+    # src ascends, so each slot's row holds its elements in ascending order:
+    # a product sums them in the order of the entries
+    slots = SparseMatrix.from_coo(uniq.size, cond.area.size, slot[:src.size], src // 9,
+                                  geom[src])
+    return KccRebuildMap(cond, b2_map(cond, index, n_c), slots, base,
+                         pattern.indptr, pattern.indices, _element_lambda_max(cond))
 
 
 def _element_lambda_max(data: ElementData) -> np.ndarray:

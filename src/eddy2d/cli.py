@@ -73,11 +73,13 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _entries(text: str, flag: str, parse, ok, wording: str) -> list:
+def _entries(text: str, flag: str, parse, ok, wording: str, stem=None) -> list:
     """The comma-separated entries of ``flag`` through ``parse``, checked
     before any run; an entry ``parse`` rejects or ``ok`` fails, or no entry
-    at all, is a ConfigError naming it."""
-    out = []
+    at all, is a ConfigError naming it. With ``stem`` (value -> output file
+    stem), two entries of different values with one stem, whose runs would
+    overwrite each other's files, are a ConfigError naming both."""
+    out, stems = [], {}
     for entry in filter(None, (e.strip() for e in text.split(","))):
         try:
             val = parse(entry)
@@ -85,6 +87,11 @@ def _entries(text: str, flag: str, parse, ok, wording: str) -> list:
             val = None
         if val is None or not ok(val):
             raise ConfigError(f"{flag}: entry {entry!r} must be {wording}")
+        if stem is not None:
+            first, first_val = stems.setdefault(stem(val), (entry, val))
+            if first_val != val:
+                raise ConfigError(f"{flag}: entries {first!r} and {entry!r} would both "
+                                  f"write {stem(val)}")
         out.append(val)
     if not out:
         raise ConfigError(f"{flag}: no entries given")
@@ -124,9 +131,14 @@ def cmd_bench_startvec(args) -> int:
     return EXIT_OK
 
 
+def _tol_stem(tol: float) -> str:
+    return f"result_tol_{tol:g}"
+
+
 def cmd_bench_update(args) -> int:
     # the every-step baseline tol = 0 anchors the comparison
-    tols = sorted({0.0, *_entries(args.tols, "--tols", float, *FLOAT_RANGES["tol_update"])})
+    tols = sorted({0.0, *_entries(args.tols, "--tols", float, *FLOAT_RANGES["tol_update"],
+                                  stem=_tol_stem)})
     scenario = load_scenario(resolve_config(args.config))
     problem = scenario.build_problem()
     if not problem.is_nonlinear:
@@ -142,7 +154,7 @@ def cmd_bench_update(args) -> int:
         dev = probe_deviation(res, baseline)
         lines.append(f"{tol!r},{res.update_count},{res.wall_time!r},"
                      f"{dev!r},{res.step_count}\n")
-        _write_result(res, args.out, f"result_tol_{tol:g}")
+        _write_result(res, args.out, _tol_stem(tol))
     with open(os.path.join(args.out, "bench_update.csv"), "w", encoding="utf-8") as fh:
         fh.writelines(lines)
     print("".join(lines), end="")

@@ -21,9 +21,10 @@ with lambda_max estimated numerically by power iteration (the
 h^2*kappa*mu heuristic is not sharp). K_cc is rebuilt only when the
 conducting solution has drifted from the state of the last rebuild by more
 than tol_update in relative l2 norm. A rebuild does not reassemble: the
-KccRebuildMap built by discretize for nonlinear problems scales the stored
-geometric stiffness of each conductor element by nu(B^2(a_c)) and sums it
-into K_cc's fixed pattern. After a rebuild, lambda_max is re-estimated
+KccRebuildMap built by discretize for nonlinear problems evaluates the
+conductor elements' B^2(a_c) with one compiled product, and writes the sum
+of their stored geometric stiffness scaled by nu(B^2) into K_cc's fixed
+pattern with another. After a rebuild, lambda_max is re-estimated
 only when dt times an upper bound on it exceeds 1 + safety, half the
 margin that safety leaves below 2; the bound is the last estimate plus
 KccRebuildMap.growth_bound of the element reluctivities since then. A
@@ -35,10 +36,13 @@ stiffness and Jacobian (newton_system) in every Newton iteration, from the
 element data discretize resolved once.
 
 run_explicit and the cfl command share one set-up, start_explicit. Both run
-loops keep their rows, probe values and snapshots in one _Trajectory.
+loops keep their rows, probe values and snapshots in one _Trajectory. The
+probe's |B| is one compiled product on [a_c | a_n] (AssembledProblem.probe_b2);
+a full nodal vector is built only for a snapshot.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -47,6 +51,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .assembly import (
+    B2Map,
     DofPartition,
     ElementData,
     KccRebuildMap,
@@ -54,6 +59,7 @@ from .assembly import (
     SourceSpec,
     SystemBlocks,
     assemble,
+    b2_map,
     compute_b2,
     element_coo,
     element_data,
@@ -99,8 +105,9 @@ class SolverOptions:
 @dataclass
 class AssembledProblem:
     """Mesh, materials and the assembled system at a = 0, with the element
-    data resolved once: all elements, the probe elements, and for nonlinear
-    problems the K_cc rebuild map (None for linear ones)."""
+    data resolved once: all elements, the probe elements with their B^2 map
+    on [a_c | a_n] and total area, and for nonlinear problems the K_cc
+    rebuild map (None for linear ones)."""
 
     mesh: Mesh2D
     materials: MaterialTable
@@ -110,6 +117,8 @@ class AssembledProblem:
     K_red: SparseMatrix
     elements: ElementData
     probe: ElementData
+    probe_b2: B2Map
+    probe_area: float
     kcc_map: KccRebuildMap | None
     _factor_cache: dict = field(default_factory=dict, repr=False)
 
@@ -139,17 +148,19 @@ def discretize(mesh: Mesh2D, materials: MaterialTable,
 
     nonlinear = any(m.is_nonlinear for m in materials.conductors.values())
     kcc_map = kcc_rebuild_map(mesh, part, data) if nonlinear else None
-    return AssembledProblem(mesh, materials, part, blocks, M, K,
-                            data, data.subset(probe_eids), kcc_map)
+    probe = data.subset(probe_eids)
+    return AssembledProblem(mesh, materials, part, blocks, M, K, data, probe,
+                            b2_map(probe, part.positions(mesh.n_nodes), part.n_free),
+                            float(probe.area.sum()), kcc_map)
 
 
-def probe_average_b(problem: AssembledProblem, a_full: np.ndarray) -> float:
+def probe_average_b(problem: AssembledProblem, a_c: np.ndarray, a_n: np.ndarray) -> float:
     """Area-weighted mean |B| over the probe elements."""
     areas = problem.probe.area
     if areas.size == 0:
         return 0.0
-    b2 = compute_b2(problem.mesh, a_full, problem.probe)
-    return float((areas * np.sqrt(b2)).sum() / areas.sum())
+    b2 = problem.probe_b2(np.concatenate([a_c, a_n]))
+    return float((areas * np.sqrt(b2)).sum() / problem.probe_area)
 
 
 class MccSolver:
@@ -295,7 +306,7 @@ def explicit_step(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurCont
     norm = norm2(state.a_c)
     # the 1e30 guard trips growing modes long before anything physical gets
     # there and before downstream solves overflow
-    if not np.isfinite(norm) or norm > 1e30:
+    if not math.isfinite(norm) or norm > 1e30:
         raise InstabilityError(
             f"instability: non-finite or unbounded conductor state at "
             f"t={state.t + state.dt:.6e} with dt={state.dt:.6e}",
@@ -402,9 +413,9 @@ class _Trajectory:
         if step % self.opts.output_every and not last:
             return
         problem, snapshot_every = self.problem, self.opts.snapshot_every
-        a_full = problem.part.to_full(a_c, a_n, problem.mesh.n_nodes)
-        self.rows.append((t, probe_average_b(problem, a_full), dt, iterations, updates))
+        self.rows.append((t, probe_average_b(problem, a_c, a_n), dt, iterations, updates))
         if snapshot_every and step % snapshot_every == 0:
+            a_full = problem.part.to_full(a_c, a_n, problem.mesh.n_nodes)
             bmag = np.sqrt(compute_b2(problem.mesh, a_full, problem.elements))
             self.snapshots.append((step, t, bmag, a_full))
 

@@ -33,8 +33,9 @@ class SparseMatrix:
     dispatch. The scipy view (``scipy()``) is built on first use and shares
     the arrays. The constructor canonicalizes what it is given and drops
     explicit zeros; ``from_canonical`` trusts arrays that are already
-    canonical and keeps any stored zero they hold. Immutable; safe to share
-    across threads.
+    canonical and keeps any stored zero they hold, and ``from_rows`` keeps
+    each row's entries in a given order. Immutable; safe to share across
+    threads.
     """
 
     def __init__(self, csr: scipy.sparse.csr_matrix):
@@ -60,6 +61,19 @@ class SparseMatrix:
         m = cls.__new__(cls)
         m._set(shape, indptr, indices, data)
         return m
+
+    @classmethod
+    def from_rows(cls, ncols: int, cols: np.ndarray, vals: np.ndarray) -> "SparseMatrix":
+        """One row per row of the (R, k) arrays ``cols`` and ``vals``, with
+        the entries whose column is -1 left out. Each row keeps its entries
+        in the given order rather than sorted by column (columns must not
+        repeat within a row), so ``matvec`` sums a row left to right in that
+        order: the arithmetic of ``(x[cols] * vals).sum(axis=1)``, bitwise up
+        to the sign of a zero sum."""
+        keep = cols >= 0
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+        return cls.from_canonical((cols.shape[0], ncols), indptr, cols[keep],
+                                  np.asarray(vals, dtype=float)[keep])
 
     @staticmethod
     def from_coo(nrows: int, ncols: int, rows, cols, values) -> "SparseMatrix":
@@ -178,18 +192,21 @@ def pcg(A: SparseMatrix, b: np.ndarray, x0: np.ndarray | None = None,
         res = norm2(A.matvec(x))
         return PcgReport(x, 0, res <= tol * xnorm, res / xnorm)
 
-    r = b.copy() if x0 is None else b - A.matvec(x)  # b - A 0 is b bitwise
-    rel = norm2(r) / bnorm
+    if x0 is None:
+        r, rel = b.copy(), 1.0  # b - A 0 is b bitwise
+    else:
+        r = b - A.matvec(x)
+        rel = norm2(r) / bnorm
     if rel <= tol:
         return PcgReport(x, 0, True, rel)
 
     z = apply_m(r)
-    p = z.copy()
+    p = z.copy() if z is r else z  # r is updated in place below
     rz = float(r @ z)
     for k in range(1, max_iter + 1):
         q = A.matvec(p)
         pq = float(p @ q)
-        if not np.isfinite(pq) or pq <= 0.0:
+        if not math.isfinite(pq) or pq <= 0.0:
             raise SolverError(
                 f"pcg: curvature p^T A p = {pq:.3e} at iteration {k}; "
                 "system is indefinite or inconsistent"
@@ -198,7 +215,7 @@ def pcg(A: SparseMatrix, b: np.ndarray, x0: np.ndarray | None = None,
         x += alpha * p
         r -= alpha * q
         rnorm = norm2(r)
-        if not np.isfinite(rnorm):
+        if not math.isfinite(rnorm):
             raise SolverError(f"pcg: non-finite residual at iteration {k}")
         rel = rnorm / bnorm
         if rel <= tol:

@@ -8,6 +8,7 @@ homogeneous Dirichlet condition a = 0.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -77,7 +78,15 @@ class Mesh2D:
 
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=float)
+        # an integer array passes as it is; anything else is checked entry by entry
+        if not (isinstance(self.elements, np.ndarray) and self.elements.dtype.kind in "iu"):
+            for pos, v in np.ndenumerate(np.array(self.elements, dtype=object, ndmin=1)):
+                if not _is_index(v):
+                    raise MeshError(f"element {pos[0]} entry {v!r} is not an integer")
         self.elements = np.ascontiguousarray(self.elements, dtype=np.int64)
+        for v in self.boundary_nodes:
+            if not _is_index(v):
+                raise MeshError(f"boundary entry {v!r} is not an integer")
         self.boundary_nodes = frozenset(int(i) for i in self.boundary_nodes)
         validate_mesh(self)
         self.nodes.setflags(write=False)
@@ -118,6 +127,13 @@ class Mesh2D:
         """Which elements have a tag that passes ``test``, called once per distinct tag."""
         tags, code = self.region_codes
         return np.array([test(tag) for tag in tags], dtype=bool)[code]
+
+
+def _is_index(v) -> bool:
+    """An integer or an integral float such as 2.0. Not a boolean or 0.5,
+    which the int cast would read as 0/1 or truncate."""
+    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)) \
+        and float(v).is_integer()
 
 
 def validate_mesh(mesh: Mesh2D) -> None:

@@ -94,7 +94,8 @@ class SchurContext:
     """Owns the K_nn preconditioner (built once per assembly; K_nn never
     changes during a run), the per-purpose start-vector providers, the
     iteration statistics and the last source solve of ``schur_rhs`` (the
-    right-hand side ``j_ref`` and its result ``r_ref``). Under ``direct``
+    right-hand side ``j_ref``, its result ``r_ref`` and ``jj_ref`` =
+    j_ref . j_ref). Under ``direct``
     the preconditioner is the solve with the K_nn factor, and every
     provider starts from it. Single-owner mutable; not shared across
     threads."""
@@ -119,6 +120,7 @@ class SchurContext:
         self.step = 0
         self.j_ref: np.ndarray | None = None
         self.r_ref: np.ndarray | None = None
+        self.jj_ref = 0.0
         self._estimation: "SchurContext | None" = None
 
     def estimation_context(self) -> "SchurContext":
@@ -181,12 +183,13 @@ def schur_rhs(ctx: SchurContext, j_sn: np.ndarray) -> np.ndarray:
     becomes the stored pair."""
     j = np.asarray(j_sn, dtype=float)
     if ctx.j_ref is not None:
-        c = float(ctx.j_ref @ j) / float(ctx.j_ref @ ctx.j_ref)
+        c = float(ctx.j_ref @ j) / ctx.jj_ref
         if norm2(j - c * ctx.j_ref) <= ctx.tol * norm2(j):
             return c * ctx.r_ref
     r = -ctx.blocks.K_cn.matvec(solve_knn(ctx, j, "source_term"))
-    if float(j @ j) > 0.0:
-        ctx.j_ref, ctx.r_ref = j.copy(), r
+    jj = float(j @ j)
+    if jj > 0.0:
+        ctx.j_ref, ctx.r_ref, ctx.jj_ref = j.copy(), r, jj
     return r
 
 

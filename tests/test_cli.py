@@ -240,6 +240,19 @@ def test_bench_update_counts(nonlinear_config_path, tmp_path):
     assert int(by_tol[1e-3][1]) < int(by_tol[0.0][1])
 
 
+def test_bench_update_rejects_tolerances_sharing_a_file_name(nonlinear_config_path,
+                                                            tmp_path, capsys):
+    # both format to result_tol_0.00123457: the second run would overwrite
+    # the first one's files
+    out = tmp_path / "bu"
+    assert main(["bench-update", "--config", nonlinear_config_path,
+                 "--tols", "1e-3,0.0012345671,0.0012345672", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'0.0012345671'" in err and "'0.0012345672'" in err
+    assert "result_tol_0.00123457" in err
+    assert not out.exists()
+
+
 def test_bench_update_rejects_linear(config_path, tmp_path):
     assert main(["bench-update", "--config", config_path, "--tols", "0,1e-3",
                  "--out", str(tmp_path / "bu2")]) == EXIT_CONFIG
@@ -407,6 +420,28 @@ def test_determinism_bitwise_csv(config_path, tmp_path):
     b1 = open(os.path.join(out1, "result_explicit.csv"), "rb").read()
     b2 = open(os.path.join(out2, "result_explicit.csv"), "rb").read()
     assert b1 == b2
+
+
+def test_determinism_nonlinear_bitwise_csv(tmp_path):
+    # plate2d at nx=10 with a stronger drive: every step rebuilds K_cc and
+    # one rebuild re-estimates lambda_max, so the rebuild and probe maps and
+    # the re-estimate all feed the CSVs compared
+    doc = json.load(open(bundled_scenario_path("plate2d")))
+    doc["mesh"].update(nx=10, ny=10)
+    doc["source"]["i_max"] = 3000.0
+    doc["t_end"] = 0.1
+    path = tmp_path / "plate10.json"
+    path.write_text(json.dumps(doc))
+    outs = [str(tmp_path / f"n{i}") for i in (1, 2)]
+    for out in outs:
+        assert main(["run", "--config", str(path), "--method", "explicit",
+                     "--out", out]) == EXIT_OK
+    summary = json.load(open(os.path.join(outs[0], "result_explicit_summary.json")))
+    assert summary["update_count"] == summary["step_count"] > 100
+    assert summary["cfl_estimates"] >= 2
+    for name in ("result_explicit.csv", "result_explicit_iterations.csv"):
+        b1, b2 = (open(os.path.join(out, name), "rb").read() for out in outs)
+        assert b1 == b2
 
 
 def test_run_bundled_by_name(tmp_path):

@@ -8,7 +8,15 @@ import scipy.optimize
 import scipy.sparse
 
 from eddy2d import integrate
-from eddy2d.assembly import MASS_TEMPLATE, MaterialTable, assemble, compute_b2, extract_blocks
+from eddy2d.assembly import (
+    MASS_TEMPLATE,
+    MaterialTable,
+    assemble,
+    b2_map,
+    compute_b2,
+    element_coo,
+    extract_blocks,
+)
 from eddy2d.errors import InstabilityError, SolverError
 from eddy2d.integrate import (
     MccSolver,
@@ -26,11 +34,19 @@ from eddy2d.integrate import (
 )
 from eddy2d.linalg import SparseMatrix
 from eddy2d.materials import MaterialModel
-from eddy2d.mesh import RegionTag, generate_rect_mesh
+from eddy2d.mesh import Mesh2D, RegionTag, generate_rect_mesh
 from eddy2d.scenario import bundled_scenario_path, load_scenario
 from eddy2d.schur import SchurContext
 
-from conftest import AIR, STEEL_BRAUER, STEEL_LINEAR, dense_kS, make_mini_problem, make_mini_source
+from conftest import (
+    AIR,
+    STEEL_BRAUER,
+    STEEL_LINEAR,
+    dense_kS,
+    make_mini_mesh,
+    make_mini_problem,
+    make_mini_source,
+)
 
 
 def scalar_problem(nonlinear=False):
@@ -393,6 +409,97 @@ def test_kcc_rebuild_is_the_csr_of_its_pattern(mini_problem_nonlinear):
     np.testing.assert_array_equal(got.toarray(), ref.toarray())
 
 
+def random_states(n_c, n_n, count, seed, top=2):
+    """``count`` random (a_c, a_n) pairs at scales from 1e-8 to 10**top."""
+    rng = np.random.default_rng(seed)
+    for scale in 10.0 ** rng.uniform(-8, top, count):
+        yield scale * rng.standard_normal(n_c), scale * rng.standard_normal(n_n)
+
+
+def jittered_mini_problem():
+    """The nonlinear mini problem with its interior nodes moved by up to 20%
+    of a cell. On the structured mesh each element's b and c hold an exact
+    zero, so the order of a three-term sum never shows in its bits; off the
+    boundary the jittered mesh has none."""
+    mesh = make_mini_mesh()
+    nodes = mesh.nodes.copy()
+    interior = np.setdiff1d(np.arange(mesh.n_nodes), list(mesh.boundary_nodes))
+    nodes[interior] += np.random.default_rng(59).uniform(-0.002, 0.002, (interior.size, 2))
+    mesh = Mesh2D(nodes, mesh.elements, mesh.element_region, mesh.boundary_nodes)
+    return discretize(mesh, MaterialTable({0: STEEL_BRAUER}, AIR), probe_id=0)
+
+
+@pytest.mark.parametrize("make_problem", [plate2d_problem, jittered_mini_problem],
+                         ids=["plate2d", "jittered"])
+def test_b2_maps_equal_compute_b2_bitwise(make_problem):
+    # the conductor map on a_c, the probe map on [a_c | a_n], and a map of
+    # every element (those on the Dirichlet boundary included) each give
+    # compute_b2's bits on the full nodal vector
+    problem = make_problem()
+    mesh, part = problem.mesh, problem.part
+    is_cond = mesh.region_mask(lambda t: t.kind == "conductor")
+    every = b2_map(problem.elements, part.positions(mesh.n_nodes), part.n_free)
+    on_boundary = np.isin(mesh.elements, list(mesh.boundary_nodes)).any(axis=1)
+    assert on_boundary.any() and problem.probe.area.size > 0
+    for a_c, a_n in random_states(part.n_c, part.n_n, 1000, 41):
+        a_full = part.to_full(a_c, a_n, mesh.n_nodes)
+        ref = compute_b2(mesh, a_full, problem.elements)
+        assert np.array_equal(problem.kcc_map.b2(a_c), ref[is_cond])
+        assert np.array_equal(problem.probe_b2(np.concatenate([a_c, a_n])),
+                              compute_b2(mesh, a_full, problem.probe))
+        assert np.array_equal(every(np.concatenate([a_c, a_n])), ref)
+
+
+def bincount_rebuild(problem, nu_e):
+    """K_cc values by the entry-by-entry scatter: each conductor element's
+    nonzero geometric stiffness times its nu, summed into its slot of the
+    pattern in entry order by np.bincount, on top of ``base``."""
+    mesh, part, kmap = problem.mesh, problem.part, problem.kcc_map
+    n_c = part.n_c
+    index = -np.ones(mesh.n_nodes, dtype=np.int64)
+    index[part.free_nodes[part.idx_c]] = np.arange(n_c)
+    cond = kmap.conductor
+    geom = ((cond.b[:, :, None] * cond.b[:, None, :] + cond.c[:, :, None] * cond.c[:, None, :])
+            / (4.0 * cond.area)[:, None, None]).ravel()
+    rows, cols, src = element_coo(cond.nodes, np.arange(geom.size), index)
+    nz = geom[src] != 0.0
+    rows, cols, src = rows[nz], cols[nz], src[nz]
+    pattern_keys = np.repeat(np.arange(n_c), np.diff(kmap.indptr)) * n_c + kmap.indices
+    entry_slot = np.searchsorted(pattern_keys, rows * n_c + cols)
+    assert np.array_equal(pattern_keys[entry_slot], rows * n_c + cols)
+    return kmap.base + np.bincount(entry_slot, weights=geom[src] * nu_e[src // 9],
+                                   minlength=kmap.base.size)
+
+
+@pytest.mark.parametrize("make_problem", [
+    lambda: make_mini_problem(nonlinear=True),
+    plate2d_problem,
+    jittered_mini_problem,
+], ids=["mini", "plate2d", "jittered"])
+def test_kcc_rebuild_equals_bincount_bitwise(make_problem):
+    problem = make_problem()
+    kmap = problem.kcc_map
+    n_elem = kmap.conductor.area.size
+    rng = np.random.default_rng(43)
+    # B up to a few tesla, where exp in nu stays finite
+    for a_c, _ in random_states(problem.part.n_c, 0, 300, 47, top=-2):
+        nu_e = kmap.nu(a_c)
+        assert np.array_equal(kmap.rebuild(nu_e).values, bincount_rebuild(problem, nu_e))
+    for _ in range(100):
+        nu_e = 10.0 ** rng.uniform(-3, 6, n_elem)
+        assert np.array_equal(kmap.rebuild(nu_e).values, bincount_rebuild(problem, nu_e))
+
+
+def test_probe_average_b_equals_the_full_vector_formula():
+    problem = plate2d_problem()
+    part, areas = problem.part, problem.probe.area
+    for a_c, a_n in random_states(part.n_c, part.n_n, 1000, 53):
+        a_full = part.to_full(a_c, a_n, problem.mesh.n_nodes)
+        b2 = compute_b2(problem.mesh, a_full, problem.probe)
+        ref = float((areas * np.sqrt(b2)).sum() / areas.sum())
+        assert integrate.probe_average_b(problem, a_c, a_n) == ref
+
+
 def test_kcc_rebuild_ignores_a_n(mini_problem_nonlinear):
     problem = mini_problem_nonlinear
     rng = np.random.default_rng(29)
@@ -556,9 +663,12 @@ def test_run_implicit_output_interval(mini_problem, mini_source):
     assert res.step_count == 23
     np.testing.assert_allclose(res.times, [5e-3, 10e-3, 15e-3, 20e-3, 23e-3])
     assert [snap[0] for snap in res.snapshots] == [10, 20]
+    part = mini_problem.part
     for (_, t, _, a_full), row in zip(res.snapshots, (1, 3)):
         assert t == res.times[row]
-        assert integrate.probe_average_b(mini_problem, a_full) == res.probe[row]
+        a_c = a_full[part.free_nodes[part.idx_c]]
+        a_n = a_full[part.free_nodes[part.idx_n]]
+        assert integrate.probe_average_b(mini_problem, a_c, a_n) == res.probe[row]
 
 
 def test_run_explicit_deterministic(mini_problem, mini_source):
@@ -713,9 +823,7 @@ def test_implicit_decay_with_zero_excitation(mini_problem, mini_source):
     zero = np.zeros(part.n_free)
     for _ in range(12):
         a, _ = newton_solve(mini_problem, 2e-3, a, zero)
-        a_full = np.zeros(mini_problem.mesh.n_nodes)
-        a_full[part.free_nodes] = a
-        probes.append(probe_average_b(mini_problem, a_full))
+        probes.append(probe_average_b(mini_problem, a[part.idx_c], a[part.idx_n]))
     tail = probes[2:]
     assert all(b <= a * (1.0 + 1e-9) for a, b in zip(tail, tail[1:]))
     assert tail[-1] < probes[0]

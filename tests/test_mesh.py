@@ -188,6 +188,34 @@ def test_validate_names_first_offending_element(elements, message):
         Mesh2D(nodes, np.array(elements), [RegionTag("air")] * len(elements))
 
 
+@pytest.mark.parametrize("elements,message", [
+    (np.array([[0, 1, 2], [0.5, 1, 2]]), "element 1 entry 0.5 is not an integer"),
+    (np.array([[0, 1, np.nan]]), "element 0 entry nan is not an integer"),
+    ([[0, 1, 2], [0, True, 2]], "element 1 entry True is not an integer"),
+    (np.ones((1, 3), dtype=bool), "element 0 entry True is not an integer"),
+])
+def test_mesh_rejects_non_integral_elements(elements, message):
+    # the int64 cast would truncate 0.5 to 0 and read True as 1
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+        Mesh2D(nodes, elements, [RegionTag("air")] * len(elements))
+    mesh = Mesh2D(nodes, np.array([[0.0, 1.0, 2.0]]), [RegionTag("air")])
+    assert mesh.elements.dtype == np.int64 and mesh.elements.tolist() == [[0, 1, 2]]
+
+
+@pytest.mark.parametrize("boundary,message", [
+    (frozenset({0.7, 2}), "boundary entry 0.7 is not an integer"),
+    (frozenset({True}), "boundary entry True is not an integer"),
+    (frozenset({np.float64(1.5)}), "boundary entry np.float64(1.5) is not an integer"),
+])
+def test_mesh_rejects_non_integral_boundary(boundary, message):
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+        Mesh2D(nodes, np.array([[0, 1, 2]]), [RegionTag("air")], boundary)
+    mesh = Mesh2D(nodes, np.array([[0, 1, 2]]), [RegionTag("air")], frozenset({2.0, 0}))
+    assert mesh.boundary_nodes == {0, 2}
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_coordinate_rejected(bad):
     # a NaN signed area is not <= 0, so only a finiteness check catches it
