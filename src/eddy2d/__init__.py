@@ -45,19 +45,17 @@ from .integrate import (
 from .linalg import (
     PcgReport,
     SparseMatrix,
-    dense_solve_spd,
     factor_spd,
     ic0_preconditioner,
     jacobi_preconditioner,
     mgs_extend,
     pcg,
     power_iteration,
-    svd_small,
 )
 from .materials import MU0, NU0, MaterialModel
 from .mesh import Mesh2D, RegionTag, generate_rect_mesh, load_mesh, min_edge_length, save_mesh
 from .scenario import Scenario, bundled_scenario_path, load_scenario
 from .schur import IterationStats, SchurContext, apply_ks, recover_an, schur_rhs, solve_knn
-from .startvec import CspeCache, PodCache, pod_truncate
+from .startvec import CspeCache, PodCache
 
 __version__ = "0.1.0"

@@ -52,6 +52,17 @@ def _write_result(result: RunResult, out_dir: str, stem: str) -> None:
                 fh.write(f"node_a,{i},{float(v)!r}\n")
 
 
+def _check_out(out: str) -> None:
+    """Refuse, before any set-up or run, an --out that cannot become the
+    output directory: empty, or its nearest existing path not a directory
+    this process may write to."""
+    head = os.path.abspath(out)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not out or not os.path.isdir(head) or not os.access(head, os.W_OK | os.X_OK):
+        raise ConfigError(f"--out {out!r}: not a directory this run can create or write to")
+
+
 def _run_one(scenario: Scenario, method: str) -> RunResult:
     problem = scenario.build_problem()
     if method == "explicit":
@@ -62,6 +73,7 @@ def _run_one(scenario: Scenario, method: str) -> RunResult:
 
 def cmd_run(args) -> int:
     scenario = load_scenario(resolve_config(args.config))
+    _check_out(args.out)
     result = _run_one(scenario, args.method)
     _write_result(result, args.out, f"result_{args.method}")
     s = result.summary()
@@ -102,6 +114,7 @@ def cmd_bench_startvec(args) -> int:
     strategies = _entries(args.strategies, "--strategies", str, STRATEGIES.__contains__,
                           "one of " + "|".join(STRATEGIES))
     scenario = load_scenario(resolve_config(args.config))
+    _check_out(args.out)
     problem = scenario.build_problem()
 
     results = {s: run_explicit(problem, scenario.source, scenario.t_end,
@@ -140,6 +153,7 @@ def cmd_bench_update(args) -> int:
     tols = sorted({0.0, *_entries(args.tols, "--tols", float, *FLOAT_RANGES["tol_update"],
                                   stem=_tol_stem)})
     scenario = load_scenario(resolve_config(args.config))
+    _check_out(args.out)
     problem = scenario.build_problem()
     if not problem.is_nonlinear:
         raise ConfigError("bench-update requires a nonlinear scenario; the "

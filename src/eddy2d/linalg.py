@@ -4,7 +4,8 @@ Compressed-row matrices (their products run scipy's compiled CSR kernel), a
 preconditioned conjugate gradient solver with start-vector support and
 per-solve iteration reporting, incomplete Cholesky / Jacobi preconditioners,
 a sparse LU factorization for the constant SPD blocks, modified
-Gram-Schmidt, power iteration and a Gram-matrix SVD for snapshot windows.
+Gram-Schmidt, power iteration and a dense Cholesky factorization that
+reports the pivot where it breaks down.
 PCG is hand-rolled because iteration counts and start vectors are
 first-class outputs here, not implementation details. PCG takes the matrix
 itself and a preconditioner as a plain function r -> M^-1 r; power
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 from scipy.sparse import _sparsetools  # the compiled CSR kernels behind csr @ x
@@ -388,39 +388,6 @@ def cholesky_spd(A: np.ndarray) -> np.ndarray:
         if j + 1 < n:
             L[j + 1:, j] = (A[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
     return L
-
-
-def dense_solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cholesky solve for small dense SPD systems (projection dimension)."""
-    L = cholesky_spd(A)
-    y = scipy.linalg.solve_triangular(L, np.asarray(b, dtype=float), lower=True,
-                                      check_finite=False)
-    return scipy.linalg.solve_triangular(L, y, lower=True, trans="T", check_finite=False)
-
-
-def svd_small(X: np.ndarray, drop_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Left singular vectors and singular values of a tall matrix with few
-    columns, via the eigendecomposition of the small Gram matrix X^T X.
-    Columns with sigma <= drop_tol * sigma_1 are omitted."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("svd_small expects a 2D array")
-    m = X.shape[1]
-    if m == 0 or not np.any(X):
-        return np.zeros((X.shape[0], 0)), np.zeros(0)
-    G = X.T @ X
-    w, V = np.linalg.eigh(G)
-    order = np.argsort(w)[::-1]
-    w = np.clip(w[order], 0.0, None)
-    sigma = np.sqrt(w)
-    if sigma[0] == 0.0:
-        return np.zeros((X.shape[0], 0)), np.zeros(0)
-    keep = sigma > drop_tol * sigma[0]
-    sigma = sigma[keep]
-    U = X @ V[:, order][:, keep] / sigma
-    # renormalize: Gram route loses a few digits for graded spectra
-    U /= np.linalg.norm(U, axis=0)
-    return U, sigma
 
 
 def export_matrix(A: SparseMatrix, path) -> None:

@@ -247,6 +247,8 @@ def load_mesh(path) -> Mesh2D:
             raise MeshError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
         except UnicodeDecodeError as exc:
             raise MeshError(f"{path}: not UTF-8 text: {exc}") from exc
+        except RecursionError:
+            raise MeshError(f"{path}: JSON nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise MeshError(f"{path}: a mesh file must hold a JSON object")
     for key in ("nodes", "elements", "regions", "boundary"):

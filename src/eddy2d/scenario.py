@@ -294,6 +294,8 @@ def load_scenario(path) -> Scenario:
             raise ConfigError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+        except RecursionError:
+            raise ConfigError(f"{path}: JSON nested too deeply to parse") from None
     name = os.path.splitext(os.path.basename(str(path)))[0]
     return parse_scenario(doc, name=name)
 

@@ -1,18 +1,15 @@
 """Start-vector generators for the PCG solves on K_nn.
 
-The recycling strategies exploit that the K_nn solves form a
-multiple-right-hand-side sequence with a constant matrix: solutions from
-previous time steps span a subspace in which the new solution is nearly
-contained, so a small projected (Galerkin) solve yields a start vector that
-leaves PCG little to do.
-
-CSPE keeps an orthonormal basis of previous solutions where at most one
-column changes per step, so all cached K_nn*v products except the newest
-are reused. POD compresses a snapshot window through the SVD and keeps only
-modes within a singular-value ratio threshold, then solves the reduced
-system U_r^T K_nn U_r. The direct strategy recycles nothing: its start
-vector is the exact solve with a sparse LU factor of K_nn, which PCG then
-only checks.
+The K_nn solves form a multiple-right-hand-side sequence with a constant
+matrix: previous solutions span a subspace that nearly contains the next
+one, so a small projected (Galerkin) solve gives a start vector that leaves
+PCG little to do. CSPE and POD are one projection x0 = V (V^T K_nn V)^-1 V^T b
+on two bases, with V^T K_nn V factored once per basis change, at push.
+CSPE's V holds orthonormalized previous solutions and gains at most one
+column, and one K_nn*v product, per push; POD's V holds the leading left
+singular vectors of a snapshot window. The direct strategy recycles
+nothing: its start vector is the exact solve with a sparse LU factor of
+K_nn, which PCG then only checks.
 """
 from __future__ import annotations
 
@@ -20,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SolverError, SpdSolveError
-from .linalg import SparseMatrix, cholesky_spd, dense_solve_spd, mgs_extend, svd_small
+from .linalg import SparseMatrix, cholesky_spd, mgs_extend
 
 
 STRATEGIES = ("previous", "cspe", "pod", "direct")
@@ -42,139 +39,108 @@ class PreviousSolution:
         self._last = np.array(solution, dtype=float)
 
 
-class CspeCache:
+class _GalerkinStart:
+    """The start x0 = V z with G z = V^T b, G = V^T K_nn V, on the basis
+    ``basis`` (None: zero start). A push of a nonzero solution updates the
+    history (``_extend``), which factors G once for every later start."""
+
+    def __init__(self, knn: SparseMatrix, window: int):
+        if window < 1:
+            raise ValueError(f"{self.name} window must be >= 1")
+        self.knn, self.window = knn, window
+        self.basis: np.ndarray | None = None
+        self._chol: np.ndarray | None = None
+        self.spmv_count = 0
+
+    def push(self, x: np.ndarray) -> None:
+        x = np.asarray(x, dtype=float)
+        if float(np.linalg.norm(x)) != 0.0:
+            self._extend(x)
+
+    def _factor(self, V: np.ndarray, KV: np.ndarray) -> int | None:
+        """Take V as the basis when G = V^T KV is SPD and return None;
+        otherwise leave no basis and return the pivot where G breaks down."""
+        self.basis = self._chol = None
+        try:
+            self._chol = cholesky_spd(V.T @ KV)
+        except SpdSolveError as exc:
+            return exc.pivot
+        self.basis = V
+        return None
+
+    def start(self, rhs: np.ndarray) -> np.ndarray:
+        if self.basis is None:
+            return np.zeros(self.knn.nrows)
+        y = scipy.linalg.solve_triangular(self._chol, self.basis.T @ rhs, lower=True,
+                                          check_finite=False)
+        z = scipy.linalg.solve_triangular(self._chol, y, lower=True, trans="T",
+                                          check_finite=False)
+        return self.basis @ z
+
+
+class CspeCache(_GalerkinStart):
     """Cascaded subspace-projection extrapolation.
 
-    V holds up to ``window`` orthonormalized previous solutions; KV caches
-    K_nn*v per column. A push orthogonalizes the new solution against V
-    (evicting the oldest column first when the window is full) and computes
-    exactly one new matrix-vector product.
+    ``columns`` holds up to ``window`` orthonormalized previous solutions;
+    ``kcolumns`` caches K_nn*v per column. A push orthogonalizes the new
+    solution against them (evicting the oldest column first when the window
+    is full) and computes exactly one new matrix-vector product. A column at
+    whose pivot the Gram matrix stops being SPD is dropped.
     """
 
     name = "cspe"
 
     def __init__(self, knn: SparseMatrix, window: int, drop_tol: float = 1e-10):
-        if window < 1:
-            raise ValueError("cspe window must be >= 1")
-        self.knn = knn
-        self.window = window
+        super().__init__(knn, window)
         self.drop_tol = drop_tol
         self.columns: list[np.ndarray] = []
         self.kcolumns: list[np.ndarray] = []
-        self.spmv_count = 0
 
-    def push(self, x: np.ndarray) -> None:
-        x = np.asarray(x, dtype=float)
-        if float(np.linalg.norm(x)) == 0.0:
-            return
+    def _extend(self, x: np.ndarray) -> None:
         if len(self.columns) == self.window:
             self.columns.pop(0)
             self.kcolumns.pop(0)
         v = mgs_extend(self.columns, x, self.drop_tol)
-        if v is None:
-            return
-        self.columns.append(v)
-        self.kcolumns.append(self.knn.matvec(v))
-        self.spmv_count += 1
-
-    def start(self, rhs: np.ndarray) -> np.ndarray:
-        if not self.columns:
-            return np.zeros(self.knn.nrows)
+        if v is not None:
+            self.columns.append(v)
+            self.kcolumns.append(self.knn.matvec(v))
+            self.spmv_count += 1
         while self.columns:
-            V = np.column_stack(self.columns)
-            KV = np.column_stack(self.kcolumns)
-            G = V.T @ KV
-            g = V.T @ rhs
-            try:
-                z = dense_solve_spd(G, g)
-            except SpdSolveError as exc:
-                drop = exc.pivot if exc.pivot is not None else len(self.columns) - 1
-                self.columns.pop(drop)
-                self.kcolumns.pop(drop)
-                continue
-            return V @ z
-        return np.zeros(self.knn.nrows)
+            drop = self._factor(np.column_stack(self.columns), np.column_stack(self.kcolumns))
+            if drop is None:
+                return
+            self.columns.pop(drop)
+            self.kcolumns.pop(drop)
 
 
-def pod_truncate(sigma: np.ndarray, tol_pod: float) -> int:
-    """Number of leading modes with sigma_1 / sigma_k <= tol_pod.
-
-    Note: keeping the *well-conditioned* leading modes reads the threshold
-    as an upper bound on the ratio; the opposite direction would retain
-    arbitrarily ill-conditioned modes and break the reduced solve.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.size == 0:
-        return 0
-    if np.any(np.diff(sigma) > 0):
-        raise ValueError("singular values must be nonincreasing")
-    if sigma[0] <= 0:
-        return 0
-    with np.errstate(divide="ignore"):
-        ratios = np.where(sigma > 0, sigma[0] / np.where(sigma > 0, sigma, 1.0), np.inf)
-    return int(np.count_nonzero(ratios <= tol_pod))
-
-
-class PodCache:
-    """Snapshot POD basis with a reduced K_nn matrix, refreshed on push.
-
-    The reduced matrix R = U_r^T K_nn U_r and its Cholesky factor are reused
-    across start() calls until the snapshot window changes.
+class PodCache(_GalerkinStart):
+    """Snapshot POD basis: the leading left singular vectors of the last
+    ``window`` snapshots with sigma_1 / sigma_k <= tol_pod, fewer while the
+    Gram matrix is not SPD. Reading tol_pod as an upper bound on the ratio
+    keeps the well-conditioned leading modes; the opposite direction would
+    retain arbitrarily ill-conditioned ones and break the reduced solve.
     """
 
     name = "pod"
 
     def __init__(self, knn: SparseMatrix, window: int, tol_pod: float = 1e4):
-        if window < 1:
-            raise ValueError("pod window must be >= 1")
-        self.knn = knn
-        self.window = window
+        super().__init__(knn, window)
         self.tol_pod = tol_pod
         self.snapshots: list[np.ndarray] = []
-        self.U_r: np.ndarray | None = None
-        self._chol: np.ndarray | None = None
-        self.spmv_count = 0
 
     @property
     def n_modes(self) -> int:
-        return 0 if self.U_r is None else self.U_r.shape[1]
+        return 0 if self.basis is None else self.basis.shape[1]
 
-    def push(self, x: np.ndarray) -> None:
-        x = np.asarray(x, dtype=float)
-        if float(np.linalg.norm(x)) == 0.0:
-            return
-        self.snapshots.append(x.copy())
-        if len(self.snapshots) > self.window:
-            self.snapshots.pop(0)
-        self._refresh()
-
-    def _refresh(self) -> None:
-        X = np.column_stack(self.snapshots)
-        U, sigma = svd_small(X)
-        k = pod_truncate(sigma, self.tol_pod)
-        while k > 0:
-            U_r = U[:, :k]
-            KU = np.column_stack([self.knn.matvec(U_r[:, j]) for j in range(k)])
-            self.spmv_count += k
-            R = U_r.T @ KU
-            try:
-                self._chol = cholesky_spd(R)
-            except SpdSolveError:
-                k -= 1  # stricter truncation until the reduced matrix is SPD
-                continue
-            self.U_r = U_r
-            return
-        self.U_r = None
-        self._chol = None
-
-    def start(self, rhs: np.ndarray) -> np.ndarray:
-        if self.U_r is None:
-            return np.zeros(self.knn.nrows)
-        g = self.U_r.T @ rhs
-        y = scipy.linalg.solve_triangular(self._chol, g, lower=True, check_finite=False)
-        z = scipy.linalg.solve_triangular(self._chol, y, lower=True, trans="T",
-                                          check_finite=False)
-        return self.U_r @ z
+    def _extend(self, x: np.ndarray) -> None:
+        self.snapshots = (self.snapshots + [x.copy()])[-self.window:]
+        U, sigma, _ = np.linalg.svd(np.column_stack(self.snapshots), full_matrices=False)
+        k = int(np.count_nonzero(sigma[0] <= self.tol_pod * sigma))
+        KU = [self.knn.matvec(U[:, j]) for j in range(k)]
+        self.spmv_count += k
+        self.basis = None  # stays so when no mode passes or none gives an SPD G
+        while k > 0 and self._factor(U[:, :k], np.column_stack(KU[:k])) is not None:
+            k -= 1  # stricter truncation until the Gram matrix is SPD
 
 
 class FactorSolution:

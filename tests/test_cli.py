@@ -155,12 +155,14 @@ def test_missing_config_resolves_to_error(tmp_path):
                  "--method", "explicit", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("case", ["not_utf8", "directory"])
+@pytest.mark.parametrize("case", ["not_utf8", "directory", "deeply_nested"])
 @pytest.mark.parametrize("command", ["run", "cfl"])
 def test_unreadable_config_exits_config(tmp_path, capsys, command, case):
     cfg = tmp_path / "bad.json"
     if case == "directory":
         cfg.mkdir()
+    elif case == "deeply_nested":
+        cfg.write_text("[" * 100_000)  # json.load gives up with RecursionError
     else:
         cfg.write_bytes(b"\xff\xfe")
     argv = [command, "--config", str(cfg)]
@@ -224,6 +226,25 @@ def test_bench_list_arguments_checked_before_any_run(nonlinear_config_path, tmp_
                  "--out", str(out)]) == EXIT_CONFIG
     assert bad in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["file", ""])
+@pytest.mark.parametrize("command", ["run", "bench-startvec", "bench-update"])
+def test_bad_out_exits_config_before_any_run(nonlinear_config_path, tmp_path, capsys,
+                                             monkeypatch, command, out):
+    # an --out that cannot become a directory is refused before set-up, not
+    # after a whole run
+    if out == "file":
+        out = str(tmp_path / "taken")
+        open(out, "w").close()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(eddy2d.cli, "run_explicit", no_run)
+    monkeypatch.setattr(eddy2d.scenario.Scenario, "build_problem", no_run)
+    assert main([command, "--config", nonlinear_config_path, "--out", out]) == EXIT_CONFIG
+    assert "--out" in capsys.readouterr().err
 
 
 def test_bench_update_counts(nonlinear_config_path, tmp_path):
@@ -372,6 +393,7 @@ BAD_MESH_FILES = {
     "malformed": "{oops",
     "not_an_object": "[1, 2]",
     "not_utf8": b"\xff\xfe",
+    "deeply_nested": "[" * 100_000,
     "non_numeric": {"nodes": "abc"},
     "ragged": {"nodes": [[0.0, 0.0], [1.0]]},
     "fractional_boundary": {"boundary": [0.7]},
@@ -425,23 +447,26 @@ def test_determinism_bitwise_csv(config_path, tmp_path):
 def test_determinism_nonlinear_bitwise_csv(tmp_path):
     # plate2d at nx=10 with a stronger drive: every step rebuilds K_cc and
     # one rebuild re-estimates lambda_max, so the rebuild and probe maps and
-    # the re-estimate all feed the CSVs compared
+    # the re-estimate all feed the CSVs compared; the recycling strategies
+    # add their start-vector histories
     doc = json.load(open(bundled_scenario_path("plate2d")))
     doc["mesh"].update(nx=10, ny=10)
     doc["source"]["i_max"] = 3000.0
     doc["t_end"] = 0.1
-    path = tmp_path / "plate10.json"
-    path.write_text(json.dumps(doc))
-    outs = [str(tmp_path / f"n{i}") for i in (1, 2)]
-    for out in outs:
-        assert main(["run", "--config", str(path), "--method", "explicit",
-                     "--out", out]) == EXIT_OK
-    summary = json.load(open(os.path.join(outs[0], "result_explicit_summary.json")))
-    assert summary["update_count"] == summary["step_count"] > 100
-    assert summary["cfl_estimates"] >= 2
-    for name in ("result_explicit.csv", "result_explicit_iterations.csv"):
-        b1, b2 = (open(os.path.join(out, name), "rb").read() for out in outs)
-        assert b1 == b2
+    for strategy in ("direct", "cspe", "pod"):
+        doc["solver"]["strategy"] = strategy
+        path = tmp_path / f"plate10_{strategy}.json"
+        path.write_text(json.dumps(doc))
+        outs = [str(tmp_path / f"{strategy}{i}") for i in (1, 2)]
+        for out in outs:
+            assert main(["run", "--config", str(path), "--method", "explicit",
+                         "--out", out]) == EXIT_OK
+        summary = json.load(open(os.path.join(outs[0], "result_explicit_summary.json")))
+        assert summary["update_count"] == summary["step_count"] > 100
+        assert summary["cfl_estimates"] >= 2
+        for name in ("result_explicit.csv", "result_explicit_iterations.csv"):
+            b1, b2 = (open(os.path.join(out, name), "rb").read() for out in outs)
+            assert b1 == b2, (strategy, name)
 
 
 def test_run_bundled_by_name(tmp_path):

@@ -2,12 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from eddy2d.errors import Ic0Breakdown, SolverError, SpdSolveError
 from eddy2d.linalg import (
     SparseMatrix,
-    dense_solve_spd,
+    cholesky_spd,
     export_matrix,
     factor_spd,
     ic0_preconditioner,
@@ -15,7 +16,6 @@ from eddy2d.linalg import (
     mgs_extend,
     pcg,
     power_iteration,
-    svd_small,
 )
 from eddy2d.startvec import CspeCache
 
@@ -438,14 +438,22 @@ def test_power_iteration_reseeds_on_annihilation():
 
 # ------------------------------------------------------------------ dense SPD
 
+def cholesky_solve(A, b):
+    """A^-1 b by cholesky_spd and two triangular solves, as the subspace
+    start vectors apply their Gram factor."""
+    L = cholesky_spd(A)
+    y = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
+    return scipy.linalg.solve_triangular(L, y, lower=True, trans="T", check_finite=False)
+
+
 def test_dense_solve_identity():
     b = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(dense_solve_spd(np.eye(3), b), b)
+    np.testing.assert_allclose(cholesky_solve(np.eye(3), b), b)
 
 
 def test_dense_solve_closed_form():
     A = np.array([[4.0, 1.0], [1.0, 3.0]])
-    z = dense_solve_spd(A, np.array([1.0, 2.0]))
+    z = cholesky_solve(A, np.array([1.0, 2.0]))
     np.testing.assert_allclose(z, [1.0 / 11.0, 7.0 / 11.0], rtol=1e-12)
 
 
@@ -453,7 +461,7 @@ def test_dense_solve_hilbert():
     n = 4
     H = np.array([[1.0 / (i + j + 1) for j in range(n)] for i in range(n)])
     b = H @ np.ones(n)
-    z = dense_solve_spd(H, b)
+    z = cholesky_solve(H, b)
     np.testing.assert_allclose(z, np.ones(n), atol=1e-6)
 
 
@@ -461,58 +469,15 @@ def test_dense_solve_residual_contract():
     rng = np.random.default_rng(61)
     A = random_spd(40, rng)
     b = rng.standard_normal(40)
-    z = dense_solve_spd(A, b)
+    z = cholesky_solve(A, b)
     assert np.linalg.norm(A @ z - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_dense_solve_reports_pivot():
     A = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(SpdSolveError) as exc:
-        dense_solve_spd(A, np.ones(2))
+        cholesky_spd(A)
     assert exc.value.pivot == 1
-
-
-# ------------------------------------------------------------------- small SVD
-
-def test_svd_small_orthogonal_columns():
-    X = np.zeros((6, 2))
-    X[0, 0] = 3.0
-    X[1, 1] = 2.0
-    U, sigma = svd_small(X)
-    np.testing.assert_allclose(sigma, [3.0, 2.0])
-    np.testing.assert_allclose(np.abs(U[0, 0]), 1.0)
-    np.testing.assert_allclose(np.abs(U[1, 1]), 1.0)
-
-
-def test_svd_small_duplicated_column():
-    rng = np.random.default_rng(67)
-    v = rng.standard_normal(30)
-    U, sigma = svd_small(np.column_stack([v, v]))
-    assert sigma.size == 1
-
-
-def test_svd_small_reconstruction():
-    rng = np.random.default_rng(71)
-    X = rng.standard_normal((100, 5))
-    U, sigma = svd_small(X)
-    V = X.T @ U / sigma
-    rec = U @ np.diag(sigma) @ V.T
-    assert np.linalg.norm(rec - X) / np.linalg.norm(X) <= 1e-8
-    assert np.abs(U.T @ U - np.eye(5)).max() <= 1e-8
-    assert np.all(np.diff(sigma) <= 0)
-
-
-def test_svd_small_matches_gram_eigenvalues():
-    rng = np.random.default_rng(73)
-    X = rng.standard_normal((50, 4))
-    _, sigma = svd_small(X)
-    w = np.sort(np.linalg.eigvalsh(X.T @ X))[::-1]
-    np.testing.assert_allclose(sigma, np.sqrt(w), rtol=1e-10)
-
-
-def test_svd_small_all_zero():
-    U, sigma = svd_small(np.zeros((10, 3)))
-    assert U.shape == (10, 0) and sigma.size == 0
 
 
 # ---------------------------------------------------------------------- export

@@ -1,8 +1,8 @@
 import numpy as np
-import pytest
+import scipy.linalg
 
-from eddy2d.linalg import SparseMatrix, pcg
-from eddy2d.startvec import CspeCache, PodCache, PreviousSolution, make_provider, pod_truncate
+from eddy2d.linalg import SparseMatrix, cholesky_spd, pcg
+from eddy2d.startvec import CspeCache, PodCache, PreviousSolution, make_provider
 
 from conftest import make_mini_problem
 
@@ -131,29 +131,110 @@ def test_cspe_start_linear_in_rhs():
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
+def old_cspe_start(cache, rhs):
+    """The start CSPE computed before its Gram factor was kept across starts:
+    the whole projection rebuilt from the cached columns at every call."""
+    if not cache.columns:
+        return np.zeros(cache.knn.nrows)
+    V = np.column_stack(cache.columns)
+    L = cholesky_spd(V.T @ np.column_stack(cache.kcolumns))
+    y = scipy.linalg.solve_triangular(L, V.T @ rhs, lower=True, check_finite=False)
+    z = scipy.linalg.solve_triangular(L, y, lower=True, trans="T", check_finite=False)
+    return V @ z
+
+
+def test_cspe_start_bitwise_equals_per_call_projection():
+    K = spd_matrix(16, seed=31)
+    cache = CspeCache(K, window=4)
+    rng = np.random.default_rng(32)
+    kinds = []
+    for step in range(60):
+        kind = ("random", "in_span", "zero")[step % 3] if step > 2 else "random"
+        if kind == "random":
+            x = rng.standard_normal(16)
+        elif kind == "in_span":
+            x = np.column_stack(cache.columns) @ rng.standard_normal(len(cache.columns))
+        else:
+            x = np.zeros(16)
+        full = len(cache.columns) == cache.window
+        cache.push(x)
+        kinds.append((kind, full))
+        r = rng.standard_normal(16)
+        assert np.array_equal(cache.start(r), old_cspe_start(cache, r))
+    assert ("random", True) in kinds      # pushes that evict
+    assert ("in_span", True) in kinds     # evictions whose push adds no column
+    assert ("zero", True) in kinds
+
+
+# ------------------------------------------------------ Gram matrix breakdown
+
+INDEFINITE = SparseMatrix.from_dense(np.diag([1.0, -1.0, 2.0, 3.0]))
+
+
+def test_cspe_drops_the_column_where_the_gram_matrix_breaks_down():
+    e = np.eye(4)
+    cache = CspeCache(INDEFINITE, window=3)
+    cache.push(e[1])  # G = [-1]: the only column fails at pivot 0
+    assert cache.columns == [] and cache.basis is None
+    np.testing.assert_array_equal(cache.start(np.ones(4)), 0.0)
+    cache.push(e[0])
+    cache.push(e[1])  # G = diag(1, -1) fails at pivot 1
+    assert len(cache.columns) == 1
+    np.testing.assert_array_equal(cache.columns[0], e[0])
+    r = np.array([3.0, 1.0, 1.0, 1.0])
+    np.testing.assert_allclose(cache.start(r), [3.0, 0.0, 0.0, 0.0])
+    cache.push(e[2])
+    assert len(cache.columns) == 2
+    np.testing.assert_allclose(cache.start(r), [3.0, 0.0, 0.5, 0.0])
+
+
+def test_pod_takes_fewer_modes_until_the_gram_matrix_is_spd():
+    e = np.eye(4)
+    cache = PodCache(INDEFINITE, window=3)
+    cache.push(2.0 * e[0])
+    cache.push(e[1])  # two modes pass tol_pod; G = diag(1, -1) is not SPD
+    assert cache.n_modes == 1
+    np.testing.assert_allclose(np.abs(cache.basis[:, 0]), e[0])
+    np.testing.assert_allclose(cache.start(np.array([3.0, 1.0, 1.0, 1.0])),
+                               [3.0, 0.0, 0.0, 0.0])
+    none = PodCache(INDEFINITE, window=3)
+    none.push(e[1])  # the one mode gives G = [-1]: no basis
+    assert none.n_modes == 0
+    np.testing.assert_array_equal(none.start(np.ones(4)), 0.0)
+
+
 # --------------------------------------------------------------- POD truncate
 
+def pod_modes(sigma, tol_pod=1e4):
+    """Modes PodCache keeps for orthogonal snapshots of norms ``sigma``
+    (its singular values) under K = I."""
+    cache = PodCache(SparseMatrix.identity(8), window=8, tol_pod=tol_pod)
+    for i, s in enumerate(sigma):
+        cache.push(s * np.eye(8)[i])
+    return cache.n_modes
+
+
 def test_pod_truncate_example():
-    assert pod_truncate(np.array([10.0, 1.0, 1e-5]), 1e4) == 2
+    assert pod_modes([10.0, 1.0, 1e-5], 1e4) == 2
 
 
 def test_pod_truncate_single_value():
-    assert pod_truncate(np.array([5.0]), 1.0) == 1
-    assert pod_truncate(np.array([5.0]), 1e6) == 1
+    assert pod_modes([5.0], 1.0) == 1
+    assert pod_modes([5.0], 1e6) == 1
 
 
 def test_pod_truncate_all_equal():
-    assert pod_truncate(np.full(7, 3.3), 1e4) == 7
+    assert pod_modes([3.3] * 7, 1e4) == 7
 
 
 def test_pod_truncate_empty_and_zero():
-    assert pod_truncate(np.array([]), 1e4) == 0
-    assert pod_truncate(np.array([0.0]), 1e4) == 0
-
-
-def test_pod_truncate_requires_nonincreasing():
-    with pytest.raises(ValueError):
-        pod_truncate(np.array([1.0, 2.0]), 1e4)
+    assert pod_modes([]) == 0
+    assert pod_modes([0.0]) == 0  # a zero snapshot is never pushed
+    # a repeated snapshot leaves a zero singular value, which no tol_pod keeps
+    cache = PodCache(SparseMatrix.identity(4), window=3, tol_pod=1e300)
+    cache.push(np.array([2.0, 0.0, 0.0, 0.0]))
+    cache.push(np.array([2.0, 0.0, 0.0, 0.0]))
+    assert cache.n_modes == 1
 
 
 # ------------------------------------------------------------------- POD start
@@ -176,7 +257,7 @@ def test_pod_start_matches_dense_reduced_oracle():
     for _ in range(4):
         cache.push(rng.standard_normal(15))
     r = rng.standard_normal(15)
-    U = cache.U_r
+    U = cache.basis
     Kd = K.toarray()
     ref = U @ np.linalg.solve(U.T @ Kd @ U, U.T @ r)
     np.testing.assert_allclose(cache.start(r), ref, atol=1e-10)
