@@ -19,8 +19,8 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigError, Eddy2dError, InstabilityError
-from .integrate import (RunResult, fixed_step_count, probe_deviation, run_explicit,
-                        run_implicit, start_explicit)
+from .integrate import (RunResult, probe_deviation, run_explicit, run_implicit,
+                        start_explicit, step_path)
 from .mesh import min_edge_length
 from .scenario import FLOAT_RANGES, Scenario, load_scenario, resolve_config
 from .startvec import STRATEGIES
@@ -178,7 +178,10 @@ def cmd_bench_update(args) -> int:
 def cmd_cfl(args) -> int:
     scenario = load_scenario(resolve_config(args.config))
     problem = scenario.build_problem()
-    state, _, _, dt_cfl = start_explicit(problem, scenario.options)
+    opts = scenario.options
+    state, _, _, dt_cfl = start_explicit(problem, opts)
+    dt = dt_cfl if opts.dt_override is None else opts.dt_override
+    interface, steps, n_i = step_path(problem.blocks, opts, scenario.t_end, dt)
 
     # conductor elements are the ones with kappa > 0; nu(0) by the runs' own law
     h = min_edge_length(problem.mesh)
@@ -189,10 +192,13 @@ def cmd_cfl(args) -> int:
 
     print(f"lambda_max (power iteration) = {state.lam_max!r} 1/s")
     print(f"dt_cfl = safety*2/lambda_max = {dt_cfl!r} s  (safety {scenario.options.safety})")
-    print(f"projected steps for t_end={scenario.t_end}: "
-          f"{fixed_step_count(scenario.t_end, dt_cfl)}")
+    print(f"projected steps for t_end={scenario.t_end}: {steps}")
     print(f"heuristic 1/(h^2*kappa*mu) = {heuristic!r} 1/s  "
           f"(h={h!r}, kappa={kappa_max!r}, mu={mu_max!r}; not a sharp estimate)")
+    print(f"interface DoFs n_i = {n_i}")
+    print("step path: " + ("interface block formed once, no K_nn solve per step" if interface
+                           else "one K_nn solve per step") + f" (strategy {opts.strategy}; "
+          f"direct forms the block when projected steps {steps} > n_i {n_i})")
     return EXIT_OK
 
 

@@ -6,12 +6,15 @@ Explicit Euler on the Schur-complement ODE:
                                        - (K_cc(a_c^l) - K_S) a_c^{m-1} ],
     a_n^m = pinv(K_nn) (j_sn^m - K_cn^T a_c^m).
 
-Since a_n^{m-1} = pinv(K_nn) (j_sn^{m-1} - K_cn^T a_c^{m-1}) is kept from
-the previous step, the source and Schur terms of the bracket collapse to
+Under ``direct``, a run of more than n_i steps (step_path) applies K_S as
+the interface block formed once (schur.form_interface): a step makes no
+K_nn solve, and a_n is recovered only for outputs. Otherwise a_n^{m-1} =
+pinv(K_nn) (j_sn^{m-1} - K_cn^T a_c^{m-1}) is kept from the previous step,
+so the source and Schur terms of the bracket collapse to
 
     -K_cn pinv(K_nn) (j_sn^m - j_sn^{m-1}) - K_cn a_n^{m-1},
 
-so a step makes one K_nn solve, the recovery of a_n^m: the source
+and a step makes one K_nn solve, the recovery of a_n^m: the source
 increments (I_m - I_{m-1}) * pattern are parallel, and schur_rhs scales
 its first solve for every later one. M_cc^-1 is one M_cc solve; M_cc is
 constant, so MccSolver factors it once at set-up and PCG at mcc_tol
@@ -35,9 +38,10 @@ accuracy reference; it is unconditionally stable and reassembles the
 stiffness and Jacobian (newton_system) in every Newton iteration, from the
 element data discretize resolved once.
 
-run_explicit and the cfl command share one set-up, start_explicit. Both run
-loops keep their rows, probe values and snapshots in one _Trajectory. The
-probe's |B| is one compiled product on [a_c | a_n] (AssembledProblem.probe_b2);
+run_explicit and the cfl command share one set-up, start_explicit, and one
+path rule, step_path. Both run loops keep their rows, probe values and
+snapshots in one _Trajectory. The probe's |B| is one compiled product on
+[a_c | a_n at the probe's nonconducting DoFs] (AssembledProblem.probe_b2);
 a full nodal vector is built only for a snapshot.
 """
 from __future__ import annotations
@@ -72,7 +76,8 @@ from .assembly import (
 from .errors import AssemblyError, InstabilityError, SolverError
 from .linalg import SparseMatrix, factor_spd, norm2, pcg, power_iteration
 from .mesh import Mesh2D
-from .schur import SchurContext, apply_ks, recover_an, schur_rhs
+from .schur import (SchurContext, apply_ks, form_interface, interface_dofs, recover_an,
+                    schur_rhs)
 
 MAX_STEPS = 50_000_000
 
@@ -106,8 +111,9 @@ class SolverOptions:
 class AssembledProblem:
     """Mesh, materials and the assembled system at a = 0, with the element
     data resolved once: all elements, the probe elements with their B^2 map
-    on [a_c | a_n] and total area, and for nonlinear problems the K_cc
-    rebuild map (None for linear ones)."""
+    on [a_c | a_n[probe_n]] and total area, and for nonlinear problems the
+    K_cc rebuild map (None for linear ones). probe_n lists, ascending, the
+    a_n entries of the probe's nonconducting nodes."""
 
     mesh: Mesh2D
     materials: MaterialTable
@@ -118,6 +124,7 @@ class AssembledProblem:
     elements: ElementData
     probe: ElementData
     probe_b2: B2Map
+    probe_n: np.ndarray
     probe_area: float
     kcc_map: KccRebuildMap | None
     _factor_cache: dict = field(default_factory=dict, repr=False)
@@ -149,17 +156,24 @@ def discretize(mesh: Mesh2D, materials: MaterialTable,
     nonlinear = any(m.is_nonlinear for m in materials.conductors.values())
     kcc_map = kcc_rebuild_map(mesh, part, data) if nonlinear else None
     probe = data.subset(probe_eids)
+    # each probe node's column in [a_c | a_n[probe_n]]
+    index = part.positions(mesh.n_nodes)
+    probe_n = np.unique(index[probe.nodes]) - part.n_c
+    probe_n = probe_n[probe_n >= 0]
+    on_n = index >= part.n_c
+    index[on_n] = part.n_c + np.searchsorted(probe_n, index[on_n] - part.n_c)
     return AssembledProblem(mesh, materials, part, blocks, M, K, data, probe,
-                            b2_map(probe, part.positions(mesh.n_nodes), part.n_free),
+                            b2_map(probe, index, part.n_c + probe_n.size), probe_n,
                             float(probe.area.sum()), kcc_map)
 
 
-def probe_average_b(problem: AssembledProblem, a_c: np.ndarray, a_n: np.ndarray) -> float:
-    """Area-weighted mean |B| over the probe elements."""
+def probe_average_b(problem: AssembledProblem, a_c: np.ndarray, a_pn: np.ndarray) -> float:
+    """Area-weighted mean |B| over the probe elements, from a_c and
+    a_pn = a_n[problem.probe_n]."""
     areas = problem.probe.area
     if areas.size == 0:
         return 0.0
-    b2 = problem.probe_b2(np.concatenate([a_c, a_n]))
+    b2 = problem.probe_b2(np.concatenate([a_c, a_pn]))
     return float((areas * np.sqrt(b2)).sum() / problem.probe_area)
 
 
@@ -217,7 +231,8 @@ class SolverState:
     new_state starts consistent (all zero) and every explicit_step restores
     it; the step relies on it for its Schur term. A caller that overwrites
     a_c alone leaves it broken for one step, which then uses K_cc in place
-    of K_cc - K_S."""
+    of K_cc - K_S. On the interface path the step neither reads nor sets
+    a_n: it holds only after run_explicit recovers it for an output."""
 
     t: float
     a_c: np.ndarray
@@ -296,12 +311,16 @@ def estimate_cfl(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurConte
 def explicit_step(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurContext,
                   mcc_solver: MccSolver, j_sn: np.ndarray) -> SolverState:
     """One explicit Euler step; j_sn is the source at the new time t + dt.
-    Uses K_cc_current (the selective-update substitute for K_cc(a_c^{m-1}))
-    and the a_n invariant of SolverState in place of a K_S apply. The one
-    K_nn solve recovers a_n; schur_rhs reuses its last source solve."""
-    bracket = schur_rhs(schur_ctx, j_sn - state.j_sn) \
-        - blocks.K_cn.matvec(state.a_n) \
-        - state.K_cc_current.matvec(state.a_c)
+    Uses K_cc_current (the selective-update substitute for K_cc(a_c^{m-1})).
+    K_S is the formed interface block when schur_ctx holds one; otherwise
+    the a_n invariant of SolverState stands in for it, and the one K_nn
+    solve recovers a_n. schur_rhs reuses its last source solve."""
+    block = schur_ctx.interface
+    if block is None:
+        bracket = schur_rhs(schur_ctx, j_sn - state.j_sn) - blocks.K_cn.matvec(state.a_n)
+    else:
+        bracket = schur_rhs(schur_ctx, j_sn) + block.K_S.matvec(state.a_c)
+    bracket -= state.K_cc_current.matvec(state.a_c)
     state.a_c = state.a_c + state.dt * mcc_solver.solve(bracket)
     norm = norm2(state.a_c)
     # the 1e30 guard trips growing modes long before anything physical gets
@@ -312,7 +331,8 @@ def explicit_step(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurCont
             f"t={state.t + state.dt:.6e} with dt={state.dt:.6e}",
             t=state.t + state.dt, dt=state.dt,
         )
-    state.a_n = recover_an(schur_ctx, state.a_c, j_sn)
+    if block is None:
+        state.a_n = recover_an(schur_ctx, state.a_c, j_sn)
     state.j_sn = j_sn
     state.t += state.dt
     state.step_count += 1
@@ -388,6 +408,7 @@ class RunResult:
             "update_count": self.update_count,
             "cfl_estimates": self.cfl_estimates,
             "pcg_solves": getattr(self.stats, "n_solves", 0),
+            "pcg_solves_by_purpose": dict(getattr(self.stats, "by_purpose", {})),
             "pcg_iterations_total": getattr(self.stats, "total_iterations", 0),
             "pcg_iterations_mean": getattr(self.stats, "mean_iterations", lambda: 0.0)(),
             "mass_solves_total": self.mass_solves,
@@ -408,13 +429,17 @@ class _Trajectory:
         self.rows, self.snapshots = [], []
         self.t_start = time.perf_counter()
 
-    def record(self, step: int, t: float, last: bool, a_c: np.ndarray, a_n: np.ndarray,
-               dt: float, iterations: int, updates: int) -> None:
+    def snapshot_at(self, step: int, last: bool) -> bool:
+        every = self.opts.snapshot_every
+        return bool(every) and step % every == 0 and (last or step % self.opts.output_every == 0)
+
+    def record(self, step: int, t: float, last: bool, a_c: np.ndarray, a_pn: np.ndarray,
+               a_n: np.ndarray, dt: float, iterations: int, updates: int) -> None:
         if step % self.opts.output_every and not last:
             return
-        problem, snapshot_every = self.problem, self.opts.snapshot_every
-        self.rows.append((t, probe_average_b(problem, a_c, a_n), dt, iterations, updates))
-        if snapshot_every and step % snapshot_every == 0:
+        problem = self.problem
+        self.rows.append((t, probe_average_b(problem, a_c, a_pn), dt, iterations, updates))
+        if self.snapshot_at(step, last):
             a_full = problem.part.to_full(a_c, a_n, problem.mesh.n_nodes)
             bmag = np.sqrt(compute_b2(problem.mesh, a_full, problem.elements))
             self.snapshots.append((step, t, bmag, a_full))
@@ -461,20 +486,26 @@ def check_window(t_end: float, dt: float, method: str) -> None:
     at most MAX_STEPS of them."""
     if not dt > 0:
         raise SolverError(f"{method} dt must be positive, got {dt}")
-    if t_end / dt > MAX_STEPS:
-        raise SolverError(f"t_end/dt = {t_end / dt:.3e} exceeds the step limit")
+    check_step_limit(t_end, dt)
     if t_end <= 0.5 * dt:
         raise SolverError(
             f"dt = {dt:.3e} exceeds the integration window t_end = {t_end:.3e}"
         )
 
 
+def check_step_limit(t_end: float, dt: float, t: float = 0.0, steps: int = 0) -> None:
+    """Refuse a run whose steps taken to t plus (t_end - t)/dt exceed MAX_STEPS."""
+    projected = steps + (t_end - t) / dt
+    if projected > MAX_STEPS:
+        raise SolverError(f"{steps} steps taken and (t_end - t)/dt = {(t_end - t) / dt:.3e} "
+                          f"left: {projected:.3e} exceeds the step limit {MAX_STEPS}")
+
+
 def fixed_step_count(t_end: float, dt: float) -> int:
     """Number of steps a run loop takes over [0, t_end] at a fixed dt, by
     the loops' own rule and float arithmetic: step while more than half a
     step is left. More than MAX_STEPS steps are refused, as the loops do."""
-    if t_end / dt > MAX_STEPS:
-        raise SolverError(f"t_end/dt = {t_end / dt:.3e} exceeds the step limit")
+    check_step_limit(t_end, dt)
     t, steps = 0.0, 0
     while t_end - t > 0.5 * dt:
         t += dt
@@ -482,14 +513,27 @@ def fixed_step_count(t_end: float, dt: float) -> int:
     return steps
 
 
+def step_path(blocks: SystemBlocks, opts: SolverOptions, t_end: float,
+              dt: float) -> tuple[bool, int, int]:
+    """(interface, projected steps, n_i): an explicit run at dt forms the
+    interface block when, under ``direct``, it steps more than n_i times.
+    Forming costs n_i solves and saves one per step; dt only shrinks, so
+    the projected count is a lower bound."""
+    steps, n_i = fixed_step_count(t_end, dt), interface_dofs(blocks).size
+    return opts.strategy == "direct" and steps > n_i, steps, n_i
+
+
 def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
                  opts: SolverOptions) -> RunResult:
     """Explicit Euler from t=0 to t_end (within half a step). dt is fixed to
     the CFL estimate at start; re-estimation after K_cc updates may shrink
-    it, never grow it. A rebuild re-estimates only when dt * (lam_max +
+    it, never grow it, and a shrink that takes the run past MAX_STEPS ends
+    it. A rebuild re-estimates only when dt * (lam_max +
     growth_bound) exceeds 1 + safety: the bound may spend half the margin
     safety leaves below the stability limit 2, the other half covers the
-    power iteration's own error."""
+    power iteration's own error. On the interface path (step_path) a_n is
+    recovered, and the DAE residual measured, at snapshots and the last
+    step only."""
     trajectory = _Trajectory(problem, opts)
     blocks = problem.blocks
     state, ctx, mcc, dt_cfl = start_explicit(problem, opts)
@@ -498,16 +542,26 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
     dt_initial, lam_initial = state.dt, state.lam_max
 
     pattern = source_pattern(problem.mesh, source, problem.part)
+    if step_path(blocks, opts, t_end, state.dt)[0]:
+        ctx.interface = form_interface(ctx, pattern, problem.probe_n)
+    block = ctx.interface
     max_dae = 0.0
     while t_end - state.t > 0.5 * state.dt:
         ctx.step = state.step_count + 1
-        j_sn = source.current(state.t + state.dt) * pattern
+        current = source.current(state.t + state.dt)
+        j_sn = current * pattern
         explicit_step(state, blocks, ctx, mcc, j_sn)
-        max_dae = max(max_dae, _dae_residual(blocks, state.a_c, state.a_n, j_sn))
+        last = t_end - state.t <= 0.5 * state.dt
+        full = block is None or last or trajectory.snapshot_at(state.step_count, last)
+        if block is not None and full:
+            state.a_n = recover_an(ctx, state.a_c, j_sn)
+        if full:
+            max_dae = max(max_dae, _dae_residual(blocks, state.a_c, state.a_n, j_sn))
+        a_pn = state.a_n[problem.probe_n] if full \
+            else block.probe_rows.matvec(np.concatenate((state.a_c, (current,))))
 
-        trajectory.record(state.step_count, state.t, t_end - state.t <= 0.5 * state.dt,
-                          state.a_c, state.a_n, state.dt, ctx.stats.total_iterations,
-                          state.update_count)
+        trajectory.record(state.step_count, state.t, last, state.a_c, a_pn, state.a_n,
+                          state.dt, ctx.stats.total_iterations, state.update_count)
 
         # selective updates only matter when K_cc actually depends on a_c
         if problem.is_nonlinear:
@@ -518,6 +572,7 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
                 dt_new = estimate_cfl(state, blocks, ctx, mcc, opts)
                 if opts.dt_override is None and dt_new < state.dt:
                     state.dt = dt_new
+                    check_step_limit(t_end, state.dt, state.t, state.step_count)
 
     return trajectory.result(
         "explicit", step_count=state.step_count, dt_initial=dt_initial, dt_final=state.dt,
@@ -619,6 +674,7 @@ def run_implicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
     trajectory = _Trajectory(problem, opts)
     part = problem.part
     pattern = source_pattern(problem.mesh, source, part)
+    probe_free = part.idx_n[problem.probe_n]
     a = np.zeros(part.n_free)
     t, step, newton_total = 0.0, 0, 0
     while t_end - t > 0.5 * dt:
@@ -629,8 +685,8 @@ def run_implicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
         a, iters = newton_solve(problem, dt, a, j_s, opts.newton_tol,
                                 opts.newton_max_iter)
         newton_total += iters
-        trajectory.record(step, t, t_end - t <= 0.5 * dt, a[part.idx_c], a[part.idx_n],
-                          dt, newton_total, newton_total)
+        trajectory.record(step, t, t_end - t <= 0.5 * dt, a[part.idx_c], a[probe_free],
+                          a[part.idx_n], dt, newton_total, newton_total)
 
     return trajectory.result("implicit", step_count=step, dt_initial=dt, dt_final=dt,
                              update_count=newton_total, newton_iterations=newton_total)

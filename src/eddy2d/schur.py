@@ -1,5 +1,4 @@
-"""Matrix-free generalized Schur complement operator and the K_nn solve
-service.
+"""Generalized Schur complement operator and the K_nn solve service.
 
 Eliminating the nonconducting block of the partitioned system through a
 pseudo-inverse of K_nn turns the DAE into an ODE for the conducting DoFs:
@@ -8,20 +7,21 @@ pseudo-inverse of K_nn turns the DAE into an ODE for the conducting DoFs:
     K_S = K_cn pinv(K_nn) K_cn^T,
     a_n = pinv(K_nn) (j_sn - K_cn^T a_c).
 
-K_S is never assembled; every use is an operator application backed by a
-PCG solve on K_nn. K_nn never changes during a run. Under the ``direct``
-strategy it is factored once (sparse LU), and the factor serves both as the
+K_nn and K_cn never change during a run. Under the ``direct`` strategy
+K_nn is factored once (sparse LU), and the factor serves both as the
 preconditioner and as the start vector of every solve: the start is the
 exact solution, which PCG's residual check accepts in 0 iterations. The
 other strategies precondition with IC(0) and recycle previous solutions;
 each solve purpose then keeps its own history, because histories from
 different right-hand-side families would be poor extrapolation data for
 each other.
-The time stepper makes one solve per step, ``recovery`` (a_n). Its source
-increments (see ``integrate.explicit_step``) are multiples of one coil
-pattern, so ``schur_rhs`` solves the first (purpose ``source_term``) and
-scales that result for every later one. ``schur_apply`` is left to K_S
-applications, which only the lambda_max estimate makes.
+K_cn has nonzero rows only at the n_i interface DoFs, so K_S is one
+constant dense n_i x n_i block (Saad 2003, ch. 14): ``form_interface``
+forms it with n_i ``schur_apply`` solves, after which a time step makes
+none. Otherwise the time stepper makes one solve per step, ``recovery``
+(a_n). Either way its sources are multiples of one coil pattern, so
+``schur_rhs`` scales one ``source_term`` solve for all of them.
+``apply_ks`` serves the lambda_max estimate.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ import numpy as np
 from .assembly import SystemBlocks
 from .errors import Ic0Breakdown, SolverError
 from .linalg import (
+    SparseMatrix,
     factor_spd,
     ic0_preconditioner,
     jacobi_preconditioner,
@@ -59,12 +60,14 @@ class IterationStats:
     records: list[SolveRecord] = field(default_factory=list)
     n_solves: int = 0
     total_iterations: int = 0
+    by_purpose: dict[str, int] = field(default_factory=lambda: dict.fromkeys(PURPOSES, 0))
 
     def record(self, step: int, purpose: str, strategy: str, iterations: int,
                residual: float) -> None:
         self.records.append(SolveRecord(step, purpose, strategy, iterations, residual))
         self.n_solves += 1
         self.total_iterations += iterations
+        self.by_purpose[purpose] += 1
 
     def mean_iterations(self) -> float:
         return self.total_iterations / self.n_solves if self.n_solves else 0.0
@@ -93,9 +96,10 @@ def knn_preconditioner(blocks: SystemBlocks, strategy: str = "previous"):
 class SchurContext:
     """Owns the K_nn preconditioner (built once per assembly; K_nn never
     changes during a run), the per-purpose start-vector providers, the
-    iteration statistics and the last source solve of ``schur_rhs`` (the
+    iteration statistics, the last source solve of ``schur_rhs`` (the
     right-hand side ``j_ref``, its result ``r_ref`` and ``jj_ref`` =
-    j_ref . j_ref). Under ``direct``
+    j_ref . j_ref) and, once formed, the ``interface`` block (None until
+    then). Under ``direct``
     the preconditioner is the solve with the K_nn factor, and every
     provider starts from it. Single-owner mutable; not shared across
     threads."""
@@ -121,6 +125,7 @@ class SchurContext:
         self.j_ref: np.ndarray | None = None
         self.r_ref: np.ndarray | None = None
         self.jj_ref = 0.0
+        self.interface: InterfaceSchur | None = None
         self._estimation: "SchurContext | None" = None
 
     def estimation_context(self) -> "SchurContext":
@@ -186,7 +191,12 @@ def schur_rhs(ctx: SchurContext, j_sn: np.ndarray) -> np.ndarray:
         c = float(ctx.j_ref @ j) / ctx.jj_ref
         if norm2(j - c * ctx.j_ref) <= ctx.tol * norm2(j):
             return c * ctx.r_ref
-    r = -ctx.blocks.K_cn.matvec(solve_knn(ctx, j, "source_term"))
+    return _keep_source(ctx, j, solve_knn(ctx, j, "source_term"))
+
+
+def _keep_source(ctx: SchurContext, j: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """-K_cn w for w = pinv(K_nn) j; a nonzero j becomes the stored pair."""
+    r = -ctx.blocks.K_cn.matvec(w)
     jj = float(j @ j)
     if jj > 0.0:
         ctx.j_ref, ctx.r_ref, ctx.jj_ref = j.copy(), r, jj
@@ -198,3 +208,43 @@ def recover_an(ctx: SchurContext, a_c: np.ndarray, j_sn: np.ndarray) -> np.ndarr
     a_c = np.asarray(a_c, dtype=float)
     j_sn = np.asarray(j_sn, dtype=float)
     return solve_knn(ctx, j_sn - ctx.blocks.K_nc.matvec(a_c), "recovery")
+
+
+def interface_dofs(blocks: SystemBlocks) -> np.ndarray:
+    """The interface DoFs, ascending: the nonzero rows of K_cn."""
+    return np.flatnonzero(np.diff(blocks.K_cn.row_offsets))
+
+
+@dataclass(frozen=True)
+class InterfaceSchur:
+    """K_S formed once, (n_c, n_c) and nonzero in interface rows and columns
+    only, and the rows of pinv(K_nn) [-K_nc(:, interface) | pattern] at the
+    probe's nonconducting DoFs: one product of probe_rows with [a_c | I]
+    gives a_n there for the source I * pattern."""
+
+    K_S: SparseMatrix
+    probe_rows: SparseMatrix
+
+
+def form_interface(ctx: SchurContext, pattern: np.ndarray,
+                   probe_n: np.ndarray) -> InterfaceSchur:
+    """One ``schur_apply`` solve per interface column K_nc(:, i), and one
+    ``source_term`` solve of the coil pattern, kept as ctx's source pair;
+    probe_n indexes a_n at the probe's nonconducting DoFs."""
+    K_cn, iface, n_c = ctx.blocks.K_cn, interface_dofs(ctx.blocks), ctx.blocks.n_c
+    ptr, cols, vals = K_cn.row_offsets, K_cn.col_indices, K_cn.values
+    ks = np.empty((iface.size, iface.size))
+    rows = np.empty((probe_n.size, iface.size + 1))
+    for k, i in enumerate(iface):
+        column = np.zeros(ctx.blocks.n_n)  # K_nc(:, i), row i of K_cn
+        column[cols[ptr[i]:ptr[i + 1]]] = vals[ptr[i]:ptr[i + 1]]
+        y = solve_knn(ctx, column, "schur_apply")
+        ks[:, k] = K_cn.matvec(y)[iface]
+        rows[:, k] = -y[probe_n]
+    w = solve_knn(ctx, pattern, "source_term")
+    _keep_source(ctx, np.asarray(pattern, dtype=float), w)
+    rows[:, -1] = w[probe_n]
+    return InterfaceSchur(SparseMatrix.from_coo(n_c, n_c, np.repeat(iface, iface.size),
+                                                np.tile(iface, iface.size), ks.ravel()),
+                          SparseMatrix.from_rows(n_c + 1, np.broadcast_to(
+                              np.append(iface, n_c), rows.shape), rows))

@@ -14,6 +14,7 @@ from eddy2d.cli import (EXIT_CONFIG, EXIT_INSTABILITY, EXIT_OK, EXIT_SOLVER, bui
 from eddy2d.integrate import SolverOptions
 from eddy2d.mesh import save_mesh
 from eddy2d.scenario import bundled_scenario_path, load_scenario, parse_scenario
+from eddy2d.schur import interface_dofs
 
 from conftest import BAD_SCENARIO_VALUES, key_paths, set_key_path
 
@@ -79,8 +80,9 @@ def test_run_explicit_writes_monotone_probe(tmp_path):
 
 
 def test_run_bundled_linear_solves_the_source_once(tmp_path):
-    # the source increments of a run are parallel: one source_term solve,
-    # then one recovery solve per step
+    # the sources of a run are parallel: one source_term solve; under direct
+    # the run forms K_S with one schur_apply solve per interface DoF and
+    # recovers a_n once, at the last step
     out = str(tmp_path / "lin")
     assert main(["run", "--config", "plate2d_linear", "--method", "explicit",
                  "--out", out]) == EXIT_OK
@@ -88,7 +90,13 @@ def test_run_bundled_linear_solves_the_source_once(tmp_path):
     purposes = [r[header.index("purpose")] for r in rows]
     assert purposes.count("source_term") == 1
     summary = json.load(open(os.path.join(out, "result_explicit_summary.json")))
-    assert summary["pcg_solves"] == summary["step_count"] + 1 == len(rows)
+    n_i = interface_dofs(load_scenario(bundled_scenario_path("plate2d_linear"))
+                         .build_problem().blocks).size
+    assert summary["step_count"] > n_i
+    assert summary["pcg_solves"] == n_i + 2 == len(rows)
+    assert summary["pcg_solves_by_purpose"] == \
+        {"schur_apply": n_i, "source_term": 1, "recovery": 1}
+    assert purposes[-1] == "recovery"
 
 
 def test_run_implicit_row_count(config_path, tmp_path):
@@ -286,6 +294,16 @@ def test_cfl_report(config_path, capsys):
     assert "dt_cfl" in out
     assert "not a sharp estimate" in out
     assert "projected steps" in out
+    # the small scenario runs previous: one K_nn solve per step; bundled
+    # plate2d runs direct over more steps than interface DoFs
+    assert "step path: one K_nn solve per step (strategy previous" in out
+    n_i = interface_dofs(load_scenario(bundled_scenario_path("plate2d"))
+                         .build_problem().blocks).size
+    assert _cfl_line(capsys, "plate2d", "interface DoFs") == f"interface DoFs n_i = {n_i}"
+    line = _cfl_line(capsys, "plate2d", "step path")
+    assert line.startswith("step path: interface block formed once")
+    steps = int(_cfl_line(capsys, "plate2d", "projected steps").rsplit(": ", 1)[1])
+    assert line.endswith(f"projected steps {steps} > n_i {n_i})") and steps > n_i
 
 
 def _cfl_line(capsys, config, start) -> str:

@@ -36,7 +36,7 @@ from eddy2d.linalg import SparseMatrix
 from eddy2d.materials import MaterialModel
 from eddy2d.mesh import Mesh2D, RegionTag, generate_rect_mesh
 from eddy2d.scenario import bundled_scenario_path, load_scenario
-from eddy2d.schur import SchurContext
+from eddy2d.schur import SchurContext, interface_dofs
 
 from conftest import (
     AIR,
@@ -432,9 +432,9 @@ def jittered_mini_problem():
 @pytest.mark.parametrize("make_problem", [plate2d_problem, jittered_mini_problem],
                          ids=["plate2d", "jittered"])
 def test_b2_maps_equal_compute_b2_bitwise(make_problem):
-    # the conductor map on a_c, the probe map on [a_c | a_n], and a map of
-    # every element (those on the Dirichlet boundary included) each give
-    # compute_b2's bits on the full nodal vector
+    # the conductor map on a_c, the probe map on [a_c | a_n[probe_n]], and a
+    # map of every element (those on the Dirichlet boundary included) each
+    # give compute_b2's bits on the full nodal vector
     problem = make_problem()
     mesh, part = problem.mesh, problem.part
     is_cond = mesh.region_mask(lambda t: t.kind == "conductor")
@@ -445,7 +445,7 @@ def test_b2_maps_equal_compute_b2_bitwise(make_problem):
         a_full = part.to_full(a_c, a_n, mesh.n_nodes)
         ref = compute_b2(mesh, a_full, problem.elements)
         assert np.array_equal(problem.kcc_map.b2(a_c), ref[is_cond])
-        assert np.array_equal(problem.probe_b2(np.concatenate([a_c, a_n])),
+        assert np.array_equal(problem.probe_b2(np.concatenate([a_c, a_n[problem.probe_n]])),
                               compute_b2(mesh, a_full, problem.probe))
         assert np.array_equal(every(np.concatenate([a_c, a_n])), ref)
 
@@ -497,7 +497,7 @@ def test_probe_average_b_equals_the_full_vector_formula():
         a_full = part.to_full(a_c, a_n, problem.mesh.n_nodes)
         b2 = compute_b2(problem.mesh, a_full, problem.probe)
         ref = float((areas * np.sqrt(b2)).sum() / areas.sum())
-        assert integrate.probe_average_b(problem, a_c, a_n) == ref
+        assert integrate.probe_average_b(problem, a_c, a_n[problem.probe_n]) == ref
 
 
 def test_kcc_rebuild_ignores_a_n(mini_problem_nonlinear):
@@ -668,7 +668,8 @@ def test_run_implicit_output_interval(mini_problem, mini_source):
         assert t == res.times[row]
         a_c = a_full[part.free_nodes[part.idx_c]]
         a_n = a_full[part.free_nodes[part.idx_n]]
-        assert integrate.probe_average_b(mini_problem, a_c, a_n) == res.probe[row]
+        assert integrate.probe_average_b(mini_problem, a_c, a_n[mini_problem.probe_n]) \
+            == res.probe[row]
 
 
 def test_run_explicit_deterministic(mini_problem, mini_source):
@@ -688,8 +689,9 @@ def test_run_explicit_dae_constraint(mini_problem, mini_source):
 
 def test_run_explicit_direct_tightens_dae_residual():
     # the bundled default: every K_nn solve starts exact, so the constraint
-    # holds to roundoff (criterion 9 asks 10 * pcg_tol of the PCG strategies)
-    # and the probe stays within the answer contract of the cspe run
+    # holds to roundoff where a_n is recovered (criterion 9 asks 10 * pcg_tol
+    # of the PCG strategies) and the probe stays within the answer contract
+    # of the cspe run; the run forms K_S (n_i solves) and recovers once
     sc = load_scenario(bundled_scenario_path("plate2d"))
     assert sc.options.strategy == "direct"
     problem = sc.build_problem()
@@ -698,8 +700,93 @@ def test_run_explicit_direct_tightens_dae_residual():
     summary = direct.summary()
     assert summary["max_dae_residual"] <= 1e-12
     assert summary["pcg_iterations_total"] == 0
-    assert summary["pcg_solves"] == direct.step_count + 1
+    n_i = interface_dofs(problem.blocks).size
+    assert direct.step_count > n_i
+    assert summary["pcg_solves"] == n_i + 2
     assert probe_deviation(direct, cspe) <= 10 * sc.options.pcg_tol
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_step_path_rule_boundary(mini_problem, mini_source, extra):
+    # forming K_S costs n_i solves and saves one per step: a direct run of
+    # n_i steps keeps the per-step solve, one of n_i + 1 steps forms it
+    n_i = interface_dofs(mini_problem.blocks).size
+    steps, t_end = n_i + extra, 0.02
+    opts = SolverOptions(seed=3, strategy="direct", dt_override=t_end / steps)
+    assert integrate.step_path(mini_problem.blocks, opts, t_end, opts.dt_override) \
+        == (extra == 1, steps, n_i)
+    assert not integrate.step_path(mini_problem.blocks, replace(opts, strategy="cspe"),
+                                   t_end, opts.dt_override)[0]
+    res = run_explicit(mini_problem, mini_source, t_end, opts)
+    assert res.step_count == steps
+    assert res.summary()["pcg_solves"] == (n_i + 2 if extra else steps + 1)
+
+
+def test_interface_path_agrees_with_the_per_step_path():
+    # bundled plate2d: a run of fewer than n_i steps takes the per-step path,
+    # the full run the interface path; their common rows agree to round-off
+    sc = load_scenario(bundled_scenario_path("plate2d"))
+    problem = sc.build_problem()
+    full = run_explicit(problem, sc.source, sc.t_end, sc.options)
+    n_i = interface_dofs(problem.blocks).size
+    short = run_explicit(problem, sc.source, (n_i - 5.75) * full.dt_initial, sc.options)
+    k = short.step_count
+    assert k == n_i - 6 and short.summary()["pcg_solves"] == k + 1
+    assert full.summary()["pcg_solves"] == n_i + 2
+    assert np.array_equal(short.times, full.times[:k])
+    assert np.array_equal(short.update_series, full.update_series[:k])
+    peak = np.abs(short.probe).max()
+    assert peak > 0
+    assert np.abs(short.probe - full.probe[:k]).max() <= 1e-13 * peak
+
+
+def test_interface_path_snapshots_match_the_per_step_path(mini_problem, mini_source,
+                                                         monkeypatch):
+    # a snapshot on the interface path recovers the full a_n: the field
+    # matches the per-step path's and the constraint holds to round-off
+    # 43 steps, inside the stable step (dt_cfl is about 2.95e-4)
+    opts = SolverOptions(seed=3, strategy="direct", dt_override=2.5e-4, output_every=5,
+                         snapshot_every=10)
+    block = run_explicit(mini_problem, mini_source, 0.01075, opts)
+    n_i = interface_dofs(mini_problem.blocks).size
+    assert block.step_count == 43 > n_i
+    # snapshots at steps 10, 20, 30 and 40, and a recovery at the last step
+    assert block.summary()["pcg_solves_by_purpose"] == \
+        {"schur_apply": n_i, "source_term": 1, "recovery": 5}
+    monkeypatch.setattr(integrate, "step_path", lambda *args: (False, 0, 0))
+    per_step = run_explicit(mini_problem, mini_source, 0.01075, opts)
+    assert per_step.summary()["pcg_solves"] == 44
+    assert [s[0] for s in block.snapshots] == [s[0] for s in per_step.snapshots] \
+        == [10, 20, 30, 40]
+    for (_, t, _, a_full), (_, t_ref, _, a_ref) in zip(block.snapshots, per_step.snapshots):
+        assert t == t_ref
+        assert np.abs(a_full - a_ref).max() <= 1e-12 * np.abs(a_ref).max()
+    assert block.max_dae_residual <= 1e-12
+    assert np.abs(block.probe - per_step.probe).max() <= 1e-13 * np.abs(per_step.probe).max()
+
+
+def test_run_explicit_refuses_a_shrink_past_the_step_limit(mini_problem_nonlinear,
+                                                          monkeypatch):
+    # a re-estimate that shrinks dt so far that the steps taken plus those
+    # left exceed MAX_STEPS ends the run, naming both numbers
+    estimate, step, dts = integrate.estimate_cfl, integrate.explicit_step, []
+
+    def shrinking(*args):
+        dts.append(estimate(*args) if not dts else 1e-12)
+        return dts[-1]
+
+    def step_within_limit(state, *args):
+        if state.dt == 1e-12:
+            raise AssertionError("stepped past the step limit")
+        return step(state, *args)
+
+    monkeypatch.setattr(integrate, "estimate_cfl", shrinking)
+    monkeypatch.setattr(integrate, "explicit_step", step_within_limit)
+    with pytest.raises(SolverError, match=rf"left: \d\.\d+e\+\d+ exceeds the step limit "
+                                          rf"{integrate.MAX_STEPS}$"):
+        run_explicit(mini_problem_nonlinear, make_mini_source(i_max=2000.0), 0.05,
+                     SolverOptions(seed=3))
+    assert len(dts) == 2
 
 
 def _run(method, problem, source, t_end, dt):
@@ -823,7 +910,8 @@ def test_implicit_decay_with_zero_excitation(mini_problem, mini_source):
     zero = np.zeros(part.n_free)
     for _ in range(12):
         a, _ = newton_solve(mini_problem, 2e-3, a, zero)
-        probes.append(probe_average_b(mini_problem, a[part.idx_c], a[part.idx_n]))
+        probes.append(probe_average_b(mini_problem, a[part.idx_c],
+                                      a[part.idx_n[mini_problem.probe_n]]))
     tail = probes[2:]
     assert all(b <= a * (1.0 + 1e-9) for a, b in zip(tail, tail[1:]))
     assert tail[-1] < probes[0]

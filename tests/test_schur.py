@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from eddy2d.errors import SolverError
+from eddy2d.assembly import source_pattern
 from eddy2d.schur import (
     SchurContext,
     apply_ks,
+    form_interface,
+    interface_dofs,
     recover_an,
     schur_rhs,
     solve_knn,
 )
 
-from conftest import dense_kS, make_mini_problem
+from conftest import dense_kS, make_mini_problem, make_mini_source
 
 TOL = 1e-6
 
@@ -324,3 +327,39 @@ def test_direct_singular_knn_raises_solver_error():
     )
     with pytest.raises(SolverError, match="K_nn factorization failed"):
         SchurContext(blocks, tol=1e-10, strategy="direct")
+
+
+# ------------------------------------------------------------ interface block
+
+def test_interface_block_matches_dense_schur_complement(mini_problem):
+    # dense K_cn K_nn^-1 K_nc is zero off the interface (the nonzero rows of
+    # K_cn) and the formed block equals it there; the probe rows are those of
+    # K_nn^-1 [-K_nc(:, interface) | pattern], and the pattern's solve is the
+    # stored source pair
+    blocks, part = mini_problem.blocks, mini_problem.part
+    pattern = source_pattern(mini_problem.mesh, make_mini_source(), part)
+    ctx = SchurContext(blocks, tol=TOL, strategy="direct")
+    block = form_interface(ctx, pattern, mini_problem.probe_n)
+    K_cn, K_nn = blocks.K_cn.toarray(), blocks.K_nn.toarray()
+    iface = interface_dofs(blocks)
+    off = np.setdiff1d(np.arange(blocks.n_c), iface)
+    assert iface.size and off.size and mini_problem.probe_n.size
+    assert np.array_equal(iface, np.flatnonzero(np.abs(K_cn).sum(axis=1)))
+
+    ks = dense_kS(blocks)
+    assert not ks[off].any() and not ks[:, off].any()
+    got = block.K_S.toarray()
+    assert not got[off].any() and not got[:, off].any()
+    assert np.linalg.norm(got - ks) <= 1e-12 * np.linalg.norm(ks)
+
+    sol = np.linalg.solve(K_nn, np.column_stack([-K_cn[iface].T, pattern]))
+    ref_rows = np.zeros((mini_problem.probe_n.size, blocks.n_c + 1))
+    ref_rows[:, np.append(iface, blocks.n_c)] = sol[mini_problem.probe_n]
+    assert np.linalg.norm(block.probe_rows.toarray() - ref_rows) \
+        <= 1e-12 * np.linalg.norm(ref_rows)
+
+    assert ctx.stats.by_purpose == {"schur_apply": iface.size, "source_term": 1,
+                                    "recovery": 0}
+    ref = -K_cn @ np.linalg.solve(K_nn, 3.0 * pattern)
+    assert np.linalg.norm(schur_rhs(ctx, 3.0 * pattern) - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert ctx.stats.n_solves == iface.size + 1  # the source pair was reused
