@@ -6,9 +6,11 @@ of kappa*da/dt - div(nu grad a) = J_z gives the mass matrix M (nonzero only
 where kappa > 0) and the stiffness matrix K (with nu evaluated per element
 from B^2, which is constant on a P1 triangle, so midpoint quadrature is
 exact). Dirichlet rows/columns are eliminated, preserving symmetry and
-definiteness. DoFs are then permuted into the conducting set c (nodes
-adjacent to at least one conductor element) followed by the nonconducting
-set n; interface nodes land in c, which keeps M_cc positive definite.
+definiteness. The DoFs are numbered once, before assembly, as [a_c | a_n]:
+the conducting set c (nodes adjacent to at least one conductor element)
+followed by the nonconducting set n; interface nodes land in c, which keeps
+M_cc positive definite. M and K are assembled straight into that numbering,
+so the blocks are contiguous slices.
 For nonlinear problems, KccRebuildMap recomputes K_cc(a_c) on its fixed
 pattern without reassembling. The field evaluations a time step repeats
 (the conductor B^2 of a rebuild, the probe's |B|) are B2Maps: compiled CSR
@@ -63,15 +65,14 @@ class MaterialTable:
 
 @dataclass
 class DofPartition:
-    """Permutation of the free (non-Dirichlet) DoFs into [conducting | nonconducting].
+    """The one DoF numbering of the system, [conducting | nonconducting].
 
-    free_nodes[i] is the mesh node of free DoF i; perm[j] is the free DoF at
-    position j of the permuted ordering. Both sets keep ascending original
-    index order (stable partition).
+    nodes[j] is the mesh node of DoF j: the n_c conducting free nodes, then
+    the n_n nonconducting ones, each set in ascending node order. Dirichlet
+    nodes have no DoF.
     """
 
-    free_nodes: np.ndarray
-    perm: np.ndarray
+    nodes: np.ndarray
     n_c: int
     n_n: int
 
@@ -80,31 +81,29 @@ class DofPartition:
         return self.n_c + self.n_n
 
     @property
-    def idx_c(self) -> np.ndarray:
-        return self.perm[: self.n_c]
+    def idx_c(self) -> slice:
+        return slice(0, self.n_c)
 
     @property
-    def idx_n(self) -> np.ndarray:
-        return self.perm[self.n_c:]
+    def idx_n(self) -> slice:
+        return slice(self.n_c, self.n_free)
 
     def positions(self, n_nodes: int) -> np.ndarray:
-        """Position of each mesh node in [a_c | a_n] (-1 on the Dirichlet boundary)."""
+        """DoF of each mesh node (-1 on the Dirichlet boundary)."""
         pos = -np.ones(n_nodes, dtype=np.int64)
-        pos[self.free_nodes[self.perm]] = np.arange(self.n_free)
+        pos[self.nodes] = np.arange(self.n_free)
         return pos
 
     def to_full(self, a_c: np.ndarray, a_n: np.ndarray, n_nodes: int) -> np.ndarray:
         """Scatter (a_c, a_n) into a full node vector with Dirichlet zeros."""
-        a_free = np.zeros(self.n_free)
-        a_free[self.perm] = np.concatenate([a_c, a_n])
         full = np.zeros(n_nodes)
-        full[self.free_nodes] = a_free
+        full[self.nodes] = np.concatenate([a_c, a_n])
         return full
 
 
 @dataclass
 class SystemBlocks:
-    """Blocks of the permuted system."""
+    """Blocks of the system in the [a_c | a_n] numbering."""
 
     M_cc: SparseMatrix
     K_cc: SparseMatrix
@@ -233,16 +232,6 @@ def compute_b2(mesh: Mesh2D, a_full: np.ndarray, data: ElementData) -> np.ndarra
     return data.b2_local(a_full[data.nodes])
 
 
-def free_index(mesh: Mesh2D) -> tuple[np.ndarray, int]:
-    """Free-DoF index of each mesh node (-1 on the Dirichlet boundary)."""
-    free_mask = np.ones(mesh.n_nodes, dtype=bool)
-    free_mask[list(mesh.boundary_nodes)] = False
-    new_index = -np.ones(mesh.n_nodes, dtype=np.int64)
-    n = int(free_mask.sum())
-    new_index[free_mask] = np.arange(n)
-    return new_index, n
-
-
 def element_coo(nodes: np.ndarray, vals: np.ndarray, index: np.ndarray):
     """Rows, columns and values of (E, 3, 3) element matrices on the DoFs
     ``index[node]``, dropping entries that touch a node indexed -1."""
@@ -252,17 +241,29 @@ def element_coo(nodes: np.ndarray, vals: np.ndarray, index: np.ndarray):
     return rows[keep], cols[keep], vals.reshape(-1)[keep]
 
 
-def assemble(mesh: Mesh2D, data: ElementData,
+def partition(mesh: Mesh2D) -> DofPartition:
+    """Number the free DoFs: conducting nodes (of >= 1 conductor element)
+    first, then nonconducting ones, each set in ascending node order."""
+    conducting = np.zeros(mesh.n_nodes, dtype=bool)
+    conducting[mesh.elements[mesh.region_mask(lambda t: t.kind == "conductor")]] = True
+    free = np.ones(mesh.n_nodes, dtype=bool)
+    free[list(mesh.boundary_nodes)] = False
+    nodes_c = np.flatnonzero(free & conducting)
+    nodes_n = np.flatnonzero(free & ~conducting)
+    return DofPartition(np.concatenate([nodes_c, nodes_n]), nodes_c.size, nodes_n.size)
+
+
+def assemble(mesh: Mesh2D, data: ElementData, part: DofPartition,
              a_full: np.ndarray | None = None) -> tuple[SparseMatrix, SparseMatrix]:
-    """Assemble (M, K) on the free DoFs from ``element_data(mesh, materials)``,
-    with nu from the element B^2 of ``a_full`` (zero field when None);
-    Dirichlet rows/columns are eliminated by deletion."""
+    """Assemble (M, K) on the DoFs of ``part`` from ``element_data(mesh,
+    materials)``, with nu from the element B^2 of ``a_full`` (zero field
+    when None); Dirichlet rows/columns are eliminated by deletion."""
     element_b2 = compute_b2(mesh, a_full, data) if a_full is not None \
         else np.zeros(mesh.n_elements)
     k_vals = _bbcc(data.b, data.c) * (data.nu(element_b2) / (4.0 * data.area))[:, None, None]
     m_vals = MASS_TEMPLATE[None, :, :] * (data.kappa * data.area)[:, None, None]
 
-    index, n = free_index(mesh)
+    index, n = part.positions(mesh.n_nodes), part.n_free
     rows, cols, k_flat = element_coo(mesh.elements, k_vals, index)
     _, _, m_flat = element_coo(mesh.elements, m_vals, index)
     K = SparseMatrix.from_coo(n, n, rows, cols, k_flat)
@@ -270,34 +271,17 @@ def assemble(mesh: Mesh2D, data: ElementData,
     return M, K
 
 
-def partition(mesh: Mesh2D) -> DofPartition:
-    """Split the free DoFs into conducting (adjacent to >= 1 conductor
-    element) and nonconducting sets, each in ascending node order."""
-    conducting_nodes = np.zeros(mesh.n_nodes, dtype=bool)
-    conducting_nodes[mesh.elements[mesh.region_mask(lambda t: t.kind == "conductor")]] = True
-    free_nodes = np.flatnonzero(free_index(mesh)[0] >= 0)
-
-    is_c = conducting_nodes[free_nodes]
-    order_c = np.nonzero(is_c)[0]
-    order_n = np.nonzero(~is_c)[0]
-    perm = np.concatenate([order_c, order_n])
-    return DofPartition(free_nodes, perm, int(order_c.size), int(order_n.size))
-
-
 def extract_blocks(M: SparseMatrix, K: SparseMatrix, p: DofPartition) -> SystemBlocks:
-    """Slice the permuted blocks M_cc, K_cc, K_cn, K_nn out of M and K."""
+    """Slice the blocks M_cc, K_cc, K_cn, K_nn out of M and K, the four
+    contiguous corners of the [a_c | a_n] numbering."""
     if M.shape != (p.n_free, p.n_free) or K.shape != (p.n_free, p.n_free):
         raise AssemblyError(
             f"matrix shapes {M.shape}, {K.shape} do not match partition size {p.n_free}"
         )
-    idx_c, idx_n = p.idx_c, p.idx_n
+    c, n = p.idx_c, p.idx_n
     Ks = K.scipy()
-    Ms = M.scipy()
-    K_cc = SparseMatrix(Ks[idx_c][:, idx_c])
-    K_cn = SparseMatrix(Ks[idx_c][:, idx_n])
-    K_nn = SparseMatrix(Ks[idx_n][:, idx_n])
-    M_cc = SparseMatrix(Ms[idx_c][:, idx_c])
-    return SystemBlocks(M_cc, K_cc, K_cn, K_nn)
+    return SystemBlocks(SparseMatrix(M.scipy()[c, c]), SparseMatrix(Ks[c, c]),
+                        SparseMatrix(Ks[c, n]), SparseMatrix(Ks[n, n]))
 
 
 @dataclass(frozen=True)
@@ -404,9 +388,7 @@ def source_pattern(mesh: Mesh2D, src: SourceSpec, p: DofPartition) -> np.ndarray
                                            and tag.id == src.coil_id))
     if not eids.size:
         raise AssemblyError(f"no elements tagged coil:{src.coil_id}")
-    conducting = np.zeros(mesh.n_nodes, dtype=bool)
-    conducting[p.free_nodes[p.idx_c]] = True
-    if np.any(conducting[mesh.elements[eids]]):
+    if np.isin(mesh.elements[eids], p.nodes[:p.n_c]).any():
         raise AssemblyError(
             "coil region overlaps the conductor support; excitation must lie "
             "entirely in the nonconducting partition"
@@ -415,4 +397,4 @@ def source_pattern(mesh: Mesh2D, src: SourceSpec, p: DofPartition) -> np.ndarray
     jz_unit = src.turns / float(areas.sum())
     load = np.zeros(mesh.n_nodes)
     np.add.at(load, mesh.elements[eids].ravel(), np.repeat(jz_unit * areas / 3.0, 3))
-    return load[p.free_nodes[p.idx_n]]
+    return load[p.nodes[p.n_c:]]

@@ -17,7 +17,7 @@ so the source and Schur terms of the bracket collapse to
 and a step makes one K_nn solve, the recovery of a_n^m: the source
 increments (I_m - I_{m-1}) * pattern are parallel, and schur_rhs scales
 its first solve for every later one. M_cc^-1 is one M_cc solve; M_cc is
-constant, so MccSolver factors it once at set-up and PCG at mcc_tol
+constant, so MccSolver factors it once at set-up and PCG at its tol
 checks each solve in one iteration, one M_cc product per solve. The scheme
 is stable for dt <= 2 / lambda_max(M_cc^-1 (K_cc - K_S)),
 with lambda_max estimated numerically by power iteration (the
@@ -68,7 +68,6 @@ from .assembly import (
     element_coo,
     element_data,
     extract_blocks,
-    free_index,
     kcc_rebuild_map,
     partition,
     source_pattern,
@@ -96,7 +95,6 @@ class SolverOptions:
     tol_update: float = 1e-3
     safety: float = 0.95
     mcc_mode: str = "pcg"
-    mcc_tol: float = 1e-10
     power_tol: float = 1e-5
     power_max_iter: int = 5000
     seed: int = 1234
@@ -109,14 +107,13 @@ class SolverOptions:
 
 @dataclass
 class AssembledProblem:
-    """Mesh, materials and the assembled system at a = 0, with the element
+    """Mesh and the assembled system at a = 0, with the element
     data resolved once: all elements, the probe elements with their B^2 map
     on [a_c | a_n[probe_n]] and total area, and for nonlinear problems the
     K_cc rebuild map (None for linear ones). probe_n lists, ascending, the
     a_n entries of the probe's nonconducting nodes."""
 
     mesh: Mesh2D
-    materials: MaterialTable
     part: DofPartition
     blocks: SystemBlocks
     M_red: SparseMatrix
@@ -141,13 +138,12 @@ class AssembledProblem:
 def discretize(mesh: Mesh2D, materials: MaterialTable,
                probe_id: int | None = None) -> AssembledProblem:
     data = element_data(mesh, materials)
-    M, K = assemble(mesh, data)
     part = partition(mesh)
+    M, K = assemble(mesh, data, part)
     blocks = extract_blocks(M, K, part)
 
     # DAE structure: the mass matrix must not couple nonconducting DoFs
-    Ms = M.scipy()
-    if part.n_n and abs(Ms[part.idx_n, :]).max() > 0:
+    if part.n_n and abs(M.scipy()[part.idx_n]).max() > 0:
         raise AssemblyError("mass matrix touches nonconducting DoFs; partition is broken")
 
     probe_eids = np.flatnonzero(mesh.region_mask(lambda tag: tag.probe == probe_id)) \
@@ -162,7 +158,7 @@ def discretize(mesh: Mesh2D, materials: MaterialTable,
     probe_n = probe_n[probe_n >= 0]
     on_n = index >= part.n_c
     index[on_n] = part.n_c + np.searchsorted(probe_n, index[on_n] - part.n_c)
-    return AssembledProblem(mesh, materials, part, blocks, M, K, data, probe,
+    return AssembledProblem(mesh, part, blocks, M, K, data, probe,
                             b2_map(probe, index, part.n_c + probe_n.size), probe_n,
                             float(probe.area.sum()), kcc_map)
 
@@ -271,7 +267,7 @@ def start_explicit(problem: AssembledProblem, opts: SolverOptions):
     ctx = SchurContext(blocks, tol=opts.pcg_tol, max_iter=opts.pcg_max_iter,
                        strategy=opts.strategy, cspe_window=opts.cspe_window,
                        pod_window=opts.pod_window, tol_pod=opts.tol_pod)
-    mcc = MccSolver(blocks.M_cc, opts.mcc_mode, opts.mcc_tol)
+    mcc = MccSolver(blocks.M_cc, opts.mcc_mode)
     state = new_state(problem)
     return state, ctx, mcc, estimate_cfl(state, blocks, ctx, mcc, opts)
 
@@ -523,6 +519,15 @@ def step_path(blocks: SystemBlocks, opts: SolverOptions, t_end: float,
     return opts.strategy == "direct" and steps > n_i, steps, n_i
 
 
+def check_override(state: SolverState, opts: SolverOptions) -> None:
+    """A fixed dt_override must satisfy dt * lambda_max <= 2 for every
+    estimate of lambda_max the run makes, or the run diverges."""
+    if opts.dt_override is not None and state.dt * state.lam_max > 2.0:
+        raise InstabilityError(f"instability: dt_override = {state.dt:.6e} exceeds the stable "
+                               f"step 2/lambda_max = {2.0 / state.lam_max:.6e} at "
+                               f"t={state.t:.6e}", t=state.t, dt=state.dt)
+
+
 def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
                  opts: SolverOptions) -> RunResult:
     """Explicit Euler from t=0 to t_end (within half a step). dt is fixed to
@@ -531,14 +536,16 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
     it. A rebuild re-estimates only when dt * (lam_max +
     growth_bound) exceeds 1 + safety: the bound may spend half the margin
     safety leaves below the stability limit 2, the other half covers the
-    power iteration's own error. On the interface path (step_path) a_n is
-    recovered, and the DAE residual measured, at snapshots and the last
-    step only."""
+    power iteration's own error. A dt_override past 2/lambda_max of any
+    estimate, the initial one included, ends the run (check_override). On
+    the interface path (step_path) a_n is recovered, and the DAE residual
+    measured, at snapshots and the last step only."""
     trajectory = _Trajectory(problem, opts)
     blocks = problem.blocks
     state, ctx, mcc, dt_cfl = start_explicit(problem, opts)
     state.dt = dt_cfl if opts.dt_override is None else float(opts.dt_override)
     check_window(t_end, state.dt, "explicit")
+    check_override(state, opts)
     dt_initial, lam_initial = state.dt, state.lam_max
 
     pattern = source_pattern(problem.mesh, source, problem.part)
@@ -570,6 +577,7 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
             if updated and state.dt * (state.lam_max + problem.kcc_map.growth_bound(
                     state.nu_e, state.nu_est)) > 1.0 + opts.safety:
                 dt_new = estimate_cfl(state, blocks, ctx, mcc, opts)
+                check_override(state, opts)
                 if opts.dt_override is None and dt_new < state.dt:
                     state.dt = dt_new
                     check_step_limit(t_end, state.dt, state.t, state.step_count)
@@ -589,7 +597,7 @@ def _nonlinear_jacobian_term(problem: AssembledProblem, a_full: np.ndarray) -> s
     elements = problem.elements
     dnu = elements.dnu_db2(compute_b2(problem.mesh, a_full, elements))
     active = np.nonzero(dnu > 0)[0]
-    index, n = free_index(problem.mesh)
+    index, n = problem.part.positions(problem.mesh.n_nodes), problem.n_free
     if active.size == 0:
         return scipy.sparse.csr_matrix((n, n))
 
@@ -611,9 +619,9 @@ def newton_system(problem: AssembledProblem, dt: float, a_old: np.ndarray,
     vanishes for linear materials)."""
     Mdt = problem.M_red.scipy() * (1.0 / dt)
     a_full = np.zeros(problem.mesh.n_nodes)
-    a_full[problem.part.free_nodes] = a
+    a_full[problem.part.nodes] = a
     if problem.is_nonlinear:
-        _, K = assemble(problem.mesh, problem.elements, a_full)
+        _, K = assemble(problem.mesh, problem.elements, problem.part, a_full)
         A = Mdt + K.scipy()
     else:
         A = Mdt + problem.K_red.scipy()
@@ -672,21 +680,19 @@ def run_implicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
     problems reuse one cached factorization instead)."""
     check_window(t_end, dt, "implicit")
     trajectory = _Trajectory(problem, opts)
-    part = problem.part
-    pattern = source_pattern(problem.mesh, source, part)
-    probe_free = part.idx_n[problem.probe_n]
-    a = np.zeros(part.n_free)
+    n_c = problem.part.n_c
+    pattern = source_pattern(problem.mesh, source, problem.part)
+    a = np.zeros(problem.n_free)
     t, step, newton_total = 0.0, 0, 0
     while t_end - t > 0.5 * dt:
         t += dt
         step += 1
-        j_s = np.zeros(part.n_free)
-        j_s[part.idx_n] = source.current(t) * pattern
+        j_s = np.concatenate([np.zeros(n_c), source.current(t) * pattern])
         a, iters = newton_solve(problem, dt, a, j_s, opts.newton_tol,
                                 opts.newton_max_iter)
         newton_total += iters
-        trajectory.record(step, t, t_end - t <= 0.5 * dt, a[part.idx_c], a[probe_free],
-                          a[part.idx_n], dt, newton_total, newton_total)
+        trajectory.record(step, t, t_end - t <= 0.5 * dt, a[:n_c], a[n_c + problem.probe_n],
+                          a[n_c:], dt, newton_total, newton_total)
 
     return trajectory.result("implicit", step_count=step, dt_initial=dt, dt_final=dt,
                              update_count=newton_total, newton_iterations=newton_total)

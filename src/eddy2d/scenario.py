@@ -97,7 +97,7 @@ def _check_keys(doc: dict, allowed: set, path: str):
         raise ConfigError(f"{path.rstrip('.') or 'scenario'} must be an object")
     unknown = set(doc) - allowed
     if unknown:
-        raise ConfigError(f"unknown key {path}{sorted(unknown)[0]!r}")
+        raise ConfigError(f"unknown key {path}{sorted(unknown)[0]}")
 
 
 def _finite(val, path: str) -> float:
@@ -163,7 +163,7 @@ def _parse_materials(doc: dict) -> MaterialTable:
             else:
                 coils[_region_id(key, path)] = m
         else:
-            raise ConfigError(f"unknown key materials.{key!r}")
+            raise ConfigError(f"unknown key materials.{key}")
     try:
         return MaterialTable(conductors, air, coils)
     except Exception as exc:
@@ -174,7 +174,6 @@ def _parse_materials(doc: dict) -> MaterialTable:
 # is a chained comparison, which is false for NaN
 FLOAT_RANGES = {
     "pcg_tol": (lambda v: 0 < v < 1, "in (0, 1)"),
-    "mcc_tol": (lambda v: 0 < v < 1, "in (0, 1)"),
     "power_tol": (lambda v: 0 < v < 1, "in (0, 1)"),
     "newton_tol": (lambda v: 0 < v < 1, "in (0, 1)"),
     "safety": (lambda v: 0 < v <= 1, "in (0, 1]"),

@@ -90,9 +90,8 @@ class CspeCache(_GalerkinStart):
 
     name = "cspe"
 
-    def __init__(self, knn: SparseMatrix, window: int, drop_tol: float = 1e-10):
+    def __init__(self, knn: SparseMatrix, window: int):
         super().__init__(knn, window)
-        self.drop_tol = drop_tol
         self.columns: list[np.ndarray] = []
         self.kcolumns: list[np.ndarray] = []
 
@@ -100,7 +99,7 @@ class CspeCache(_GalerkinStart):
         if len(self.columns) == self.window:
             self.columns.pop(0)
             self.kcolumns.pop(0)
-        v = mgs_extend(self.columns, x, self.drop_tol)
+        v = mgs_extend(self.columns, x)
         if v is not None:
             self.columns.append(v)
             self.kcolumns.append(self.knn.matvec(v))
@@ -161,8 +160,7 @@ class FactorSolution:
 
 
 def make_provider(strategy: str, knn: SparseMatrix, cspe_window: int = 5,
-                  pod_window: int = 10, tol_pod: float = 1e4, drop_tol: float = 1e-10,
-                  exact_solve=None):
+                  pod_window: int = 10, tol_pod: float = 1e4, exact_solve=None):
     """One start-vector provider per solve purpose; cold starts of the
     recycling strategies return zero. ``direct`` needs ``exact_solve``."""
     if strategy == "direct":
@@ -170,7 +168,7 @@ def make_provider(strategy: str, knn: SparseMatrix, cspe_window: int = 5,
     if strategy == "previous":
         return PreviousSolution(knn.nrows)
     if strategy == "cspe":
-        return CspeCache(knn, cspe_window, drop_tol)
+        return CspeCache(knn, cspe_window)
     if strategy == "pod":
         return PodCache(knn, pod_window, tol_pod)
     raise SolverError(f"unknown start-vector strategy {strategy!r}")

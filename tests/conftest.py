@@ -63,8 +63,9 @@ NAN, INF = float("nan"), float("inf")
 
 # (key path, value) pairs that parsing must reject with a ConfigError that
 # names the key path: non-finite, out of the option's range, not an integer
-# (bools included) where one is required, or a dt_override that leaves no
-# step of t_end or more than MAX_STEPS of them
+# (bools included) where one is required, a dt_override that leaves no
+# step of t_end or more than MAX_STEPS of them, or a retired option
+# (solver.mcc_tol), which is an unknown key whatever its value
 BAD_SCENARIO_VALUES = [
     ("t_end", NAN), ("t_end", INF), ("t_end", 0.0), ("t_end", -1.0),
     ("t_end", True), ("t_end", "0.75"),

@@ -31,7 +31,7 @@ def one_triangle(tri, material):
     conducts = material.kappa > 0
     mesh = Mesh2D(tri, [[0, 1, 2]], [RegionTag("conductor" if conducts else "air")])
     table = MaterialTable({0: material}, AIR) if conducts else MaterialTable({}, material)
-    M, K = assemble(mesh, element_data(mesh, table))
+    M, K = assemble(mesh, element_data(mesh, table), partition(mesh))
     return M.toarray(), K.toarray()
 
 
@@ -95,7 +95,7 @@ def _mats(cond=STEEL_LINEAR):
 def test_all_air_mass_is_zero():
     mesh = generate_rect_mesh(1.0, 1.0, 3, 3)
     table = MaterialTable({}, AIR)
-    M, K = assemble(mesh, element_data(mesh, table))
+    M, K = assemble(mesh, element_data(mesh, table), partition(mesh))
     assert M.nnz == 0
 
 
@@ -104,9 +104,9 @@ def test_linear_assembly_independent_of_a():
     table = _mats()
     rng = np.random.default_rng(8)
     a = rng.standard_normal(mesh.n_nodes)
-    data = element_data(mesh, table)
-    M0, K0 = assemble(mesh, data, None)
-    M1, K1 = assemble(mesh, data, a)
+    data, p = element_data(mesh, table), partition(mesh)
+    M0, K0 = assemble(mesh, data, p, None)
+    M1, K1 = assemble(mesh, data, p, a)
     np.testing.assert_array_equal(K0.values, K1.values)
     np.testing.assert_array_equal(K0.col_indices, K1.col_indices)
 
@@ -115,7 +115,7 @@ def test_unreduced_stiffness_kills_constants():
     # with no Dirichlet nodes every node is a DoF
     rect = generate_rect_mesh(1.0, 1.0, 2, 2, HALF_CONDUCTOR)
     mesh = Mesh2D(rect.nodes, rect.elements, rect.element_region)
-    _, K = assemble(mesh, element_data(mesh, _mats()))
+    _, K = assemble(mesh, element_data(mesh, _mats()), partition(mesh))
     assert K.shape == (mesh.n_nodes, mesh.n_nodes)
     ones = np.ones(mesh.n_nodes)
     np.testing.assert_allclose(K.matvec(ones), 0.0, atol=1e-10 * NU0)
@@ -123,7 +123,7 @@ def test_unreduced_stiffness_kills_constants():
 
 def test_assembled_matrices_symmetric():
     mesh = make_mini_mesh()
-    M, K = assemble(mesh, element_data(mesh, _mats(STEEL_BRAUER)),
+    M, K = assemble(mesh, element_data(mesh, _mats(STEEL_BRAUER)), partition(mesh),
                     np.random.default_rng(5).standard_normal(mesh.n_nodes) * 0.01)
     assert np.abs(K.toarray() - K.toarray().T).max() <= 1e-9
     assert np.abs(M.toarray() - M.toarray().T).max() <= 1e-12
@@ -132,7 +132,7 @@ def test_assembled_matrices_symmetric():
 def test_missing_material_raises():
     mesh = generate_rect_mesh(1.0, 1.0, 2, 2, [(0.0, 1.0, 0.0, 1.0, RegionTag("conductor", 7))])
     with pytest.raises(AssemblyError, match="conductor region 7"):
-        assemble(mesh, element_data(mesh, _mats()))
+        assemble(mesh, element_data(mesh, _mats()), partition(mesh))
 
 
 # ---------------------------------------------------------------- partition
@@ -160,16 +160,24 @@ def test_partition_interface_nodes_conducting():
         if tag.kind == "conductor":
             adjacent.update(int(i) for i in mesh.elements[e])
     expected_c = [n for n in adjacent if n not in mesh.boundary_nodes]
-    got_c = sorted(p.free_nodes[p.idx_c])
+    got_c = sorted(p.nodes[:p.n_c])
     assert got_c == sorted(expected_c)
 
 
 def test_partition_stable_order():
     mesh = make_mini_mesh()
     p = partition(mesh)
-    assert np.all(np.diff(p.free_nodes[p.idx_c]) > 0)
-    assert np.all(np.diff(p.free_nodes[p.idx_n]) > 0)
-    assert p.n_c + p.n_n == p.n_free
+    assert np.all(np.diff(p.nodes[:p.n_c]) > 0)
+    assert np.all(np.diff(p.nodes[p.n_c:]) > 0)
+    assert p.n_c + p.n_n == p.n_free == p.nodes.size
+    # positions inverts nodes, and to_full puts [a_c | a_n] back on them
+    pos = p.positions(mesh.n_nodes)
+    np.testing.assert_array_equal(pos[p.nodes], np.arange(p.n_free))
+    assert np.all(pos[list(mesh.boundary_nodes)] == -1)
+    a = np.random.default_rng(3).standard_normal(p.n_free)
+    full = p.to_full(a[:p.n_c], a[p.n_c:], mesh.n_nodes)
+    np.testing.assert_array_equal(full[p.nodes], a)
+    assert np.all(full[pos < 0] == 0.0)
 
 
 # ---------------------------------------------------------------- blocks
@@ -185,33 +193,38 @@ def test_extract_blocks_identity():
 
 
 def test_extract_blocks_vs_dense_slicing_oracle():
+    # a symmetric matrix built in node space and gathered at part.nodes is
+    # in the [a_c | a_n] numbering: its blocks are the node-space matrix at
+    # the conducting and nonconducting nodes
+    mesh = generate_rect_mesh(1.0, 1.0, 4, 4, HALF_CONDUCTOR)
+    p = partition(mesh)
     rng = np.random.default_rng(13)
-    n = 10
-    D = rng.standard_normal((n, n))
+    D = rng.standard_normal((mesh.n_nodes, mesh.n_nodes))
     D = 0.5 * (D + D.T)
-    from eddy2d.assembly import DofPartition
-
-    free = np.arange(n)
-    perm = rng.permutation(n)
-    n_c = 4
-    p = DofPartition(free, perm, n_c, n - n_c)
-    A = SparseMatrix.from_dense(D)
-    Z = SparseMatrix.from_dense(np.zeros((n, n)))
+    A = SparseMatrix.from_dense(D[np.ix_(p.nodes, p.nodes)])
+    Z = SparseMatrix.from_dense(np.zeros((p.n_free, p.n_free)))
     blocks = extract_blocks(Z, A, p)
-    idx_c, idx_n = perm[:n_c], perm[n_c:]
-    np.testing.assert_array_equal(blocks.K_cc.toarray(), D[np.ix_(idx_c, idx_c)])
-    np.testing.assert_array_equal(blocks.K_cn.toarray(), D[np.ix_(idx_c, idx_n)])
-    np.testing.assert_array_equal(blocks.K_nn.toarray(), D[np.ix_(idx_n, idx_n)])
+    c, n = p.nodes[:p.n_c], p.nodes[p.n_c:]
+    np.testing.assert_array_equal(blocks.K_cc.toarray(), D[np.ix_(c, c)])
+    np.testing.assert_array_equal(blocks.K_cn.toarray(), D[np.ix_(c, n)])
+    np.testing.assert_array_equal(blocks.K_nn.toarray(), D[np.ix_(n, n)])
     # symmetry: the stored K_cn represents the (n, c) block transposed
-    np.testing.assert_array_equal(blocks.K_nc.toarray(), D[np.ix_(idx_n, idx_c)])
+    np.testing.assert_array_equal(blocks.K_nc.toarray(), D[np.ix_(n, c)])
+    # of an assembled system, the four blocks are its contiguous corners
+    M, K = assemble(mesh, element_data(mesh, _mats()), p)
+    blocks = extract_blocks(M, K, p)
+    Md, Kd, k = M.toarray(), K.toarray(), p.n_c
+    np.testing.assert_array_equal(blocks.M_cc.toarray(), Md[:k, :k])
+    np.testing.assert_array_equal(blocks.K_cc.toarray(), Kd[:k, :k])
+    np.testing.assert_array_equal(blocks.K_cn.toarray(), Kd[:k, k:])
+    np.testing.assert_array_equal(blocks.K_nn.toarray(), Kd[k:, k:])
 
 
 def test_dae_structure_mass_blocks_vanish(mini_problem):
     p = mini_problem.part
     Md = mini_problem.M_red.toarray()
-    idx_c, idx_n = p.idx_c, p.idx_n
-    assert np.abs(Md[np.ix_(idx_n, idx_n)]).max() == 0
-    assert np.abs(Md[np.ix_(idx_n, idx_c)]).max() == 0
+    assert np.abs(Md[p.idx_n, p.idx_n]).max() == 0
+    assert np.abs(Md[p.idx_n, p.idx_c]).max() == 0
     # and M_cc is SPD
     w = np.linalg.eigvalsh(mini_problem.blocks.M_cc.toarray())
     assert w.min() > 0
@@ -222,10 +235,9 @@ def test_nonlinear_update_touches_only_conductor_entries():
     table = MaterialTable({0: STEEL_BRAUER}, AIR)
     rng = np.random.default_rng(21)
     a = rng.standard_normal(mesh.n_nodes) * 0.05
-    data = element_data(mesh, table)
-    _, K0 = assemble(mesh, data, None)
-    _, K1 = assemble(mesh, data, a)
-    p = partition(mesh)
+    data, p = element_data(mesh, table), partition(mesh)
+    _, K0 = assemble(mesh, data, p, None)
+    _, K1 = assemble(mesh, data, p, a)
     b0 = extract_blocks(K0, K0, p)
     b1 = extract_blocks(K1, K1, p)
     np.testing.assert_array_equal(b0.K_cn.toarray(), b1.K_cn.toarray())
@@ -236,10 +248,9 @@ def test_nonlinear_update_touches_only_conductor_entries():
     for e, tag in enumerate(mesh.element_region):
         if tag.kind == "conductor":
             conductor_nodes.update(int(i) for i in mesh.elements[e])
-    free = p.free_nodes
     changed = np.nonzero(diff > 0)
     for i, j in zip(*changed):
-        assert int(free[i]) in conductor_nodes and int(free[j]) in conductor_nodes
+        assert int(p.nodes[i]) in conductor_nodes and int(p.nodes[j]) in conductor_nodes
 
 
 # ---------------------------------------------------------------- source

@@ -112,7 +112,7 @@ def test_run_implicit_row_count(config_path, tmp_path):
 
 
 def test_run_unstable_dt_override_exit_code(tmp_path, capsys):
-    # ~3x the stable step: growing modes trip the instability guard
+    # ~3x the stable step: refused at the initial lambda_max estimate
     doc = small_scenario_doc(dt_override=1e-3)
     doc["t_end"] = 0.1
     path = tmp_path / "bad.json"
@@ -121,6 +121,29 @@ def test_run_unstable_dt_override_exit_code(tmp_path, capsys):
     code = main(["run", "--config", str(path), "--method", "explicit", "--out", out])
     assert code == EXIT_INSTABILITY
     assert "instability" in capsys.readouterr().err
+
+
+def test_dt_override_past_the_stability_limit_exits_before_stepping(tmp_path, capsys,
+                                                                   monkeypatch):
+    # 1.1 x 2/lambda_max of the run's own estimate: refused before any step,
+    # naming both numbers
+    doc = small_scenario_doc()
+    problem = parse_scenario(doc).build_problem()
+    lam = eddy2d.integrate.start_explicit(problem, SolverOptions(seed=11))[0].lam_max
+    doc["solver"]["dt_override"] = 1.1 * 2.0 / lam
+    path = tmp_path / "over.json"
+    path.write_text(json.dumps(doc))
+
+    def no_step(*args):
+        raise AssertionError("stepped past the stability limit")
+
+    monkeypatch.setattr(eddy2d.integrate, "explicit_step", no_step)
+    code = main(["run", "--config", str(path), "--method", "explicit",
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_INSTABILITY
+    err = capsys.readouterr().err
+    assert f"dt_override = {1.1 * 2.0 / lam:.6e}" in err
+    assert f"2/lambda_max = {2.0 / lam:.6e}" in err
 
 
 def test_config_error_exit_code(tmp_path, capsys):

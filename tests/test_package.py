@@ -1,10 +1,15 @@
-"""Package-level guards on the source tree."""
+"""Package-level guards on the source tree and its documentation."""
 import ast
+import json
+import re
+from dataclasses import asdict
 from pathlib import Path
 
 import eddy2d
+from eddy2d.integrate import SolverOptions
 
 SRC = Path(eddy2d.__file__).parent
+README = SRC.parents[1] / "README.md"
 
 # documented library entry points that no module of the package calls
 LIBRARY_ENTRY_POINTS = {"export_matrix", "save_mesh"}
@@ -59,3 +64,12 @@ def test_private_scipy_modules_are_imported_by_linalg_alone():
                  "from scipy.sparse._sparsetools import csr_matvec"):
         assert _private_scipy_imports(ast.parse(stmt)), stmt
     assert not _private_scipy_imports(ast.parse("import scipy.sparse.linalg"))
+
+
+def test_readme_solver_block_lists_every_option_at_its_default():
+    # the "solver" object of README's scenario block, its // comments
+    # stripped, is SolverOptions() key for key and value for value
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r'^  "solver": (\{.*?^  \})', text, re.S | re.M).group(1)
+    documented = json.loads(re.sub(r"//[^\n]*", "", block))
+    assert documented == asdict(SolverOptions())

@@ -64,6 +64,10 @@ def test_unknown_key_rejected_with_path(tmp_path):
     doc["solver"] = {"pcg_tol": 1e-6, "pgc_tol": 1e-8}  # typo must not pass
     with pytest.raises(ConfigError, match="pgc_tol"):
         load_scenario(write_doc(tmp_path, doc))
+    # a retired option is an unknown key, named by its path
+    doc["solver"] = {"mcc_tol": 1e-10}
+    with pytest.raises(ConfigError, match=r"^unknown key solver\.mcc_tol$"):
+        load_scenario(write_doc(tmp_path, doc))
 
 
 def test_unknown_top_level_key(tmp_path):
@@ -143,7 +147,6 @@ def test_out_of_range_value_rejected_with_path(tmp_path, path, value):
     ("t_end", 0.75), ("t_end", 1e-30), ("t_end", 0.003),
     ("solver.dt_override", 1e-3), ("solver.dt_override", 0.04 / 50),
     ("solver.pcg_tol", 1e-6), ("solver.pcg_tol", 0.999),
-    ("solver.mcc_tol", 1e-10), ("solver.mcc_tol", 1e-13),
     ("solver.power_tol", 1e-5), ("solver.power_tol", 1e-12),
     ("solver.newton_tol", 1e-8), ("solver.newton_tol", 1e-12),
     ("solver.safety", 0.95), ("solver.safety", 1.0), ("solver.safety", 1e-3),
