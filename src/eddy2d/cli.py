@@ -19,8 +19,8 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigError, Eddy2dError, InstabilityError
-from .integrate import (RunResult, probe_deviation, run_explicit, run_implicit,
-                        start_explicit, step_path)
+from .integrate import (RunResult, check_override, probe_deviation, run_explicit,
+                        run_implicit, start_explicit, step_path)
 from .mesh import min_edge_length
 from .scenario import FLOAT_RANGES, Scenario, load_scenario, resolve_config
 from .startvec import STRATEGIES
@@ -179,9 +179,10 @@ def cmd_cfl(args) -> int:
     scenario = load_scenario(resolve_config(args.config))
     problem = scenario.build_problem()
     opts = scenario.options
-    state, _, _, dt_cfl = start_explicit(problem, opts)
-    dt = dt_cfl if opts.dt_override is None else opts.dt_override
-    interface, steps, n_i = step_path(problem.blocks, opts, scenario.t_end, dt)
+    state, _, mcc, dt_cfl = start_explicit(problem, opts)
+    state.dt = dt_cfl if opts.dt_override is None else opts.dt_override
+    check_override(state, opts)
+    interface, steps, n_i = step_path(problem.blocks, opts, scenario.t_end, state.dt)
 
     # conductor elements are the ones with kappa > 0; nu(0) by the runs' own law
     h = min_edge_length(problem.mesh)
@@ -199,6 +200,13 @@ def cmd_cfl(args) -> int:
     print("step path: " + ("interface block formed once, no K_nn solve per step" if interface
                            else "one K_nn solve per step") + f" (strategy {opts.strategy}; "
           f"direct forms the block when projected steps {steps} > n_i {n_i})")
+    if mcc.factor is not None:
+        width = mcc.factor.bandwidth
+        print(f"M_cc band: RCM bandwidth {width}, {8e-6 * (width + 1) * problem.part.n_c:.3f} MB")
+    if interface:
+        n_pn = problem.probe_n.size
+        print(f"interface block: K_S {n_i}x{n_i} + probe rows {n_pn}x{n_i + 1} doubles, "
+              f"{8e-6 * (n_i * n_i + n_pn * (n_i + 1)):.3f} MB")
     return EXIT_OK
 
 

@@ -7,20 +7,21 @@ Explicit Euler on the Schur-complement ODE:
     a_n^m = pinv(K_nn) (j_sn^m - K_cn^T a_c^m).
 
 Under ``direct``, a run of more than n_i steps (step_path) applies K_S as
-the interface block formed once (schur.form_interface): a step makes no
-K_nn solve, and a_n is recovered only for outputs. Otherwise a_n^{m-1} =
-pinv(K_nn) (j_sn^{m-1} - K_cn^T a_c^{m-1}) is kept from the previous step,
-so the source and Schur terms of the bracket collapse to
+the dense interface block formed once (schur.form_interface): a step
+makes no K_nn solve, and a_n is recovered only for outputs. Otherwise
+a_n^{m-1} = pinv(K_nn) (j_sn^{m-1} - K_cn^T a_c^{m-1}) is kept from the
+previous step,
+and the source and Schur terms of the bracket collapse to
 
     -K_cn pinv(K_nn) (j_sn^m - j_sn^{m-1}) - K_cn a_n^{m-1},
 
 and a step makes one K_nn solve, the recovery of a_n^m: the source
 increments (I_m - I_{m-1}) * pattern are parallel, and schur_rhs scales
 its first solve for every later one. M_cc^-1 is one M_cc solve; M_cc is
-constant, so MccSolver factors it once at set-up and PCG at its tol
-checks each solve in one iteration, one M_cc product per solve. The scheme
-is stable for dt <= 2 / lambda_max(M_cc^-1 (K_cc - K_S)),
-with lambda_max estimated numerically by power iteration (the
+constant, so MccSolver factors it once at set-up (band Cholesky), and PCG
+at its tol accepts the factor's solve as its start in 0 iterations. The
+scheme is stable for dt <= 2 / lambda_max(M_cc^-1 (K_cc - K_S)), with
+lambda_max estimated numerically by power iteration (the
 h^2*kappa*mu heuristic is not sharp). K_cc is rebuilt only when the
 conducting solution has drifted from the state of the last rebuild by more
 than tol_update in relative l2 norm. A rebuild does not reassemble: the
@@ -41,8 +42,9 @@ element data discretize resolved once.
 run_explicit and the cfl command share one set-up, start_explicit, and one
 path rule, step_path. Both run loops keep their rows, probe values and
 snapshots in one _Trajectory. The probe's |B| is one compiled product on
-[a_c | a_n at the probe's nonconducting DoFs] (AssembledProblem.probe_b2);
-a full nodal vector is built only for a snapshot.
+[a_c | a_n at the probe's nonconducting DoFs] (AssembledProblem.probe_b2),
+those a_n from the interface block on its path; a full nodal vector is
+built only for a snapshot.
 """
 from __future__ import annotations
 
@@ -73,7 +75,7 @@ from .assembly import (
     source_pattern,
 )
 from .errors import AssemblyError, InstabilityError, SolverError
-from .linalg import SparseMatrix, factor_spd, norm2, pcg, power_iteration
+from .linalg import BandCholesky, SparseMatrix, norm2, pcg, power_iteration
 from .mesh import Mesh2D
 from .schur import (SchurContext, apply_ks, form_interface, interface_dofs, recover_an,
                     schur_rhs)
@@ -174,14 +176,12 @@ def probe_average_b(problem: AssembledProblem, a_c: np.ndarray, a_pn: np.ndarray
 
 
 class MccSolver:
-    """Solves M_cc x = b: PCG at a tight tolerance preconditioned by a sparse
-    LU factor of the constant M_cc (default), or division by the row-sum
-    lumped diagonal. The factor is built once at set-up, so each PCG solve
-    takes one iteration; PCG with ``tol`` then checks that solve's residual.
-    PCG starts from zero: with an exact preconditioner a warm start saves no
-    iteration, and a zero b would hand the start vector back unsolved. From
-    zero its first residual is b itself, so a solve applies M_cc once, in
-    its one iteration. Counts solves and PCG iterations."""
+    """Solves M_cc x = b: PCG at a tight tolerance started at, and
+    preconditioned by, the solve with a band Cholesky ``factor`` of the
+    constant M_cc built once at set-up (default), or division by the
+    row-sum lumped diagonal. The start is exact, so PCG's residual check at
+    ``tol`` accepts it in 0 iterations and one M_cc product. Counts solves
+    and PCG iterations."""
 
     def __init__(self, m_cc: SparseMatrix, mode: str = "pcg", tol: float = 1e-10):
         if mode not in ("pcg", "lumped"):
@@ -191,13 +191,14 @@ class MccSolver:
         self.tol = tol
         self.solves_total = 0
         self.iterations_total = 0
+        self.factor: BandCholesky | None = None
         if mode == "lumped":
             lumped = np.asarray(m_cc.scipy().sum(axis=1)).ravel()
             if m_cc.nrows and lumped.min() <= 0:
                 raise SolverError("lumped mass has a nonpositive entry")
             self._inv_lumped = 1.0 / lumped if m_cc.nrows else np.zeros(0)
         elif m_cc.nrows:
-            self._precond = factor_spd(m_cc, "M_cc").solve
+            self.factor = BandCholesky(m_cc, "M_cc")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         if self.m_cc.nrows == 0:
@@ -205,7 +206,8 @@ class MccSolver:
         self.solves_total += 1
         if self.mode == "lumped":
             return self._inv_lumped * b
-        report = pcg(self.m_cc, b, precond=self._precond, tol=self.tol)
+        report = pcg(self.m_cc, b, x0=self.factor.solve(b), precond=self.factor.solve,
+                     tol=self.tol)
         if not report.converged:
             raise SolverError(
                 f"M_cc solve did not converge (residual {report.final_relative_residual:.3e})"
@@ -314,9 +316,10 @@ def explicit_step(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurCont
     block = schur_ctx.interface
     if block is None:
         bracket = schur_rhs(schur_ctx, j_sn - state.j_sn) - blocks.K_cn.matvec(state.a_n)
+        bracket -= state.K_cc_current.matvec(state.a_c)
     else:
-        bracket = schur_rhs(schur_ctx, j_sn) + block.K_S.matvec(state.a_c)
-    bracket -= state.K_cc_current.matvec(state.a_c)
+        bracket = schur_rhs(schur_ctx, j_sn) - state.K_cc_current.matvec(state.a_c)
+        bracket[block.iface] += block.K_S @ state.a_c[block.iface]
     state.a_c = state.a_c + state.dt * mcc_solver.solve(bracket)
     norm = norm2(state.a_c)
     # the 1e30 guard trips growing modes long before anything physical gets
@@ -565,7 +568,7 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
         if full:
             max_dae = max(max_dae, _dae_residual(blocks, state.a_c, state.a_n, j_sn))
         a_pn = state.a_n[problem.probe_n] if full \
-            else block.probe_rows.matvec(np.concatenate((state.a_c, (current,))))
+            else block.probe_rows @ state.a_c[block.iface] + current * block.probe_source
 
         trajectory.record(state.step_count, state.t, last, state.a_c, a_pn, state.a_n,
                           state.dt, ctx.stats.total_iterations, state.update_count)

@@ -3,9 +3,9 @@
 Compressed-row matrices (their products run scipy's compiled CSR kernel), a
 preconditioned conjugate gradient solver with start-vector support and
 per-solve iteration reporting, incomplete Cholesky / Jacobi preconditioners,
-a sparse LU factorization for the constant SPD blocks, modified
-Gram-Schmidt, power iteration and a dense Cholesky factorization that
-reports the pivot where it breaks down.
+sparse LU (K_nn) and band Cholesky (M_cc) factors of the constant SPD blocks,
+modified Gram-Schmidt, power iteration and a dense Cholesky factorization
+that reports the pivot where it breaks down.
 PCG is hand-rolled because iteration counts and start vectors are
 first-class outputs here, not implementation details. PCG takes the matrix
 itself and a preconditioner as a plain function r -> M^-1 r; power
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg import lapack
 from scipy.sparse import _sparsetools  # the compiled CSR kernels behind csr @ x
 
 from .errors import Ic0Breakdown, SolverError, SpdSolveError
@@ -305,7 +306,7 @@ def ic0_preconditioner(A: SparseMatrix) -> Ic0Preconditioner:
 
 
 def factor_spd(A: SparseMatrix, name: str) -> scipy.sparse.linalg.SuperLU:
-    """Sparse LU of a constant SPD matrix, built once and reused for every
+    """Sparse LU of the constant SPD K_nn, built once and reused for every
     solve with it. A symmetric minimum-degree ordering keeps the fill small,
     and SPD needs no pivoting. A singular matrix raises SolverError naming
     ``name``."""
@@ -314,6 +315,63 @@ def factor_spd(A: SparseMatrix, name: str) -> scipy.sparse.linalg.SuperLU:
                                         diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         raise SolverError(f"{name} factorization failed: {exc}") from exc
+
+
+def rcm_order(A: SparseMatrix) -> np.ndarray:
+    """Reverse Cuthill-McKee ordering of the graph of the symmetric A (George
+    & Liu 1981): perm[k] is the row placed k-th. Each connected component is
+    numbered breadth first from a node of lowest degree, one level at a
+    time; a level's nodes follow the rank of their first parent in the
+    level before, then their degree, then their index."""
+    n, ptr = A.nrows, A.row_offsets
+    degree = np.diff(ptr)
+    width = int(degree.max())
+    span = (width + 1) * n
+    table = np.full((n, width), n)  # row i: the neighbours of node i, padded with n
+    table[np.repeat(np.arange(n), degree), np.arange(A.nnz) - np.repeat(ptr[:-1], degree)] = \
+        A.col_indices
+    free, first = np.ones(n + 1, dtype=bool), np.full(n, np.iinfo(np.int64).max)
+    free[n] = False
+    order = []
+    while free[:n].any():
+        rest = np.flatnonzero(free[:n])
+        level = rest[[np.argmin(degree[rest])]]
+        free[level] = False
+        while level.size:
+            order.append(level)
+            nbr = table[level].ravel()
+            pos = np.flatnonzero(free[nbr])
+            nbr = nbr[pos]
+            key = pos // width * span + degree[nbr] * n + nbr  # (parent rank, degree, node)
+            np.minimum.at(first, nbr, key)  # each new node keeps its least key
+            level = np.sort(key[first[nbr] == key]) % n
+            free[level] = False
+    return np.concatenate(order)[::-1]
+
+
+class BandCholesky:
+    """Cholesky factor of a constant SPD matrix, built once: LAPACK dpbtrf on
+    its lower band in reverse Cuthill-McKee order, which keeps the band
+    narrow (``bandwidth``: the largest |i - j| of an entry in that order),
+    and dpbtrs for each solve. A matrix that is not positive definite raises
+    SolverError naming ``name``."""
+
+    def __init__(self, A: SparseMatrix, name: str):
+        self.perm = rcm_order(A)
+        self._inv = np.argsort(self.perm)
+        rows = np.repeat(self._inv, np.diff(A.row_offsets))
+        cols = self._inv[A.col_indices]
+        lower = rows >= cols
+        self.bandwidth = int((rows - cols)[lower].max())
+        band = np.zeros((self.bandwidth + 1, A.nrows), order="F")
+        band[rows[lower] - cols[lower], cols[lower]] = A.values[lower]
+        self._band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        if info:
+            raise SolverError(f"{name} factorization failed: its leading minor of order "
+                              f"{info} is not positive definite")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return lapack.dpbtrs(self._band, b[self.perm], lower=1, overwrite_b=1)[0][self._inv]
 
 
 def mgs_extend(basis: list[np.ndarray], v: np.ndarray, tol_drop: float = 1e-10):

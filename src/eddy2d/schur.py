@@ -17,10 +17,10 @@ different right-hand-side families would be poor extrapolation data for
 each other.
 K_cn has nonzero rows only at the n_i interface DoFs, so K_S is one
 constant dense n_i x n_i block (Saad 2003, ch. 14): ``form_interface``
-forms it with n_i ``schur_apply`` solves, after which a time step makes
-none. Otherwise the time stepper makes one solve per step, ``recovery``
-(a_n). Either way its sources are multiples of one coil pattern, so
-``schur_rhs`` scales one ``source_term`` solve for all of them.
+forms it as a dense array with n_i ``schur_apply`` solves, after which a
+time step makes none. Otherwise the time stepper makes one solve per step,
+``recovery`` (a_n). Either way its sources are multiples of one coil
+pattern, so ``schur_rhs`` scales one ``source_term`` solve for all of them.
 ``apply_ks`` serves the lambda_max estimate.
 """
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 from .assembly import SystemBlocks
 from .errors import Ic0Breakdown, SolverError
 from .linalg import (
-    SparseMatrix,
     factor_spd,
     ic0_preconditioner,
     jacobi_preconditioner,
@@ -217,13 +216,16 @@ def interface_dofs(blocks: SystemBlocks) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InterfaceSchur:
-    """K_S formed once, (n_c, n_c) and nonzero in interface rows and columns
-    only, and the rows of pinv(K_nn) [-K_nc(:, interface) | pattern] at the
-    probe's nonconducting DoFs: one product of probe_rows with [a_c | I]
-    gives a_n there for the source I * pattern."""
+    """K_S on the interface DoFs ``iface`` (zero elsewhere), and the rows of
+    pinv(K_nn) [-K_nc(:, iface) | pattern] at the probe's nonconducting
+    DoFs, split into probe_rows and the source column probe_source: a_n
+    there is probe_rows @ a_c[iface] + I * probe_source for the source
+    I * pattern. All dense, formed once."""
 
-    K_S: SparseMatrix
-    probe_rows: SparseMatrix
+    iface: np.ndarray
+    K_S: np.ndarray
+    probe_rows: np.ndarray
+    probe_source: np.ndarray
 
 
 def form_interface(ctx: SchurContext, pattern: np.ndarray,
@@ -231,10 +233,10 @@ def form_interface(ctx: SchurContext, pattern: np.ndarray,
     """One ``schur_apply`` solve per interface column K_nc(:, i), and one
     ``source_term`` solve of the coil pattern, kept as ctx's source pair;
     probe_n indexes a_n at the probe's nonconducting DoFs."""
-    K_cn, iface, n_c = ctx.blocks.K_cn, interface_dofs(ctx.blocks), ctx.blocks.n_c
+    K_cn, iface = ctx.blocks.K_cn, interface_dofs(ctx.blocks)
     ptr, cols, vals = K_cn.row_offsets, K_cn.col_indices, K_cn.values
     ks = np.empty((iface.size, iface.size))
-    rows = np.empty((probe_n.size, iface.size + 1))
+    rows = np.empty((probe_n.size, iface.size))
     for k, i in enumerate(iface):
         column = np.zeros(ctx.blocks.n_n)  # K_nc(:, i), row i of K_cn
         column[cols[ptr[i]:ptr[i + 1]]] = vals[ptr[i]:ptr[i + 1]]
@@ -243,8 +245,4 @@ def form_interface(ctx: SchurContext, pattern: np.ndarray,
         rows[:, k] = -y[probe_n]
     w = solve_knn(ctx, pattern, "source_term")
     _keep_source(ctx, np.asarray(pattern, dtype=float), w)
-    rows[:, -1] = w[probe_n]
-    return InterfaceSchur(SparseMatrix.from_coo(n_c, n_c, np.repeat(iface, iface.size),
-                                                np.tile(iface, iface.size), ks.ravel()),
-                          SparseMatrix.from_rows(n_c + 1, np.broadcast_to(
-                              np.append(iface, n_c), rows.shape), rows))
+    return InterfaceSchur(iface, ks, rows, w[probe_n])

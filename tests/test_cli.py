@@ -12,6 +12,7 @@ import eddy2d
 from eddy2d.cli import (EXIT_CONFIG, EXIT_INSTABILITY, EXIT_OK, EXIT_SOLVER, build_parser,
                         main)
 from eddy2d.integrate import SolverOptions
+from eddy2d.linalg import BandCholesky
 from eddy2d.mesh import save_mesh
 from eddy2d.scenario import bundled_scenario_path, load_scenario, parse_scenario
 from eddy2d.schur import interface_dofs
@@ -327,6 +328,29 @@ def test_cfl_report(config_path, capsys):
     assert line.startswith("step path: interface block formed once")
     steps = int(_cfl_line(capsys, "plate2d", "projected steps").rsplit(": ", 1)[1])
     assert line.endswith(f"projected steps {steps} > n_i {n_i})") and steps > n_i
+    # where a step's memory goes: the M_cc band, and the dense interface
+    # block on its path only
+    assert "M_cc band: RCM bandwidth" in out and "interface block" not in out
+    problem = load_scenario(bundled_scenario_path("plate2d")).build_problem()
+    width = BandCholesky(problem.blocks.M_cc, "M_cc").bandwidth
+    n_c, n_pn = problem.part.n_c, problem.probe_n.size
+    assert _cfl_line(capsys, "plate2d", "M_cc band") == \
+        f"M_cc band: RCM bandwidth {width}, {8e-6 * (width + 1) * n_c:.3f} MB"
+    assert _cfl_line(capsys, "plate2d", "interface block") == \
+        (f"interface block: K_S {n_i}x{n_i} + probe rows {n_pn}x{n_i + 1} doubles, "
+         f"{8e-6 * (n_i * n_i + n_pn * (n_i + 1)):.3f} MB")
+
+
+def test_cfl_applies_the_run_dt_override_rule(tmp_path, capsys):
+    # the mini scenario at dt_override 1e-3, ~3x its stable step: cfl exits
+    # as the run does, with the run's message, and reports no steps
+    path = tmp_path / "over.json"
+    path.write_text(json.dumps(small_scenario_doc(dt_override=1e-3)))
+    for argv in (["cfl"], ["run", "--method", "explicit", "--out", str(tmp_path / "o")]):
+        assert main(argv + ["--config", str(path)]) == EXIT_INSTABILITY
+        out, err = capsys.readouterr()
+        assert "dt_override = 1.000000e-03 exceeds the stable step 2/lambda_max" in err
+        assert "projected steps" not in out
 
 
 def _cfl_line(capsys, config, start) -> str:

@@ -1,7 +1,10 @@
 """Package-level guards on the source tree and its documentation."""
 import ast
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -73,3 +76,22 @@ def test_readme_solver_block_lists_every_option_at_its_default():
     block = re.search(r'^  "solver": (\{.*?^  \})', text, re.S | re.M).group(1)
     documented = json.loads(re.sub(r"//[^\n]*", "", block))
     assert documented == asdict(SolverOptions())
+
+
+# the scipy subpackages a CLI start may load: each one more costs every run
+# set-up time and resident memory (scipy.sparse.csgraph alone adds 0.8 MB)
+SCIPY_SUBPACKAGES = {"scipy.sparse", "scipy.sparse.linalg", "scipy.linalg"}
+
+
+def test_cli_import_loads_only_the_scipy_subpackages_it_uses():
+    code = ("import sys, eddy2d.cli\n"
+            "print(' '.join(sorted(name for name, mod in list(sys.modules.items())\n"
+            "    if name.startswith('scipy.') and hasattr(mod, '__path__')\n"
+            "    and not any(part.startswith('_') for part in name.split('.')))))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "scipy.sparse.linalg" in loaded  # the listing sees subpackages
+    assert loaded <= SCIPY_SUBPACKAGES, f"unexpected: {sorted(loaded - SCIPY_SUBPACKAGES)}"
