@@ -19,8 +19,8 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigError, Eddy2dError, InstabilityError
-from .integrate import (RunResult, check_override, probe_deviation, run_explicit,
-                        run_implicit, start_explicit, step_path)
+from .integrate import (RunResult, probe_deviation, run_explicit, run_implicit,
+                        start_explicit, step_path)
 from .mesh import min_edge_length
 from .scenario import FLOAT_RANGES, Scenario, load_scenario, resolve_config
 from .startvec import STRATEGIES
@@ -179,9 +179,7 @@ def cmd_cfl(args) -> int:
     scenario = load_scenario(resolve_config(args.config))
     problem = scenario.build_problem()
     opts = scenario.options
-    state, _, mcc, dt_cfl = start_explicit(problem, opts)
-    state.dt = dt_cfl if opts.dt_override is None else opts.dt_override
-    check_override(state, opts)
+    state, _, mcc, dt_cfl = start_explicit(problem, opts, scenario.t_end)
     interface, steps, n_i = step_path(problem.blocks, opts, scenario.t_end, state.dt)
 
     # conductor elements are the ones with kappa > 0; nu(0) by the runs' own law

@@ -1,25 +1,26 @@
 """Time integration.
 
-Explicit Euler on the Schur-complement ODE:
+Explicit Euler on the Schur-complement ODE, driven by one coil, whose
+source is I_m * pattern at step m:
 
-    a_c^m = a_c^{m-1} + dt * M_cc^-1 [ -K_cn pinv(K_nn) j_sn^m
+    a_c^m = a_c^{m-1} + dt * M_cc^-1 [ I_m * r_pat
                                        - (K_cc(a_c^l) - K_S) a_c^{m-1} ],
-    a_n^m = pinv(K_nn) (j_sn^m - K_cn^T a_c^m).
+    a_n^m = pinv(K_nn) (I_m * pattern - K_cn^T a_c^m),
 
-Under ``direct``, a run of more than n_i steps (step_path) applies K_S as
-the dense interface block formed once (schur.form_interface): a step
-makes no K_nn solve, and a_n is recovered only for outputs. Otherwise
-a_n^{m-1} = pinv(K_nn) (j_sn^{m-1} - K_cn^T a_c^{m-1}) is kept from the
-previous step,
-and the source and Schur terms of the bracket collapse to
+with r_pat = -K_cn pinv(K_nn) pattern, solved once at set-up
+(SchurContext.set_source). Under ``direct``, a run of more than n_i steps
+(step_path) applies K_S as the dense interface block formed once
+(schur.form_interface): a step makes no K_nn solve, and a_n is recovered
+only for outputs. Otherwise a_n^{m-1} = pinv(K_nn) (I_{m-1} * pattern -
+K_cn^T a_c^{m-1}) is kept from the previous step, and the source and Schur
+terms of the bracket collapse to
 
-    -K_cn pinv(K_nn) (j_sn^m - j_sn^{m-1}) - K_cn a_n^{m-1},
+    (I_m - I_{m-1}) * r_pat - K_cn a_n^{m-1},
 
-and a step makes one K_nn solve, the recovery of a_n^m: the source
-increments (I_m - I_{m-1}) * pattern are parallel, and schur_rhs scales
-its first solve for every later one. M_cc^-1 is one M_cc solve; M_cc is
-constant, so MccSolver factors it once at set-up (band Cholesky), and PCG
-at its tol accepts the factor's solve as its start in 0 iterations. The
+and a step makes one K_nn solve, the recovery of a_n^m. M_cc^-1 is one
+M_cc solve; M_cc is constant, so MccSolver factors it once at set-up (band
+Cholesky), and PCG at its tol accepts the factor's solve as its start in 0
+iterations. The
 scheme is stable for dt <= 2 / lambda_max(M_cc^-1 (K_cc - K_S)), with
 lambda_max estimated numerically by power iteration (the
 h^2*kappa*mu heuristic is not sharp). K_cc is rebuilt only when the
@@ -39,8 +40,8 @@ accuracy reference; it is unconditionally stable and reassembles the
 stiffness and Jacobian (newton_system) in every Newton iteration, from the
 element data discretize resolved once.
 
-run_explicit and the cfl command share one set-up, start_explicit, and one
-path rule, step_path. Both run loops keep their rows, probe values and
+run_explicit and the cfl command share one set-up, start_explicit, with
+its dt rule and start checks, and one path rule, step_path. Both run loops keep their rows, probe values and
 snapshots in one _Trajectory. The probe's |B| is one compiled product on
 [a_c | a_n at the probe's nonconducting DoFs] (AssembledProblem.probe_b2),
 those a_n from the interface block on its path; a full nodal vector is
@@ -77,8 +78,7 @@ from .assembly import (
 from .errors import AssemblyError, InstabilityError, SolverError
 from .linalg import BandCholesky, SparseMatrix, norm2, pcg, power_iteration
 from .mesh import Mesh2D
-from .schur import (SchurContext, apply_ks, form_interface, interface_dofs, recover_an,
-                    schur_rhs)
+from .schur import SchurContext, apply_ks, form_interface, interface_dofs, recover_an
 
 MAX_STEPS = 50_000_000
 
@@ -219,13 +219,15 @@ class MccSolver:
 @dataclass
 class SolverState:
     """Mutable time-stepper state. K_cc_current is always the stiffness block
-    assembled at a_c_last_update; j_sn is the source of the last step.
+    assembled at a_c_last_update; current is the coil current I of the last
+    step, whose source is I * pattern (SchurContext.pattern).
 
     For nonlinear problems nu_e holds the conductor element reluctivities
     K_cc_current was built from, and nu_est those of the last lambda_max
     estimate; both are None for linear ones.
 
-    Invariant: a_n = pinv(K_nn) (j_sn - K_cn^T a_c) to PCG tolerance.
+    Invariant: a_n = pinv(K_nn) (current * pattern - K_cn^T a_c) to PCG
+    tolerance.
     new_state starts consistent (all zero) and every explicit_step restores
     it; the step relies on it for its Schur term. A caller that overwrites
     a_c alone leaves it broken for one step, which then uses K_cc in place
@@ -237,7 +239,7 @@ class SolverState:
     a_n: np.ndarray
     a_c_last_update: np.ndarray
     K_cc_current: SparseMatrix
-    j_sn: np.ndarray
+    current: float = 0.0
     dt: float = 0.0
     lam_max: float = 0.0
     lam_vec: np.ndarray | None = None
@@ -256,22 +258,27 @@ def new_state(problem: AssembledProblem) -> SolverState:
         a_n=np.zeros(nn),
         a_c_last_update=np.zeros(nc),
         K_cc_current=problem.blocks.K_cc,
-        j_sn=np.zeros(nn),
         nu_e=problem.kcc_map.nu(np.zeros(nc)) if problem.is_nonlinear else None,
     )
 
 
-def start_explicit(problem: AssembledProblem, opts: SolverOptions):
-    """Set-up of an explicit run: returns (state, ctx, mcc, dt_cfl), the zero
-    state with lambda_max recorded, the K_nn context, the M_cc solver and
-    the initial CFL step."""
+def start_explicit(problem: AssembledProblem, opts: SolverOptions, t_end: float):
+    """Set-up of an explicit run over [0, t_end]: returns (state, ctx, mcc,
+    dt_cfl), the zero state with lambda_max recorded and its dt (dt_override,
+    or else the initial CFL step dt_cfl), the K_nn context and the M_cc
+    solver. A dt that does not fit the window (check_window) or that exceeds
+    the stable step (check_override) ends it here."""
     blocks = problem.blocks
     ctx = SchurContext(blocks, tol=opts.pcg_tol, max_iter=opts.pcg_max_iter,
                        strategy=opts.strategy, cspe_window=opts.cspe_window,
                        pod_window=opts.pod_window, tol_pod=opts.tol_pod)
     mcc = MccSolver(blocks.M_cc, opts.mcc_mode)
     state = new_state(problem)
-    return state, ctx, mcc, estimate_cfl(state, blocks, ctx, mcc, opts)
+    dt_cfl = estimate_cfl(state, blocks, ctx, mcc, opts)
+    state.dt = dt_cfl if opts.dt_override is None else float(opts.dt_override)
+    check_window(t_end, state.dt, "explicit")
+    check_override(state, opts)
+    return state, ctx, mcc, dt_cfl
 
 
 def estimate_cfl(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurContext,
@@ -307,18 +314,20 @@ def estimate_cfl(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurConte
 
 
 def explicit_step(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurContext,
-                  mcc_solver: MccSolver, j_sn: np.ndarray) -> SolverState:
-    """One explicit Euler step; j_sn is the source at the new time t + dt.
+                  mcc_solver: MccSolver, current: float) -> SolverState:
+    """One explicit Euler step; current is the coil current I at the new
+    time t + dt, and schur_ctx holds the pattern's solve (set_source).
     Uses K_cc_current (the selective-update substitute for K_cc(a_c^{m-1})).
     K_S is the formed interface block when schur_ctx holds one; otherwise
     the a_n invariant of SolverState stands in for it, and the one K_nn
-    solve recovers a_n. schur_rhs reuses its last source solve."""
+    solve recovers a_n."""
     block = schur_ctx.interface
     if block is None:
-        bracket = schur_rhs(schur_ctx, j_sn - state.j_sn) - blocks.K_cn.matvec(state.a_n)
+        bracket = (current - state.current) * schur_ctx.r_pat \
+            - blocks.K_cn.matvec(state.a_n)
         bracket -= state.K_cc_current.matvec(state.a_c)
     else:
-        bracket = schur_rhs(schur_ctx, j_sn) - state.K_cc_current.matvec(state.a_c)
+        bracket = current * schur_ctx.r_pat - state.K_cc_current.matvec(state.a_c)
         bracket[block.iface] += block.K_S @ state.a_c[block.iface]
     state.a_c = state.a_c + state.dt * mcc_solver.solve(bracket)
     norm = norm2(state.a_c)
@@ -331,8 +340,8 @@ def explicit_step(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurCont
             t=state.t + state.dt, dt=state.dt,
         )
     if block is None:
-        state.a_n = recover_an(schur_ctx, state.a_c, j_sn)
-    state.j_sn = j_sn
+        state.a_n = recover_an(schur_ctx, state.a_c, current * schur_ctx.pattern)
+    state.current = current
     state.t += state.dt
     state.step_count += 1
     return state
@@ -540,38 +549,27 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
     growth_bound) exceeds 1 + safety: the bound may spend half the margin
     safety leaves below the stability limit 2, the other half covers the
     power iteration's own error. A dt_override past 2/lambda_max of any
-    estimate, the initial one included, ends the run (check_override). On
+    estimate, the initial one included, ends the run (check_override). The
+    coil pattern is solved once, at set-up (SchurContext.set_source). On
     the interface path (step_path) a_n is recovered, and the DAE residual
-    measured, at snapshots and the last step only."""
+    measured, at snapshots and the last step only. A step's row holds the
+    dt it stepped with and the update count before its own rebuild; it is
+    the last when no more than half the possibly shrunk dt is left."""
     trajectory = _Trajectory(problem, opts)
     blocks = problem.blocks
-    state, ctx, mcc, dt_cfl = start_explicit(problem, opts)
-    state.dt = dt_cfl if opts.dt_override is None else float(opts.dt_override)
-    check_window(t_end, state.dt, "explicit")
-    check_override(state, opts)
+    state, ctx, mcc, _ = start_explicit(problem, opts, t_end)
     dt_initial, lam_initial = state.dt, state.lam_max
 
-    pattern = source_pattern(problem.mesh, source, problem.part)
+    ctx.set_source(source_pattern(problem.mesh, source, problem.part))
     if step_path(blocks, opts, t_end, state.dt)[0]:
-        ctx.interface = form_interface(ctx, pattern, problem.probe_n)
+        ctx.interface = form_interface(ctx, problem.probe_n)
     block = ctx.interface
     max_dae = 0.0
     while t_end - state.t > 0.5 * state.dt:
         ctx.step = state.step_count + 1
         current = source.current(state.t + state.dt)
-        j_sn = current * pattern
-        explicit_step(state, blocks, ctx, mcc, j_sn)
-        last = t_end - state.t <= 0.5 * state.dt
-        full = block is None or last or trajectory.snapshot_at(state.step_count, last)
-        if block is not None and full:
-            state.a_n = recover_an(ctx, state.a_c, j_sn)
-        if full:
-            max_dae = max(max_dae, _dae_residual(blocks, state.a_c, state.a_n, j_sn))
-        a_pn = state.a_n[problem.probe_n] if full \
-            else block.probe_rows @ state.a_c[block.iface] + current * block.probe_source
-
-        trajectory.record(state.step_count, state.t, last, state.a_c, a_pn, state.a_n,
-                          state.dt, ctx.stats.total_iterations, state.update_count)
+        explicit_step(state, blocks, ctx, mcc, current)
+        dt, updates = state.dt, state.update_count
 
         # selective updates only matter when K_cc actually depends on a_c
         if problem.is_nonlinear:
@@ -584,6 +582,18 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
                 if opts.dt_override is None and dt_new < state.dt:
                     state.dt = dt_new
                     check_step_limit(t_end, state.dt, state.t, state.step_count)
+
+        last = t_end - state.t <= 0.5 * state.dt
+        full = block is None or last or trajectory.snapshot_at(state.step_count, last)
+        if full:
+            j_sn = current * ctx.pattern
+            if block is not None:
+                state.a_n = recover_an(ctx, state.a_c, j_sn)
+            max_dae = max(max_dae, _dae_residual(blocks, state.a_c, state.a_n, j_sn))
+        a_pn = state.a_n[problem.probe_n] if full \
+            else block.probe_rows @ state.a_c[block.iface] + current * block.probe_source
+        trajectory.record(state.step_count, state.t, last, state.a_c, a_pn, state.a_n,
+                          dt, ctx.stats.total_iterations, updates)
 
     return trajectory.result(
         "explicit", step_count=state.step_count, dt_initial=dt_initial, dt_final=state.dt,

@@ -1,11 +1,12 @@
 """Generalized Schur complement operator and the K_nn solve service.
 
 Eliminating the nonconducting block of the partitioned system through a
-pseudo-inverse of K_nn turns the DAE into an ODE for the conducting DoFs:
+pseudo-inverse of K_nn turns the DAE into an ODE for the conducting DoFs.
+A run drives one coil, whose source is I(t) * pattern:
 
-    M_cc da_c/dt + (K_cc(a_c) - K_S) a_c = -K_cn pinv(K_nn) j_sn,
-    K_S = K_cn pinv(K_nn) K_cn^T,
-    a_n = pinv(K_nn) (j_sn - K_cn^T a_c).
+    M_cc da_c/dt + (K_cc(a_c) - K_S) a_c = I(t) * r_pat,
+    K_S = K_cn pinv(K_nn) K_cn^T,   r_pat = -K_cn pinv(K_nn) pattern,
+    a_n = pinv(K_nn) (I(t) * pattern - K_cn^T a_c).
 
 K_nn and K_cn never change during a run. Under the ``direct`` strategy
 K_nn is factored once (sparse LU), and the factor serves both as the
@@ -15,13 +16,13 @@ other strategies precondition with IC(0) and recycle previous solutions;
 each solve purpose then keeps its own history, because histories from
 different right-hand-side families would be poor extrapolation data for
 each other.
+``SchurContext.set_source`` makes a run's one ``source_term`` solve, of
+the pattern, at set-up.
 K_cn has nonzero rows only at the n_i interface DoFs, so K_S is one
 constant dense n_i x n_i block (Saad 2003, ch. 14): ``form_interface``
 forms it as a dense array with n_i ``schur_apply`` solves, after which a
 time step makes none. Otherwise the time stepper makes one solve per step,
-``recovery`` (a_n). Either way its sources are multiples of one coil
-pattern, so ``schur_rhs`` scales one ``source_term`` solve for all of them.
-``apply_ks`` serves the lambda_max estimate.
+``recovery`` (a_n). ``apply_ks`` serves the lambda_max estimate.
 """
 from __future__ import annotations
 
@@ -95,10 +96,9 @@ def knn_preconditioner(blocks: SystemBlocks, strategy: str = "previous"):
 class SchurContext:
     """Owns the K_nn preconditioner (built once per assembly; K_nn never
     changes during a run), the per-purpose start-vector providers, the
-    iteration statistics, the last source solve of ``schur_rhs`` (the
-    right-hand side ``j_ref``, its result ``r_ref`` and ``jj_ref`` =
-    j_ref . j_ref) and, once formed, the ``interface`` block (None until
-    then). Under ``direct``
+    iteration statistics, the run's coil ``pattern`` with w = pinv(K_nn)
+    pattern and r_pat = -K_cn w once ``set_source`` has run, and, once
+    formed, the ``interface`` block (all None until then). Under ``direct``
     the preconditioner is the solve with the K_nn factor, and every
     provider starts from it. Single-owner mutable; not shared across
     threads."""
@@ -121,9 +121,9 @@ class SchurContext:
         }
         self.stats = IterationStats()
         self.step = 0
-        self.j_ref: np.ndarray | None = None
-        self.r_ref: np.ndarray | None = None
-        self.jj_ref = 0.0
+        self.pattern: np.ndarray | None = None
+        self.w: np.ndarray | None = None
+        self.r_pat: np.ndarray | None = None
         self.interface: InterfaceSchur | None = None
         self._estimation: "SchurContext | None" = None
 
@@ -140,6 +140,13 @@ class SchurContext:
                 strategy="direct" if self.strategy == "direct" else "previous",
                 preconditioner=self.precond)
         return self._estimation
+
+    def set_source(self, pattern: np.ndarray) -> None:
+        """The run's one ``source_term`` solve: keeps the coil pattern, its
+        solve w and r_pat = -K_cn w, so the source term at current I is
+        I * r_pat."""
+        self.pattern = np.asarray(pattern, dtype=float)
+        self.r_pat = schur_rhs(self, self.pattern)
 
 
 def solve_knn(ctx: SchurContext, rhs: np.ndarray, purpose: str) -> np.ndarray:
@@ -181,25 +188,10 @@ def apply_ks(ctx: SchurContext, a_c: np.ndarray) -> np.ndarray:
 
 
 def schur_rhs(ctx: SchurContext, j_sn: np.ndarray) -> np.ndarray:
-    """Source contribution -K_cn pinv(K_nn) j_sn of the Schur ODE. A j_sn
-    within ctx.tol (relative) of c * ctx.j_ref, zero included, returns
-    c * ctx.r_ref with no solve; otherwise a nonzero j_sn, once solved,
-    becomes the stored pair."""
-    j = np.asarray(j_sn, dtype=float)
-    if ctx.j_ref is not None:
-        c = float(ctx.j_ref @ j) / ctx.jj_ref
-        if norm2(j - c * ctx.j_ref) <= ctx.tol * norm2(j):
-            return c * ctx.r_ref
-    return _keep_source(ctx, j, solve_knn(ctx, j, "source_term"))
-
-
-def _keep_source(ctx: SchurContext, j: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """-K_cn w for w = pinv(K_nn) j; a nonzero j becomes the stored pair."""
-    r = -ctx.blocks.K_cn.matvec(w)
-    jj = float(j @ j)
-    if jj > 0.0:
-        ctx.j_ref, ctx.r_ref, ctx.jj_ref = j.copy(), r, jj
-    return r
+    """Source contribution -K_cn pinv(K_nn) j_sn of the Schur ODE: one
+    ``source_term`` solve, kept as ctx.w, and one product."""
+    ctx.w = solve_knn(ctx, j_sn, "source_term")
+    return -ctx.blocks.K_cn.matvec(ctx.w)
 
 
 def recover_an(ctx: SchurContext, a_c: np.ndarray, j_sn: np.ndarray) -> np.ndarray:
@@ -228,11 +220,10 @@ class InterfaceSchur:
     probe_source: np.ndarray
 
 
-def form_interface(ctx: SchurContext, pattern: np.ndarray,
-                   probe_n: np.ndarray) -> InterfaceSchur:
-    """One ``schur_apply`` solve per interface column K_nc(:, i), and one
-    ``source_term`` solve of the coil pattern, kept as ctx's source pair;
-    probe_n indexes a_n at the probe's nonconducting DoFs."""
+def form_interface(ctx: SchurContext, probe_n: np.ndarray) -> InterfaceSchur:
+    """One ``schur_apply`` solve per interface column K_nc(:, i); the source
+    column is ctx.w, the pattern's solve of ``set_source``. probe_n indexes
+    a_n at the probe's nonconducting DoFs."""
     K_cn, iface = ctx.blocks.K_cn, interface_dofs(ctx.blocks)
     ptr, cols, vals = K_cn.row_offsets, K_cn.col_indices, K_cn.values
     ks = np.empty((iface.size, iface.size))
@@ -243,6 +234,4 @@ def form_interface(ctx: SchurContext, pattern: np.ndarray,
         y = solve_knn(ctx, column, "schur_apply")
         ks[:, k] = K_cn.matvec(y)[iface]
         rows[:, k] = -y[probe_n]
-    w = solve_knn(ctx, pattern, "source_term")
-    _keep_source(ctx, np.asarray(pattern, dtype=float), w)
-    return InterfaceSchur(iface, ks, rows, w[probe_n])
+    return InterfaceSchur(iface, ks, rows, ctx.w[probe_n])

@@ -81,7 +81,7 @@ def test_run_explicit_writes_monotone_probe(tmp_path):
 
 
 def test_run_bundled_linear_solves_the_source_once(tmp_path):
-    # the sources of a run are parallel: one source_term solve; under direct
+    # one source_term solve, of the coil pattern at set-up; under direct
     # the run forms K_S with one schur_apply solve per interface DoF and
     # recovers a_n once, at the last step
     out = str(tmp_path / "lin")
@@ -130,7 +130,7 @@ def test_dt_override_past_the_stability_limit_exits_before_stepping(tmp_path, ca
     # naming both numbers
     doc = small_scenario_doc()
     problem = parse_scenario(doc).build_problem()
-    lam = eddy2d.integrate.start_explicit(problem, SolverOptions(seed=11))[0].lam_max
+    lam = eddy2d.integrate.start_explicit(problem, SolverOptions(seed=11), doc["t_end"])[0].lam_max
     doc["solver"]["dt_override"] = 1.1 * 2.0 / lam
     path = tmp_path / "over.json"
     path.write_text(json.dumps(doc))
@@ -350,6 +350,20 @@ def test_cfl_applies_the_run_dt_override_rule(tmp_path, capsys):
         assert main(argv + ["--config", str(path)]) == EXIT_INSTABILITY
         out, err = capsys.readouterr()
         assert "dt_override = 1.000000e-03 exceeds the stable step 2/lambda_max" in err
+        assert "projected steps" not in out
+
+
+def test_cfl_applies_the_run_window_rule(tmp_path, capsys):
+    # bundled plate2d_linear with t_end 1e-4, about a third of its stable
+    # step: cfl exits as the run does, with the run's message
+    doc = json.load(open(bundled_scenario_path("plate2d_linear")))
+    doc["t_end"] = 1e-4
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["cfl"], ["run", "--method", "explicit", "--out", str(tmp_path / "o")]):
+        assert main(argv + ["--config", str(path)]) == EXIT_SOLVER
+        out, err = capsys.readouterr()
+        assert "exceeds the integration window t_end = 1.000e-04" in err
         assert "projected steps" not in out
 
 

@@ -64,6 +64,16 @@ def make_ctx(problem, tol=1e-6, strategy="previous"):
     return SchurContext(problem.blocks, tol=tol, strategy=strategy)
 
 
+def stepping_ctx(problem, tol=1e-6):
+    """A context that has solved the mini source's coil pattern; returns
+    (ctx, pattern)."""
+    from eddy2d.assembly import source_pattern
+    ctx = make_ctx(problem, tol=tol)
+    pattern = source_pattern(problem.mesh, make_mini_source(), problem.part)
+    ctx.set_source(pattern)
+    return ctx, pattern
+
+
 def dense_lambda_max(problem, K_cc=None):
     """Dense generalized-eigenvalue oracle for (K_cc - K_S, M_cc)."""
     blocks = problem.blocks
@@ -194,11 +204,11 @@ def test_cfl_inversely_proportional_to_kappa():
 # ---------------------------------------------------------------- explicit_step
 
 def test_explicit_step_zero_equilibrium(mini_problem):
-    ctx = make_ctx(mini_problem)
+    ctx, _ = stepping_ctx(mini_problem)
     mcc = MccSolver(mini_problem.blocks.M_cc)
     state = new_state(mini_problem)
     state.dt = 1e-3
-    explicit_step(state, mini_problem.blocks, ctx, mcc, np.zeros(mini_problem.part.n_n))
+    explicit_step(state, mini_problem.blocks, ctx, mcc, 0.0)
     np.testing.assert_array_equal(state.a_c, 0.0)
     np.testing.assert_array_equal(state.a_n, 0.0)
     assert state.t == pytest.approx(1e-3)
@@ -206,12 +216,13 @@ def test_explicit_step_zero_equilibrium(mini_problem):
 
 def test_explicit_step_matches_dense_oracle(mini_problem):
     # one full step of the update formula, evaluated densely, from a state
-    # that satisfies the a_n invariant for (a_c, j_prev)
+    # that satisfies the a_n invariant for (a_c, i_prev * pattern)
     blocks = mini_problem.blocks
+    ctx, pattern = stepping_ctx(mini_problem, tol=1e-10)
     rng = np.random.default_rng(7)
     a_c = rng.standard_normal(mini_problem.part.n_c) * 1e-3
-    j_prev = rng.standard_normal(mini_problem.part.n_n) * 1e-2
-    j_sn = rng.standard_normal(mini_problem.part.n_n) * 1e-2
+    i_prev, current = rng.standard_normal(2) * 1e-2
+    j_prev, j_sn = i_prev * pattern, current * pattern
     dt = 1e-4
 
     Minv = np.linalg.inv(blocks.M_cc.toarray())
@@ -223,32 +234,29 @@ def test_explicit_step_matches_dense_oracle(mini_problem):
     a_c_ref = a_c + dt * Minv @ bracket
     a_n_ref = np.linalg.solve(Knn, j_sn) - np.linalg.solve(Knn, Kcn.T @ a_c_ref)
 
-    ctx = make_ctx(mini_problem, tol=1e-10)
     mcc = MccSolver(blocks.M_cc, "pcg", tol=1e-13)
     state = new_state(mini_problem)
     state.a_c = a_c.copy()
     state.a_n = np.linalg.solve(Knn, j_prev - Kcn.T @ a_c)
-    state.j_sn = j_prev
+    state.current = i_prev
     state.dt = dt
-    explicit_step(state, blocks, ctx, mcc, j_sn)
+    explicit_step(state, blocks, ctx, mcc, current)
     assert np.linalg.norm(state.a_c - a_c_ref) <= 1e-9 * max(np.linalg.norm(a_c_ref), 1e-12)
     assert np.linalg.norm(state.a_n - a_n_ref) <= 1e-8 * max(np.linalg.norm(a_n_ref), 1e-12)
 
 
 def test_explicit_steps_match_dense_recurrence(mini_problem, mini_source):
     # ramped source from the zero state: the one-solve step reproduces the
-    # dense source / Schur-apply / recovery recurrence; the source increments
-    # are parallel, so only step 1 solves for one
-    from eddy2d.assembly import source_pattern
+    # dense source / Schur-apply / recovery recurrence; the pattern is
+    # solved once, at set-up (step 0), and a step solves for a_n alone
     blocks = mini_problem.blocks
-    pat = source_pattern(mini_problem.mesh, mini_source, mini_problem.part)
+    ctx, pat = stepping_ctx(mini_problem, tol=1e-10)
     Minv = np.linalg.inv(blocks.M_cc.toarray())
     Knn = blocks.K_nn.toarray()
     Kcn = blocks.K_cn.toarray()
     A = blocks.K_cc.toarray() - dense_kS(blocks)
     dt = 0.5 * 2.0 / dense_lambda_max(mini_problem)
 
-    ctx = make_ctx(mini_problem, tol=1e-10)
     mcc = MccSolver(blocks.M_cc, "pcg", tol=1e-13)
     state = new_state(mini_problem)
     state.dt = dt
@@ -259,13 +267,13 @@ def test_explicit_steps_match_dense_recurrence(mini_problem, mini_source):
         a_c_ref = a_c_ref + dt * Minv @ (-Kcn @ np.linalg.solve(Knn, j_sn) - A @ a_c_ref)
         a_n_ref = np.linalg.solve(Knn, j_sn - Kcn.T @ a_c_ref)
         ctx.step = m
-        explicit_step(state, blocks, ctx, mcc, j_sn)
+        explicit_step(state, blocks, ctx, mcc, mini_source.current(m * dt))
         assert np.linalg.norm(state.a_c - a_c_ref) <= 1e-8 * np.linalg.norm(a_c_ref)
         assert np.linalg.norm(state.a_n - a_n_ref) <= 1e-8 * np.linalg.norm(a_n_ref)
 
-    for m in range(1, n_steps + 1):
-        purposes = sorted(r.purpose for r in ctx.stats.records if r.step == m)
-        assert purposes == (["recovery", "source_term"] if m == 1 else ["recovery"])
+    for m in range(n_steps + 1):
+        purposes = [r.purpose for r in ctx.stats.records if r.step == m]
+        assert purposes == (["source_term"] if m == 0 else ["recovery"])
     assert ctx.stats.n_solves == n_steps + 1
 
 
@@ -275,15 +283,13 @@ def test_stability_dichotomy(mini_problem):
     lam = dense_lambda_max(mini_problem)
     mcc = MccSolver(blocks.M_cc, "pcg", tol=1e-12)
     src = make_mini_source()
-    pattern_ctx = make_ctx(mini_problem, tol=1e-8)
+    pattern_ctx, _ = stepping_ctx(mini_problem, tol=1e-8)
 
     # stable: 1000 steps under a ramp source stay bounded
     state = new_state(mini_problem)
     state.dt = 0.9 * 2.0 / lam
-    from eddy2d.assembly import source_pattern
-    pat = source_pattern(mini_problem.mesh, src, mini_problem.part)
     for _ in range(1000):
-        explicit_step(state, blocks, pattern_ctx, mcc, src.current(state.t + state.dt) * pat)
+        explicit_step(state, blocks, pattern_ctx, mcc, src.current(state.t + state.dt))
     assert np.isfinite(state.a_c).all()
     assert np.linalg.norm(state.a_c) < 1e6
 
@@ -296,10 +302,10 @@ def test_stability_dichotomy(mini_problem):
     state.a_c = v_dom / np.linalg.norm(v_dom)
     state.a_n = -np.linalg.solve(blocks.K_nn.toarray(), blocks.K_cn.toarray().T @ state.a_c)
     state.dt = 1.1 * 2.0 / lam
-    ctx2 = make_ctx(mini_problem, tol=1e-10)
+    ctx2, _ = stepping_ctx(mini_problem, tol=1e-10)
     norms = [np.linalg.norm(state.a_c)]
     for _ in range(40):
-        explicit_step(state, blocks, ctx2, mcc, np.zeros(mini_problem.part.n_n))
+        explicit_step(state, blocks, ctx2, mcc, 0.0)
         norms.append(np.linalg.norm(state.a_c))
     assert all(b > a for a, b in zip(norms, norms[1:]))
 
@@ -308,7 +314,7 @@ def test_explicit_step_instability_error(mini_problem):
     blocks = mini_problem.blocks
     lam = dense_lambda_max(mini_problem)
     mcc = MccSolver(blocks.M_cc)
-    ctx = make_ctx(mini_problem)
+    ctx, _ = stepping_ctx(mini_problem)
     state = new_state(mini_problem)
     rng = np.random.default_rng(9)
     state.a_c = rng.standard_normal(mini_problem.part.n_c)
@@ -316,7 +322,7 @@ def test_explicit_step_instability_error(mini_problem):
     state.dt = 50.0 / lam
     with pytest.raises(InstabilityError, match="instability"):
         for _ in range(3000):
-            explicit_step(state, blocks, ctx, mcc, np.zeros(mini_problem.part.n_n))
+            explicit_step(state, blocks, ctx, mcc, 0.0)
 
 
 # ------------------------------------------------------------- maybe_update_kcc
@@ -790,6 +796,53 @@ def test_run_explicit_refuses_a_shrink_past_the_step_limit(mini_problem_nonlinea
         run_explicit(mini_problem_nonlinear, make_mini_source(i_max=2000.0), 0.05,
                      SolverOptions(seed=3))
     assert len(dts) == 2
+
+
+def test_run_explicit_flags_the_final_step_alone_as_last(mini_problem_nonlinear,
+                                                         monkeypatch):
+    # a re-estimate at step 30 shrinks dt 0.3x where 0.4 of the old step is
+    # left: the run steps once more, to 30.3 dt0, and only that step's row
+    # is the last (output_every past the run: the last row is the only one)
+    problem = mini_problem_nonlinear
+    opts = SolverOptions(seed=3, output_every=1000)
+    dt0 = run_explicit(problem, make_mini_source(), 1e-3, opts).dt_initial
+    estimate = integrate.estimate_cfl
+
+    def shrink_at_30(state, *args):
+        if state.step_count == 0:
+            return estimate(state, *args)
+        return 0.3 * dt0 if state.step_count == 30 else dt0
+
+    monkeypatch.setattr(integrate, "estimate_cfl", shrink_at_30)
+    # every rebuild re-estimates
+    monkeypatch.setattr(type(problem.kcc_map), "growth_bound", lambda *args: np.inf)
+    res = run_explicit(problem, make_mini_source(), 30.4 * dt0, opts)
+    assert res.step_count == 31
+    assert res.times.size == 1
+    assert res.times[0] == pytest.approx(30.3 * dt0)
+    assert res.dt_series[0] == res.dt_final == 0.3 * dt0
+
+
+@pytest.mark.parametrize("strategy,t_end,i_max", [
+    ("direct", 0.01075, 400.0), ("direct", 0.01075, 0.0),
+    ("direct", 0.0035, 400.0), ("direct", 0.0035, 0.0),
+    ("cspe", 0.01075, 400.0), ("cspe", 0.01075, 0.0),
+], ids=["direct-interface", "direct-interface-zero", "direct-per-step",
+        "direct-per-step-zero", "cspe", "cspe-zero"])
+def test_run_explicit_solves_the_source_once(mini_problem, strategy, t_end, i_max):
+    # one source_term solve per run, at set-up (step 0), on either path and
+    # for any current; pcg_solves is n_i + 2 on the interface path (43
+    # steps under direct, no snapshots) and step_count + 1 on the per-step
+    # path (14 steps, or any strategy but direct)
+    opts = SolverOptions(seed=3, strategy=strategy, dt_override=2.5e-4)
+    res = run_explicit(mini_problem, make_mini_source(i_max=i_max), t_end, opts)
+    assert [r.step for r in res.stats.records if r.purpose == "source_term"] == [0]
+    n_i = interface_dofs(mini_problem.blocks).size
+    assert res.step_count == (43 if t_end > 0.01 else 14)
+    if strategy == "direct" and res.step_count > n_i:
+        assert res.summary()["pcg_solves"] == n_i + 2
+    else:
+        assert res.summary()["pcg_solves"] == res.step_count + 1
 
 
 def _run(method, problem, source, t_end, dt):

@@ -144,40 +144,6 @@ def test_schur_rhs_dense_oracle_and_scaling(ctx, mini_problem):
     assert np.linalg.norm(got2 - 2.5 * got) <= 30 * TOL * np.linalg.norm(got2)
 
 
-def test_schur_rhs_parallel_rhs_reuses_last_solve(ctx, mini_problem):
-    j = np.random.default_rng(23).standard_normal(mini_problem.part.n_n)
-    r_ref = schur_rhs(ctx, j)
-    n_records = len(ctx.stats.records)
-    np.testing.assert_allclose(schur_rhs(ctx, -3.5 * j), -3.5 * r_ref, rtol=1e-14)
-    assert len(ctx.stats.records) == n_records  # no solve, no SolveRecord
-    assert ctx.stats.records[-1].purpose == "source_term"
-
-
-def test_schur_rhs_off_direction_solves_again(ctx, mini_problem):
-    blocks = mini_problem.blocks
-    rng = np.random.default_rng(29)
-    j = rng.standard_normal(mini_problem.part.n_n)
-    schur_rhs(ctx, j)
-    # a component orthogonal to j of 10 * tol relative size
-    e = rng.standard_normal(j.size)
-    e -= (e @ j) / (j @ j) * j
-    j2 = 2.0 * j + 10 * TOL * np.linalg.norm(2.0 * j) / np.linalg.norm(e) * e
-    got = schur_rhs(ctx, j2)
-    ref = -blocks.K_cn.toarray() @ np.linalg.solve(blocks.K_nn.toarray(), j2)
-    assert ctx.stats.n_solves == 2
-    assert np.linalg.norm(got - ref) <= 10 * TOL * np.linalg.norm(ref)
-    np.testing.assert_array_equal(ctx.j_ref, j2)  # the new pair replaces the old
-
-
-def test_schur_rhs_zero_after_stored_pair(ctx, mini_problem):
-    j = np.random.default_rng(31).standard_normal(mini_problem.part.n_n)
-    schur_rhs(ctx, j)
-    got = schur_rhs(ctx, np.zeros_like(j))
-    np.testing.assert_array_equal(got, 0.0)
-    assert ctx.stats.n_solves == 1
-    np.testing.assert_array_equal(ctx.j_ref, j)
-
-
 def test_recover_an_zero(ctx, mini_problem):
     a_n = recover_an(ctx, np.zeros(mini_problem.part.n_c), np.zeros(mini_problem.part.n_n))
     np.testing.assert_array_equal(a_n, 0.0)
@@ -334,12 +300,13 @@ def test_direct_singular_knn_raises_solver_error():
 def test_interface_block_matches_dense_schur_complement(mini_problem):
     # dense K_cn K_nn^-1 K_nc is zero off the interface (the nonzero rows of
     # K_cn) and the formed block equals it there; the probe rows are those of
-    # K_nn^-1 [-K_nc(:, interface) | pattern], and the pattern's solve is the
-    # stored source pair
+    # K_nn^-1 [-K_nc(:, interface) | pattern], the source column taken from
+    # the pattern's one solve, whose r_pat the context keeps
     blocks, part = mini_problem.blocks, mini_problem.part
     pattern = source_pattern(mini_problem.mesh, make_mini_source(), part)
     ctx = SchurContext(blocks, tol=TOL, strategy="direct")
-    block = form_interface(ctx, pattern, mini_problem.probe_n)
+    ctx.set_source(pattern)
+    block = form_interface(ctx, mini_problem.probe_n)
     K_cn, K_nn = blocks.K_cn.toarray(), blocks.K_nn.toarray()
     iface = interface_dofs(blocks)
     off = np.setdiff1d(np.arange(blocks.n_c), iface)
@@ -359,9 +326,11 @@ def test_interface_block_matches_dense_schur_complement(mini_problem):
     got_rows = np.column_stack([block.probe_rows, block.probe_source])
     assert got_rows.shape == ref_rows.shape
     assert np.linalg.norm(got_rows - ref_rows) <= 1e-12 * np.linalg.norm(ref_rows)
+    w_ref = sol[:, -1][mini_problem.probe_n]
+    assert np.linalg.norm(ctx.w[mini_problem.probe_n] - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
 
     assert ctx.stats.by_purpose == {"schur_apply": iface.size, "source_term": 1,
                                     "recovery": 0}
-    ref = -K_cn @ np.linalg.solve(K_nn, 3.0 * pattern)
-    assert np.linalg.norm(schur_rhs(ctx, 3.0 * pattern) - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert ctx.stats.n_solves == iface.size + 1  # the source pair was reused
+    assert ctx.stats.records[0].purpose == "source_term"  # solved before forming
+    ref = -K_cn @ np.linalg.solve(K_nn, pattern)
+    assert np.linalg.norm(ctx.r_pat - ref) <= 1e-12 * np.linalg.norm(ref)
