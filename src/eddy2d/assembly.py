@@ -201,17 +201,23 @@ class B2Map:
     """|B|^2 of a fixed set of elements as one compiled product on a DoF
     vector. Row e of ``grad`` holds the element's b and row E + e its c, in
     local node order with Dirichlet columns left out, so ``grad`` x gives
-    the sums of ElementData.b2_local, bitwise; the rest is its arithmetic."""
+    the sums of ElementData.b2_local, bitwise; the rest is its arithmetic.
+    A (rows, n) block of DoF vectors gives the (rows, E) block of their
+    |B|^2, C-contiguous, each row bitwise that of its vector."""
 
     grad: SparseMatrix     # (2 E, n)
     two_area: np.ndarray   # (E,) 2 A
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        g = self.grad.matvec(x)
         n = self.two_area.size
-        dx = g[:n] / self.two_area
-        dy = g[n:] / self.two_area
-        return dx * dx + dy * dy
+        if x.ndim == 1:
+            g, two_area = self.grad.matvec(x), self.two_area
+        else:
+            g, two_area = self.grad.matmat(x.T), self.two_area[:, None]
+        dx = g[:n] / two_area
+        dy = g[n:] / two_area
+        b2 = dx * dx + dy * dy
+        return b2 if x.ndim == 1 else np.ascontiguousarray(b2.T)
 
 
 def b2_map(data: ElementData, index: np.ndarray, n: int) -> B2Map:
@@ -331,7 +337,7 @@ class KccRebuildMap:
         (nu_e - nu_ref,e)^+ mu_e x_e^T M_e x_e <= max_e (...) x^T M_cc x,
         since M_cc is the sum of the conductor element masses. Dirichlet
         zeros in x_e only shrink x_e^T K_geom,e x_e / x_e^T M_e x_e."""
-        return float(np.max(np.maximum(nu_e - nu_ref, 0.0) * self.mu, initial=0.0))
+        return float((np.maximum(nu_e - nu_ref, 0.0) * self.mu).max(initial=0.0))
 
 
 def kcc_rebuild_map(mesh: Mesh2D, part: DofPartition, data: ElementData) -> KccRebuildMap:

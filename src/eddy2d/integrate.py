@@ -41,11 +41,20 @@ stiffness and Jacobian (newton_system) in every Newton iteration, from the
 element data discretize resolved once.
 
 run_explicit and the cfl command share one set-up, start_explicit, with
-its dt rule and start checks, and one path rule, step_path. Both run loops keep their rows, probe values and
-snapshots in one _Trajectory. The probe's |B| is one compiled product on
-[a_c | a_n at the probe's nonconducting DoFs] (AssembledProblem.probe_b2),
-those a_n from the interface block on its path; a full nodal vector is
-built only for a snapshot.
+its dt rule and start checks, and one path rule, step_path. The initial
+lambda_max estimate applies K_S by apply_ks, one K_nn solve per apply;
+re-estimates on the interface path apply the formed block and make none.
+
+Both run loops keep their rows, probe values and snapshots in one
+_Trajectory. A step that keeps a row copies the probe's inputs into a
+block of PROBE_BLOCK rows: a_c at the probe's conducting DoFs, and a_n at
+its nonconducting ones where the step knows a_n, else a_c at the interface
+DoFs and the current. probe_average_b evaluates a whole block when it
+fills and when the run ends: one product with the interface block's probe
+rows forms the missing a_n, and the probe's |B| is one compiled product on
+[a_c | a_n at the probe's DoFs] (AssembledProblem.probe_b2) for all rows.
+A step that keeps no row stores nothing, and a full nodal vector is built
+only for a snapshot.
 """
 from __future__ import annotations
 
@@ -78,7 +87,8 @@ from .assembly import (
 from .errors import AssemblyError, InstabilityError, SolverError
 from .linalg import BandCholesky, SparseMatrix, norm2, pcg, power_iteration
 from .mesh import Mesh2D
-from .schur import SchurContext, apply_ks, form_interface, interface_dofs, recover_an
+from .schur import (InterfaceSchur, SchurContext, apply_ks, form_interface, interface_dofs,
+                    recover_an)
 
 MAX_STEPS = 50_000_000
 
@@ -111,9 +121,10 @@ class SolverOptions:
 class AssembledProblem:
     """Mesh and the assembled system at a = 0, with the element
     data resolved once: all elements, the probe elements with their B^2 map
-    on [a_c | a_n[probe_n]] and total area, and for nonlinear problems the
-    K_cc rebuild map (None for linear ones). probe_n lists, ascending, the
-    a_n entries of the probe's nonconducting nodes."""
+    on [a_c[probe_c] | a_n[probe_n]] and total area, and for nonlinear
+    problems the K_cc rebuild map (None for linear ones). probe_c and
+    probe_n list, ascending, the a_c and a_n entries of the probe's
+    conducting and nonconducting nodes."""
 
     mesh: Mesh2D
     part: DofPartition
@@ -123,6 +134,7 @@ class AssembledProblem:
     elements: ElementData
     probe: ElementData
     probe_b2: B2Map
+    probe_c: np.ndarray
     probe_n: np.ndarray
     probe_area: float
     kcc_map: KccRebuildMap | None
@@ -154,25 +166,33 @@ def discretize(mesh: Mesh2D, materials: MaterialTable,
     nonlinear = any(m.is_nonlinear for m in materials.conductors.values())
     kcc_map = kcc_rebuild_map(mesh, part, data) if nonlinear else None
     probe = data.subset(probe_eids)
-    # each probe node's column in [a_c | a_n[probe_n]]
     index = part.positions(mesh.n_nodes)
-    probe_n = np.unique(index[probe.nodes]) - part.n_c
-    probe_n = probe_n[probe_n >= 0]
-    on_n = index >= part.n_c
-    index[on_n] = part.n_c + np.searchsorted(probe_n, index[on_n] - part.n_c)
+    dofs = np.unique(index[probe.nodes])
+    dofs = dofs[dofs >= 0]
+    # each probe node's column in [a_c[probe_c] | a_n[probe_n]] is its DoF's
+    # position in dofs (Dirichlet nodes stay -1)
+    free = index >= 0
+    index[free] = np.searchsorted(dofs, index[free])
+    probe_c, probe_n = dofs[dofs < part.n_c], dofs[dofs >= part.n_c] - part.n_c
     return AssembledProblem(mesh, part, blocks, M, K, data, probe,
-                            b2_map(probe, index, part.n_c + probe_n.size), probe_n,
+                            b2_map(probe, index, dofs.size), probe_c, probe_n,
                             float(probe.area.sum()), kcc_map)
 
 
-def probe_average_b(problem: AssembledProblem, a_c: np.ndarray, a_pn: np.ndarray) -> float:
-    """Area-weighted mean |B| over the probe elements, from a_c and
-    a_pn = a_n[problem.probe_n]."""
+def probe_average_b(problem: AssembledProblem, a_c: np.ndarray, a_pn: np.ndarray):
+    """Area-weighted mean |B| over the probe elements, from a_c (all of it,
+    or its entries at problem.probe_c) and a_pn = a_n[problem.probe_n]: a
+    float for one state, and for (rows, .) blocks of states one value per
+    row, each bitwise that of its row alone."""
     areas = problem.probe.area
+    if a_c.shape[-1] != problem.probe_c.size:
+        a_c = a_c[..., problem.probe_c]
     if areas.size == 0:
-        return 0.0
-    b2 = problem.probe_b2(np.concatenate([a_c, a_pn]))
-    return float((areas * np.sqrt(b2)).sum() / problem.probe_area)
+        return 0.0 if a_c.ndim == 1 else np.zeros(a_c.shape[0])
+    b2 = problem.probe_b2(np.concatenate([a_c, a_pn], axis=-1))
+    # a C-contiguous (rows, E) block sums each row as the 1-D sum does
+    mean = (areas * np.sqrt(b2)).sum(axis=-1) / problem.probe_area
+    return float(mean) if a_c.ndim == 1 else mean
 
 
 class MccSolver:
@@ -281,24 +301,39 @@ def start_explicit(problem: AssembledProblem, opts: SolverOptions, t_end: float)
     return state, ctx, mcc, dt_cfl
 
 
+def cfl_operator(state: SolverState, schur_ctx: SchurContext, mcc_solver: MccSolver):
+    """x -> M_cc^-1 (K_cc_current - K_S) x. K_S is the formed interface block
+    when schur_ctx holds one; otherwise apply_ks makes one K_nn solve per
+    apply in the dedicated estimation context, so the run's recycling
+    histories stay untouched."""
+    block = schur_ctx.interface
+    if block is None:
+        est_ctx = schur_ctx.estimation_context()
+
+        def apply_op(x):
+            return mcc_solver.solve(state.K_cc_current.matvec(x) - apply_ks(est_ctx, x))
+    else:
+        def apply_op(x):
+            y = state.K_cc_current.matvec(x)
+            y[block.iface] -= block.K_S @ x[block.iface]
+            return mcc_solver.solve(y)
+    return apply_op
+
+
 def estimate_cfl(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurContext,
                  mcc_solver: MccSolver, opts: SolverOptions) -> float:
     """safety * 2 / lambda_max(M_cc^-1 (K_cc - K_S)) with lambda_max from
-    power iteration on the matrix-free operator. The solves run in a
-    dedicated estimation context so the run's recycling histories stay
-    untouched; state.lam_vec warm-starts re-estimation after updates.
-    Records the estimate with the reluctivities it was made at (nu_est)."""
+    power iteration on cfl_operator: on apply_ks for the initial estimate,
+    which picks the step path, and on the interface block for re-estimates
+    once it is formed. state.lam_vec warm-starts re-estimation after
+    updates. Records the estimate with the reluctivities it was made at
+    (nu_est)."""
     n_c = blocks.n_c
     if n_c == 0:
         raise SolverError("no conducting DoFs: the Schur ODE is empty")
-    est_ctx = schur_ctx.estimation_context()
-
-    def apply_op(x):
-        return mcc_solver.solve(state.K_cc_current.matvec(x) - apply_ks(est_ctx, x))
-
-    report = power_iteration(apply_op, n_c, tol=opts.power_tol,
-                             max_iter=opts.power_max_iter, seed=opts.seed,
-                             v0=state.lam_vec)
+    report = power_iteration(cfl_operator(state, schur_ctx, mcc_solver), n_c,
+                             tol=opts.power_tol, max_iter=opts.power_max_iter,
+                             seed=opts.seed, v0=state.lam_vec)
     if not report.converged:
         raise SolverError(
             f"power iteration did not converge in {report.iterations} iterations; "
@@ -395,15 +430,18 @@ class RunResult:
     mass_solves: int = 0
     mass_iterations: int = 0
     newton_iterations: int = 0
+    cfl_knn_solves: int = 0
 
     def write_csv(self, fh) -> None:
-        # repr(float(.)) is the shortest round-trip form: identical doubles
-        # serialize to identical bytes, which the determinism contract needs
+        # repr of a Python float is the shortest round-trip form: identical
+        # doubles serialize to identical bytes, which the determinism
+        # contract needs
         fh.write("t,probe_avg_B,dt,cumulative_pcg_iterations,update_count\n")
-        for i in range(self.times.size):
-            fh.write(f"{float(self.times[i])!r},{float(self.probe[i])!r},"
-                     f"{float(self.dt_series[i])!r},"
-                     f"{int(self.cum_iterations[i])},{int(self.update_series[i])}\n")
+        fh.write("".join(
+            f"{t!r},{b!r},{dt!r},{its},{updates}\n"
+            for t, b, dt, its, updates in zip(
+                self.times.tolist(), self.probe.tolist(), self.dt_series.tolist(),
+                self.cum_iterations.tolist(), self.update_series.tolist())))
 
     def summary(self) -> dict:
         return {
@@ -419,6 +457,7 @@ class RunResult:
             "pcg_solves_by_purpose": dict(getattr(self.stats, "by_purpose", {})),
             "pcg_iterations_total": getattr(self.stats, "total_iterations", 0),
             "pcg_iterations_mean": getattr(self.stats, "mean_iterations", lambda: 0.0)(),
+            "cfl_knn_solves": self.cfl_knn_solves,
             "mass_solves_total": self.mass_solves,
             "mass_iterations_total": self.mass_iterations,
             "newton_iterations_total": self.newton_iterations,
@@ -427,36 +466,87 @@ class RunResult:
         }
 
 
+# Kept rows whose probe inputs _Trajectory buffers before one evaluation.
+# At nx = 160 a block's largest temporary, the probe gradients (2 E = 4096
+# rows), is 4096 x 64 doubles, 2 MB; its stored inputs add about 0.8 MB.
+PROBE_BLOCK = 64
+
+
 class _Trajectory:
     """The output of one run: a row at every output_every-th step and at the
     last, and a field snapshot at every kept step snapshot_every divides.
-    Its clock starts at creation and gives the run's wall time."""
+    Its clock starts at creation and gives the run's wall time.
+
+    A kept row copies the probe's inputs into a block of PROBE_BLOCK rows:
+    a_c at problem.probe_c, and a_pn = a_n[probe_n] where the row's a_n is
+    known. On the interface path (``interface``) a row whose step did not
+    recover a_n stores a_c at the interface DoFs and the current instead,
+    and one product per block forms its a_pn from the block's probe rows.
+    probe_average_b evaluates a block when it fills and when the run ends;
+    a skipped step stores nothing."""
 
     def __init__(self, problem: AssembledProblem, opts: SolverOptions):
         self.problem, self.opts = problem, opts
-        self.rows, self.snapshots = [], []
+        self.interface: InterfaceSchur | None = None
+        self.t, self.dt, self.iterations, self.updates = [], [], [], []
+        self.probe, self.snapshots = [], []
+        self.a_pc = np.empty((PROBE_BLOCK, problem.probe_c.size))
+        self.a_pn = np.empty((PROBE_BLOCK, problem.probe_n.size))
+        self.known = np.zeros(PROBE_BLOCK, dtype=bool)
+        self.size = 0
         self.t_start = time.perf_counter()
+
+    def use_interface(self, block: InterfaceSchur) -> None:
+        self.interface = block
+        self.a_i = np.empty((PROBE_BLOCK, block.iface.size))
+        self.current = np.empty(PROBE_BLOCK)
 
     def snapshot_at(self, step: int, last: bool) -> bool:
         every = self.opts.snapshot_every
         return bool(every) and step % every == 0 and (last or step % self.opts.output_every == 0)
 
-    def record(self, step: int, t: float, last: bool, a_c: np.ndarray, a_pn: np.ndarray,
-               a_n: np.ndarray, dt: float, iterations: int, updates: int) -> None:
+    def record(self, step: int, t: float, last: bool, a_c: np.ndarray, a_n: np.ndarray | None,
+               dt: float, iterations: int, updates: int, current: float = 0.0) -> None:
+        """Keeps the row of a step that outputs one. a_n is None where the
+        interface path did not recover it; a snapshot needs it."""
         if step % self.opts.output_every and not last:
             return
-        problem = self.problem
-        self.rows.append((t, probe_average_b(problem, a_c, a_pn), dt, iterations, updates))
+        problem, k = self.problem, self.size
+        self.t.append(t)
+        self.dt.append(dt)
+        self.iterations.append(iterations)
+        self.updates.append(updates)
+        self.a_pc[k] = a_c[problem.probe_c]
+        if self.interface is not None:
+            self.a_i[k] = a_c[self.interface.iface]
+            self.current[k] = current
+        self.known[k] = a_n is not None
+        if a_n is not None:
+            self.a_pn[k] = a_n[problem.probe_n]
         if self.snapshot_at(step, last):
             a_full = problem.part.to_full(a_c, a_n, problem.mesh.n_nodes)
             bmag = np.sqrt(compute_b2(problem.mesh, a_full, problem.elements))
             self.snapshots.append((step, t, bmag, a_full))
+        self.size += 1
+        if self.size == PROBE_BLOCK:
+            self._evaluate()
+
+    def _evaluate(self) -> None:
+        n, block = self.size, self.interface
+        a_pn = self.a_pn[:n]
+        if block is not None:
+            formed = self.a_i[:n] @ block.probe_rows.T \
+                + self.current[:n, None] * block.probe_source
+            np.copyto(a_pn, formed, where=~self.known[:n, None])
+        self.probe.append(probe_average_b(self.problem, self.a_pc[:n], a_pn))
+        self.size = 0
 
     def result(self, method: str, **counters) -> RunResult:
-        t, probe, dt, iterations, updates = zip(*self.rows)
-        return RunResult(method, np.asarray(t), np.asarray(probe), np.asarray(dt),
-                         np.asarray(iterations, dtype=np.int64),
-                         np.asarray(updates, dtype=np.int64),
+        if self.size:
+            self._evaluate()
+        return RunResult(method, np.asarray(self.t), np.concatenate(self.probe),
+                         np.asarray(self.dt), np.asarray(self.iterations, dtype=np.int64),
+                         np.asarray(self.updates, dtype=np.int64),
                          wall_time=time.perf_counter() - self.t_start,
                          snapshots=self.snapshots, **counters)
 
@@ -563,6 +653,7 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
     ctx.set_source(source_pattern(problem.mesh, source, problem.part))
     if step_path(blocks, opts, t_end, state.dt)[0]:
         ctx.interface = form_interface(ctx, problem.probe_n)
+        trajectory.use_interface(ctx.interface)
     block = ctx.interface
     max_dae = 0.0
     while t_end - state.t > 0.5 * state.dt:
@@ -584,23 +675,23 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
                     check_step_limit(t_end, state.dt, state.t, state.step_count)
 
         last = t_end - state.t <= 0.5 * state.dt
-        full = block is None or last or trajectory.snapshot_at(state.step_count, last)
-        if full:
+        a_n = None
+        if block is None or last or trajectory.snapshot_at(state.step_count, last):
             j_sn = current * ctx.pattern
             if block is not None:
                 state.a_n = recover_an(ctx, state.a_c, j_sn)
             max_dae = max(max_dae, _dae_residual(blocks, state.a_c, state.a_n, j_sn))
-        a_pn = state.a_n[problem.probe_n] if full \
-            else block.probe_rows @ state.a_c[block.iface] + current * block.probe_source
-        trajectory.record(state.step_count, state.t, last, state.a_c, a_pn, state.a_n,
-                          dt, ctx.stats.total_iterations, updates)
+            a_n = state.a_n
+        trajectory.record(state.step_count, state.t, last, state.a_c, a_n, dt,
+                          ctx.stats.total_iterations, updates, current)
 
     return trajectory.result(
         "explicit", step_count=state.step_count, dt_initial=dt_initial, dt_final=state.dt,
         lam_max_initial=lam_initial, lam_max_final=state.lam_max,
         update_count=state.update_count, cfl_estimates=state.estimate_count,
         stats=ctx.stats, max_dae_residual=max_dae,
-        mass_solves=mcc.solves_total, mass_iterations=mcc.iterations_total)
+        mass_solves=mcc.solves_total, mass_iterations=mcc.iterations_total,
+        cfl_knn_solves=ctx.estimation_context().stats.n_solves)
 
 
 def _nonlinear_jacobian_term(problem: AssembledProblem, a_full: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -704,8 +795,8 @@ def run_implicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
         a, iters = newton_solve(problem, dt, a, j_s, opts.newton_tol,
                                 opts.newton_max_iter)
         newton_total += iters
-        trajectory.record(step, t, t_end - t <= 0.5 * dt, a[:n_c], a[n_c + problem.probe_n],
-                          a[n_c:], dt, newton_total, newton_total)
+        trajectory.record(step, t, t_end - t <= 0.5 * dt, a[:n_c], a[n_c:], dt,
+                          newton_total, newton_total)
 
     return trajectory.result("implicit", step_count=step, dt_initial=dt, dt_final=dt,
                              update_count=newton_total, newton_iterations=newton_total)

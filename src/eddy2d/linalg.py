@@ -1,8 +1,9 @@
 """Sparse and small-dense kernels.
 
-Compressed-row matrices (their products run scipy's compiled CSR kernel), a
-preconditioned conjugate gradient solver with start-vector support and
-per-solve iteration reporting, incomplete Cholesky / Jacobi preconditioners,
+Compressed-row matrices (their products with a vector or a block of them
+run scipy's compiled CSR kernels), a preconditioned conjugate gradient
+solver with start-vector support and per-solve iteration reporting,
+incomplete Cholesky / Jacobi preconditioners,
 sparse LU (K_nn) and band Cholesky (M_cc) factors of the constant SPD blocks,
 modified Gram-Schmidt, power iteration and a dense Cholesky factorization
 that reports the pivot where it breaks down.
@@ -143,6 +144,19 @@ class SparseMatrix:
             raise ValueError(f"dimension mismatch: matrix is {self._shape}, vector is {x.shape}")
         y = np.zeros(nrows)
         _sparsetools.csr_matvec(nrows, ncols, self._indptr, self._indices, self._data, x, y)
+        return y
+
+    def matmat(self, x: np.ndarray) -> np.ndarray:
+        """The product with an (ncols, k) block in one compiled pass
+        (csr_matvecs, the multi-vector twin of matvec's kernel), which sums
+        each row in the order matvec does."""
+        x = np.ascontiguousarray(x, dtype=float)
+        nrows, ncols = self._shape
+        if x.ndim != 2 or x.shape[0] != ncols:
+            raise ValueError(f"dimension mismatch: matrix is {self._shape}, block is {x.shape}")
+        y = np.zeros((nrows, x.shape[1]))
+        _sparsetools.csr_matvecs(nrows, ncols, x.shape[1], self._indptr, self._indices,
+                                 self._data, x.ravel(), y.ravel())
         return y
 
 

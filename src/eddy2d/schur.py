@@ -22,7 +22,8 @@ K_cn has nonzero rows only at the n_i interface DoFs, so K_S is one
 constant dense n_i x n_i block (Saad 2003, ch. 14): ``form_interface``
 forms it as a dense array with n_i ``schur_apply`` solves, after which a
 time step makes none. Otherwise the time stepper makes one solve per step,
-``recovery`` (a_n). ``apply_ks`` serves the lambda_max estimate.
+``recovery`` (a_n). ``apply_ks`` serves the initial lambda_max estimate;
+re-estimates apply the formed block.
 """
 from __future__ import annotations
 

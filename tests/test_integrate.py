@@ -1,4 +1,6 @@
+import io
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +22,7 @@ from eddy2d.assembly import (
 from eddy2d.errors import InstabilityError, SolverError
 from eddy2d.integrate import (
     MccSolver,
+    RunResult,
     SolverOptions,
     discretize,
     estimate_cfl,
@@ -36,7 +39,7 @@ from eddy2d.linalg import SparseMatrix
 from eddy2d.materials import MaterialModel
 from eddy2d.mesh import Mesh2D, RegionTag, generate_rect_mesh
 from eddy2d.scenario import bundled_scenario_path, load_scenario
-from eddy2d.schur import SchurContext, interface_dofs
+from eddy2d.schur import SchurContext, form_interface, interface_dofs
 
 from conftest import (
     AIR,
@@ -177,6 +180,37 @@ def test_cfl_matches_dense_generalized_eig(mini_problem):
     dt = estimate_cfl(state, mini_problem.blocks, ctx, mcc, opts)
     assert abs(state.lam_max - lam_ref) <= 1e-3 * lam_ref
     assert dt == pytest.approx(2.0 / state.lam_max)
+
+
+def test_cfl_operator_on_the_interface_block_matches_apply_ks(mini_problem_nonlinear):
+    # once K_S is formed, the estimate's operator applies it as the dense
+    # block: it matches the apply_ks operator to round-off, at rebuilt K_cc
+    # too, and a re-estimate makes no K_nn solve in either context
+    from eddy2d.assembly import source_pattern
+    problem = mini_problem_nonlinear
+    n_c = problem.part.n_c
+    ctx = make_ctx(problem, strategy="direct")
+    ctx.set_source(source_pattern(problem.mesh, make_mini_source(), problem.part))
+    mcc = MccSolver(problem.blocks.M_cc)
+    state = new_state(problem)
+    opts = SolverOptions(seed=3)
+    estimate_cfl(state, problem.blocks, ctx, mcc, opts)
+    est = ctx.estimation_context()
+    assert est.stats.n_solves > 0
+    on_ks = integrate.cfl_operator(state, ctx, mcc)
+    ctx.interface = form_interface(ctx, problem.probe_n)
+    on_block = integrate.cfl_operator(state, ctx, mcc)
+    rng = np.random.default_rng(67)
+    for a_c, _ in random_states(n_c, 0, 10, 71, top=-2):
+        state.K_cc_current = problem.kcc_map.rebuild(problem.kcc_map.nu(a_c))
+        for _ in range(5):
+            x = rng.standard_normal(n_c)
+            ref = on_ks(x)
+            assert np.abs(on_block(x) - ref).max() <= 1e-12 * np.abs(ref).max()
+    est_solves, run_solves = est.stats.n_solves, ctx.stats.n_solves
+    estimate_cfl(state, problem.blocks, ctx, mcc, opts)
+    assert state.estimate_count == 2
+    assert (est.stats.n_solves, ctx.stats.n_solves) == (est_solves, run_solves)
 
 
 def _block_conductor_problem(n=8, kappa=1e7):
@@ -440,9 +474,9 @@ def jittered_mini_problem():
 @pytest.mark.parametrize("make_problem", [plate2d_problem, jittered_mini_problem],
                          ids=["plate2d", "jittered"])
 def test_b2_maps_equal_compute_b2_bitwise(make_problem):
-    # the conductor map on a_c, the probe map on [a_c | a_n[probe_n]], and a
-    # map of every element (those on the Dirichlet boundary included) each
-    # give compute_b2's bits on the full nodal vector
+    # the conductor map on a_c, the probe map on [a_c[probe_c] | a_n[probe_n]],
+    # and a map of every element (those on the Dirichlet boundary included)
+    # each give compute_b2's bits on the full nodal vector
     problem = make_problem()
     mesh, part = problem.mesh, problem.part
     is_cond = mesh.region_mask(lambda t: t.kind == "conductor")
@@ -453,7 +487,8 @@ def test_b2_maps_equal_compute_b2_bitwise(make_problem):
         a_full = part.to_full(a_c, a_n, mesh.n_nodes)
         ref = compute_b2(mesh, a_full, problem.elements)
         assert np.array_equal(problem.kcc_map.b2(a_c), ref[is_cond])
-        assert np.array_equal(problem.probe_b2(np.concatenate([a_c, a_n[problem.probe_n]])),
+        assert np.array_equal(problem.probe_b2(np.concatenate([a_c[problem.probe_c],
+                                                               a_n[problem.probe_n]])),
                               compute_b2(mesh, a_full, problem.probe))
         assert np.array_equal(every(np.concatenate([a_c, a_n])), ref)
 
@@ -506,6 +541,31 @@ def test_probe_average_b_equals_the_full_vector_formula():
         b2 = compute_b2(problem.mesh, a_full, problem.probe)
         ref = float((areas * np.sqrt(b2)).sum() / areas.sum())
         assert integrate.probe_average_b(problem, a_c, a_n[problem.probe_n]) == ref
+
+
+def probe_less_problem():
+    return discretize(make_mini_mesh(), MaterialTable({0: STEEL_LINEAR}, AIR))
+
+
+@pytest.mark.parametrize("make_problem", [plate2d_problem, jittered_mini_problem,
+                                          probe_less_problem],
+                         ids=["plate2d", "jittered", "no-probe"])
+def test_probe_average_b_of_a_block_equals_its_rows(make_problem):
+    # a (rows, .) block of states, zero rows included, gives each row's
+    # value alone, bitwise, from the full a_c or from its probe_c entries
+    problem = make_problem()
+    part = problem.part
+    states = list(random_states(part.n_c, part.n_n, 300, 61))
+    states[::50] = [(np.zeros(part.n_c), np.zeros(part.n_n))] * 6
+    a_c = np.array([a_c for a_c, _ in states])
+    a_pn = np.array([a_n[problem.probe_n] for _, a_n in states])
+    rows = [integrate.probe_average_b(problem, c, pn) for c, pn in zip(a_c, a_pn)]
+    assert all(type(value) is float for value in rows)
+    assert np.array_equal(integrate.probe_average_b(problem, a_c, a_pn), rows)
+    assert np.array_equal(integrate.probe_average_b(problem, a_c[:, problem.probe_c], a_pn),
+                          rows)
+    assert rows[0] == 0.0
+    assert any(rows) == (problem.probe.area.size > 0)
 
 
 def test_kcc_rebuild_ignores_a_n(mini_problem_nonlinear):
@@ -678,6 +738,77 @@ def test_run_implicit_output_interval(mini_problem, mini_source):
         a_c, a_n = a_full[part.nodes[:part.n_c]], a_full[part.nodes[part.n_c:]]
         assert integrate.probe_average_b(mini_problem, a_c, a_n[mini_problem.probe_n]) \
             == res.probe[row]
+
+
+def _probe_rows_run(path, problem, source, steps, output_every):
+    dt = 2.5e-4
+    opts = SolverOptions(seed=3, dt_override=dt, output_every=output_every, snapshot_every=10,
+                         strategy="previous" if path == "per-step" else "direct")
+    if path == "implicit":
+        return run_implicit(problem, source, steps * dt, dt, opts)
+    return run_explicit(problem, source, steps * dt, opts)
+
+
+@pytest.mark.parametrize("output_every", [1, 5])
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+@pytest.mark.parametrize("path", ["interface", "per-step", "implicit"])
+def test_rows_are_the_probe_of_their_state(mini_problem, mini_source, monkeypatch, path,
+                                           extra, output_every):
+    # rows evaluated in blocks: a snapshot row is probe_average_b of the
+    # snapshot's state, bitwise, and every row that of a run evaluating each
+    # row alone, bitwise but where the interface block's product forms a_pn
+    rows = integrate.PROBE_BLOCK + extra
+    res = _probe_rows_run(path, mini_problem, mini_source, rows * output_every, output_every)
+    assert res.times.size == rows and res.step_count == rows * output_every
+    n_i = interface_dofs(mini_problem.blocks).size
+    if path != "implicit":
+        assert res.summary()["pcg_solves_by_purpose"]["schur_apply"] == \
+            (n_i if path == "interface" else 0)
+    part = mini_problem.part
+    assert len(res.snapshots) == rows * output_every // 10
+    for step, t, _, a_full in res.snapshots:
+        row = step // output_every - 1
+        assert res.times[row] == t
+        a_c, a_n = a_full[part.nodes[:part.n_c]], a_full[part.nodes[part.n_c:]]
+        assert res.probe[row] == \
+            integrate.probe_average_b(mini_problem, a_c, a_n[mini_problem.probe_n])
+    monkeypatch.setattr(integrate, "PROBE_BLOCK", 1)
+    alone = _probe_rows_run(path, mini_problem, mini_source, rows * output_every, output_every)
+    assert np.array_equal(res.times, alone.times)
+    if path == "interface":
+        assert np.abs(res.probe - alone.probe).max() <= 1e-13 * np.abs(alone.probe).max()
+    else:
+        assert np.array_equal(res.probe, alone.probe)
+
+
+def test_a_bundled_run_evaluates_the_probe_once_per_block(monkeypatch):
+    # no per-step probe product: one probe_average_b call per block of rows
+    calls = []
+    probe = integrate.probe_average_b
+    monkeypatch.setattr(integrate, "probe_average_b",
+                        lambda *args: calls.append(len(args[1])) or probe(*args))
+    sc = load_scenario(bundled_scenario_path("plate2d"))
+    res = run_explicit(sc.build_problem(), sc.source, sc.t_end, sc.options)
+    assert res.times.size == res.step_count == 2518
+    assert len(calls) == math.ceil(2518 / integrate.PROBE_BLOCK)
+    assert sum(calls) == 2518
+
+
+def test_write_csv_formats_each_row_as_the_row_loop_did():
+    # one join over tolist() values writes the bytes of a per-row loop of
+    # repr(float(.)) and int(.)
+    rng = np.random.default_rng(73)
+    values = np.concatenate([rng.standard_normal(46) * 10.0 ** rng.uniform(-300, 300, 46),
+                             [0.0, -0.0, 5e-324, 1.0]])
+    res = RunResult("explicit", values, values[::-1].copy(), np.abs(values),
+                    np.arange(50, dtype=np.int64) * 10**12, np.arange(50, dtype=np.int64),
+                    step_count=50, dt_initial=1.0, dt_final=1.0, update_count=0, wall_time=0.0)
+    buf = io.StringIO()
+    res.write_csv(buf)
+    ref = "t,probe_avg_B,dt,cumulative_pcg_iterations,update_count\n" + "".join(
+        f"{float(res.times[i])!r},{float(res.probe[i])!r},{float(res.dt_series[i])!r},"
+        f"{int(res.cum_iterations[i])},{int(res.update_series[i])}\n" for i in range(50))
+    assert buf.getvalue() == ref
 
 
 def test_run_explicit_deterministic(mini_problem, mini_source):
@@ -917,11 +1048,16 @@ def test_run_explicit_gated_cfl_keeps_every_step_stable(mini_problem_nonlinear, 
 
 
 def test_summary_counts_cfl_estimates():
-    # the initial estimate plus the re-estimates the bound could not rule out
+    # the initial estimate plus the re-estimates the bound could not rule
+    # out; on the interface path only the initial one makes K_nn solves
     sc = load_scenario(bundled_scenario_path("plate2d"))
-    res = run_explicit(sc.build_problem(), sc.source, 0.15, sc.options)
+    problem = sc.build_problem()
+    ctx = integrate.start_explicit(problem, sc.options, 0.15)[1]
+    initial = ctx.estimation_context().stats.n_solves
+    res = run_explicit(problem, sc.source, 0.15, sc.options)
     assert res.update_count > 100
     assert 1 <= res.summary()["cfl_estimates"] < 10
+    assert res.summary()["cfl_knn_solves"] == initial > 0
     lin = load_scenario(bundled_scenario_path("plate2d_linear"))
     res = run_explicit(lin.build_problem(), lin.source, 0.01, lin.options)
     assert res.summary()["cfl_estimates"] == 1
