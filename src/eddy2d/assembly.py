@@ -259,14 +259,14 @@ def partition(mesh: Mesh2D) -> DofPartition:
     return DofPartition(np.concatenate([nodes_c, nodes_n]), nodes_c.size, nodes_n.size)
 
 
-def assemble(mesh: Mesh2D, data: ElementData, part: DofPartition,
-             a_full: np.ndarray | None = None) -> tuple[SparseMatrix, SparseMatrix]:
-    """Assemble (M, K) on the DoFs of ``part`` from ``element_data(mesh,
-    materials)``, with nu from the element B^2 of ``a_full`` (zero field
-    when None); Dirichlet rows/columns are eliminated by deletion."""
-    element_b2 = compute_b2(mesh, a_full, data) if a_full is not None \
-        else np.zeros(mesh.n_elements)
-    k_vals = _bbcc(data.b, data.c) * (data.nu(element_b2) / (4.0 * data.area))[:, None, None]
+def assemble(mesh: Mesh2D, data: ElementData,
+             part: DofPartition) -> tuple[SparseMatrix, SparseMatrix]:
+    """Assemble (M, K) at zero field on the DoFs of ``part`` from
+    ``element_data(mesh, materials)``; Dirichlet rows/columns are eliminated
+    by deletion. K(a) of a nonlinear problem is these blocks with K_cc
+    rebuilt by KccRebuildMap."""
+    k_vals = _bbcc(data.b, data.c) \
+        * (data.nu(np.zeros(mesh.n_elements)) / (4.0 * data.area))[:, None, None]
     m_vals = MASS_TEMPLATE[None, :, :] * (data.kappa * data.area)[:, None, None]
 
     index, n = part.positions(mesh.n_nodes), part.n_free

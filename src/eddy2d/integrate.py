@@ -36,9 +36,11 @@ KccRebuildMap.growth_bound of the element reluctivities since then. A
 re-estimate may shrink dt, never grow it mid-run.
 
 The implicit Euler / Newton-Raphson path on the full DAE serves as the
-accuracy reference; it is unconditionally stable and reassembles the
-stiffness and Jacobian (newton_system) in every Newton iteration, from the
-element data discretize resolved once.
+accuracy reference; it is unconditionally stable and runs on the explicit
+path's operators: K(a) is the set-up blocks with K_cc rebuilt by the
+KccRebuildMap, the Jacobian's chain-rule term is a product with the map's
+gradient rows (newton_system), and each Newton iteration is one solve with
+the factor_spd LU of the symmetric Jacobian.
 
 run_explicit and the cfl command share one set-up, start_explicit, with
 its dt rule and start checks, and one path rule, step_path. The initial
@@ -64,7 +66,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .assembly import (
     B2Map,
@@ -77,7 +78,6 @@ from .assembly import (
     assemble,
     b2_map,
     compute_b2,
-    element_coo,
     element_data,
     extract_blocks,
     kcc_rebuild_map,
@@ -85,7 +85,7 @@ from .assembly import (
     source_pattern,
 )
 from .errors import AssemblyError, InstabilityError, SolverError
-from .linalg import BandCholesky, SparseMatrix, norm2, pcg, power_iteration
+from .linalg import BandCholesky, SparseMatrix, factor_spd, norm2, pcg, power_iteration
 from .mesh import Mesh2D
 from .schur import (InterfaceSchur, SchurContext, apply_ks, form_interface, interface_dofs,
                     recover_an)
@@ -129,8 +129,6 @@ class AssembledProblem:
     mesh: Mesh2D
     part: DofPartition
     blocks: SystemBlocks
-    M_red: SparseMatrix
-    K_red: SparseMatrix
     elements: ElementData
     probe: ElementData
     probe_b2: B2Map
@@ -174,7 +172,7 @@ def discretize(mesh: Mesh2D, materials: MaterialTable,
     free = index >= 0
     index[free] = np.searchsorted(dofs, index[free])
     probe_c, probe_n = dofs[dofs < part.n_c], dofs[dofs >= part.n_c] - part.n_c
-    return AssembledProblem(mesh, part, blocks, M, K, data, probe,
+    return AssembledProblem(mesh, part, blocks, data, probe,
                             b2_map(probe, index, dofs.size), probe_c, probe_n,
                             float(probe.area.sum()), kcc_map)
 
@@ -694,43 +692,40 @@ def run_explicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
         cfl_knn_solves=ctx.estimation_context().stats.n_solves)
 
 
-def _nonlinear_jacobian_term(problem: AssembledProblem, a_full: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Sum over nonlinear elements of (2 nu'(B^2)/A) w w^T with
-    w = K_geom a (the nu-free element stiffness applied to the local
-    solution); this is the chain-rule part of d(K(a) a)/da."""
-    elements = problem.elements
-    dnu = elements.dnu_db2(compute_b2(problem.mesh, a_full, elements))
-    active = np.nonzero(dnu > 0)[0]
-    index, n = problem.part.positions(problem.mesh.n_nodes), problem.n_free
-    if active.size == 0:
-        return scipy.sparse.csr_matrix((n, n))
-
-    act = elements.subset(active)
-    ae = a_full[act.nodes]
-    sb = (act.b * ae).sum(axis=1)
-    sc = (act.c * ae).sum(axis=1)
-    w = (act.b * sb[:, None] + act.c * sc[:, None]) / (4.0 * act.area)[:, None]
-    coeff = 2.0 * dnu[active] / act.area
-    vals = coeff[:, None, None] * w[:, :, None] * w[:, None, :]
-    rows, cols, flat = element_coo(act.nodes, vals, index)
-    return scipy.sparse.coo_matrix((flat, (rows, cols)), shape=(n, n)).tocsr()
+def _chain_rule_term(kmap: KccRebuildMap, a_c: np.ndarray) -> scipy.sparse.csr_matrix:
+    """The chain-rule part of d(K(a) a)/da, all of it in the cc corner:
+    H^T diag(nu'_e / (8 A_e^3)) H with H = diag(s_b) G_b + diag(s_c) G_c,
+    where G_b and G_c are the b and c halves of kcc_map.b2.grad and
+    (s_b, s_c) their products with a_c. Row e of H is the element's
+    s_b b_e + s_c c_e, so the term is the sum over conductor elements of
+    (2 nu'_e / A_e) w_e w_e^T with w_e = (s_b b_e + s_c c_e) / (4 A_e)."""
+    grad, two_area = kmap.b2.grad, kmap.b2.two_area
+    scaled = scipy.sparse.diags(grad.matvec(a_c)) @ grad.scipy()
+    H = scaled[:two_area.size] + scaled[two_area.size:]
+    alpha = kmap.conductor.dnu_db2(kmap.b2(a_c)) / two_area ** 3
+    return (H.T @ scipy.sparse.diags(alpha) @ H).tocsr()
 
 
 def newton_system(problem: AssembledProblem, dt: float, a_old: np.ndarray,
                   j_s: np.ndarray, a: np.ndarray):
     """Residual F(a) = (M/dt + K(a)) a - (M/dt) a_old - j_s of the implicit
-    Euler step and its Jacobian M/dt + K(a) + d(K a)/da (the chain-rule term
-    vanishes for linear materials)."""
-    Mdt = problem.M_red.scipy() * (1.0 / dt)
-    a_full = np.zeros(problem.mesh.n_nodes)
-    a_full[problem.part.nodes] = a
+    Euler step and its Jacobian J = M/dt + K(a) + d(K(a) a)/da, on the
+    set-up blocks: M is M_cc, and K(a) is [[K_cc(a_c), K_cn], [K_nc, K_nn]],
+    whose K_cc corner kcc_map rebuilds for nonlinear problems. The
+    chain-rule term (_chain_rule_term) is in the cc corner too, and
+    vanishes for linear materials. nu' >= 0 keeps J symmetric."""
+    blocks, n_c = problem.blocks, problem.part.n_c
+    a_c, a_n = a[:n_c], a[n_c:]
+    K_cc, corner = blocks.K_cc, blocks.M_cc.scipy() * (1.0 / dt)
     if problem.is_nonlinear:
-        _, K = assemble(problem.mesh, problem.elements, problem.part, a_full)
-        A = Mdt + K.scipy()
-    else:
-        A = Mdt + problem.K_red.scipy()
-    F = A @ a - (Mdt @ a_old + j_s)
-    J = A + _nonlinear_jacobian_term(problem, a_full) if problem.is_nonlinear else A
+        K_cc = problem.kcc_map.rebuild(problem.kcc_map.nu(a_c))
+        corner = corner + _chain_rule_term(problem.kcc_map, a_c)
+    F = np.concatenate([
+        K_cc.matvec(a_c) + blocks.K_cn.matvec(a_n)
+        + blocks.M_cc.matvec(a_c - a_old[:n_c]) / dt,
+        blocks.K_nc.matvec(a_c) + blocks.K_nn.matvec(a_n)]) - j_s
+    J = scipy.sparse.bmat([[corner + K_cc.scipy(), blocks.K_cn.scipy()],
+                           [blocks.K_nc.scipy(), blocks.K_nn.scipy()]], format="csr")
     return F, J
 
 
@@ -738,19 +733,13 @@ def newton_solve(problem: AssembledProblem, dt: float, a_old: np.ndarray,
                  j_s: np.ndarray, newton_tol: float = 1e-8,
                  max_newton: int = 25) -> tuple[np.ndarray, int]:
     """One implicit Euler step on the full DAE, solved by Newton-Raphson on
-    newton_system. Converges in exactly one iteration for linear materials,
-    whose constant Jacobian is factorized once per dt. Returns (a, iterations)."""
-    Mdt = problem.M_red.scipy() * (1.0 / dt)
-    scale = float(np.linalg.norm(Mdt @ a_old + j_s)) or 1.0
-
-    lin_factor = None
-    if not problem.is_nonlinear:
-        lin_factor = problem._factor_cache.get(dt)
-        if lin_factor is None:
-            lin_factor = scipy.sparse.linalg.splu(
-                (Mdt + problem.K_red.scipy()).tocsc()
-            )
-            problem._factor_cache[dt] = lin_factor
+    newton_system, each iteration one solve with the factor_spd LU of the
+    symmetric J. Converges in exactly one iteration for linear materials,
+    whose constant J is factored once per dt. Returns (a, iterations)."""
+    n_c = problem.part.n_c
+    rhs = np.array(j_s, dtype=float)
+    rhs[:n_c] += problem.blocks.M_cc.matvec(a_old[:n_c]) / dt
+    scale = float(np.linalg.norm(rhs)) or 1.0
 
     a = np.array(a_old, dtype=float)
     f_first = None
@@ -765,11 +754,12 @@ def newton_solve(problem: AssembledProblem, dt: float, a_old: np.ndarray,
             return a, it
         if it == max_newton:
             break
-        if lin_factor is not None:
-            delta = lin_factor.solve(-F)
-        else:
-            delta = scipy.sparse.linalg.spsolve(J.tocsc(), -F)
-        a = a + delta
+        factor = None if problem.is_nonlinear else problem._factor_cache.get(dt)
+        if factor is None:
+            factor = factor_spd(SparseMatrix(J), "implicit Euler Jacobian")
+            if not problem.is_nonlinear:
+                problem._factor_cache[dt] = factor
+        a = a + factor.solve(-F)
     raise SolverError(
         f"Newton did not converge in {max_newton} iterations "
         f"(residual {fn:.3e}); try a smaller time step"
@@ -779,9 +769,9 @@ def newton_solve(problem: AssembledProblem, dt: float, a_old: np.ndarray,
 def run_implicit(problem: AssembledProblem, source: SourceSpec, t_end: float,
                  dt: float, opts: SolverOptions) -> RunResult:
     """Implicit Euler reference trajectory; dt is unconstrained (the scheme
-    is unconditionally stable). update_count reports the Newton total: the
-    nonlinear stiffness is reassembled in every Newton iteration (linear
-    problems reuse one cached factorization instead)."""
+    is unconditionally stable). update_count reports the Newton total: a
+    nonlinear problem rebuilds K_cc and factors the Jacobian in every Newton
+    iteration, a linear one reuses one factor per dt."""
     check_window(t_end, dt, "implicit")
     trajectory = _Trajectory(problem, opts)
     n_c = problem.part.n_c

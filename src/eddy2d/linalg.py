@@ -320,9 +320,12 @@ def ic0_preconditioner(A: SparseMatrix) -> Ic0Preconditioner:
 
 
 def factor_spd(A: SparseMatrix, name: str) -> scipy.sparse.linalg.SuperLU:
-    """Sparse LU of the constant SPD K_nn, built once and reused for every
-    solve with it. A symmetric minimum-degree ordering keeps the fill small,
-    and SPD needs no pivoting. A singular matrix raises SolverError naming
+    """Sparse LU of an SPD matrix, for as many solves with it as its owner
+    makes: the constant K_nn, factored once per run, and the implicit Euler
+    Jacobian (integrate.newton_solve), factored once per dt for linear
+    problems and once per Newton iteration for nonlinear ones. A symmetric
+    minimum-degree ordering keeps the fill small, and SPD needs no pivoting,
+    so A must be symmetric. A singular matrix raises SolverError naming
     ``name``."""
     try:
         return scipy.sparse.linalg.splu(A.scipy().tocsc(), permc_spec="MMD_AT_PLUS_A",

@@ -182,9 +182,10 @@ FLOAT_RANGES = {
     "tol_pod": (lambda v: 0 < v < math.inf, "finite and > 0"),
 }
 # the minimum of each integer option: power iteration can only converge
-# from its second iteration, and a direct run needs no PCG iteration
+# from its second iteration, a direct run needs no PCG iteration, and an
+# implicit step starts from a nonzero residual, so it needs a Newton iteration
 _INT_MINIMUMS = {
-    "seed": 0, "pcg_max_iter": 0, "newton_max_iter": 0, "power_max_iter": 2,
+    "seed": 0, "pcg_max_iter": 0, "newton_max_iter": 1, "power_max_iter": 2,
     "cspe_window": 1, "pod_window": 1, "output_every": 1, "snapshot_every": 1,
 }
 _NULLABLE_OPTS = {"pcg_max_iter", "dt_override", "snapshot_every"}

@@ -5,6 +5,7 @@ import pytest
 
 from eddy2d.assembly import MaterialTable, SourceSpec
 from eddy2d.integrate import discretize
+from eddy2d.linalg import SparseMatrix
 from eddy2d.materials import MaterialModel, NU0
 from eddy2d.mesh import RegionTag, generate_rect_mesh
 
@@ -59,12 +60,43 @@ def dense_kS(blocks) -> np.ndarray:
     return K_cn @ np.linalg.solve(K_nn, K_cn.T)
 
 
+def reassemble_stiffness(mesh, data, part, a_full) -> SparseMatrix:
+    """Oracle K(a) on the DoFs of ``part``, from the element formulas alone:
+    each element's nu(B^2) (b b^T + c c^T) / (4 A), with b, c from its node
+    coordinates, nu from the (k1, k2, k3) of ``data`` and B^2 from its three
+    entries of the full nodal vector a_full (Dirichlet zeros included),
+    summed as COO duplicates; Dirichlet rows and columns are left out."""
+    x, y = np.moveaxis(mesh.nodes[mesh.elements], 2, 0)  # each (E, 3)
+    b = np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)  # y_j - y_k
+    c = np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)  # x_k - x_j
+    two_area = 2.0 * mesh.areas
+    a_e = np.asarray(a_full, dtype=float)[mesh.elements]
+    b2 = ((a_e * b).sum(axis=1) / two_area) ** 2 + ((a_e * c).sum(axis=1) / two_area) ** 2
+    nu = data.k1 + data.k2 * np.exp(data.k3 * b2)
+    k_e = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) \
+        * (nu / (2.0 * two_area))[:, None, None]
+    dof = part.positions(mesh.n_nodes)[mesh.elements]
+    rows, cols = np.repeat(dof, 3, axis=1).ravel(), np.tile(dof, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    return SparseMatrix.from_coo(part.n_free, part.n_free, rows[keep], cols[keep],
+                                 k_e.ravel()[keep])
+
+
+def reassembled_kcc(problem, a_c, a_n) -> SparseMatrix:
+    """The K_cc corner of reassemble_stiffness at the state (a_c, a_n)."""
+    part = problem.part
+    K = reassemble_stiffness(problem.mesh, problem.elements, part,
+                             part.to_full(a_c, a_n, problem.mesh.n_nodes))
+    return SparseMatrix(K.scipy()[part.idx_c, part.idx_c])
+
+
 NAN, INF = float("nan"), float("inf")
 
 # (key path, value) pairs that parsing must reject with a ConfigError that
 # names the key path: non-finite, out of the option's range, not an integer
 # (bools included) where one is required, a dt_override that leaves no
-# step of t_end or more than MAX_STEPS of them, or a retired option
+# step of t_end or more than MAX_STEPS of them, a newton_max_iter of 0,
+# which leaves every implicit step unsolved, or a retired option
 # (solver.mcc_tol), which is an unknown key whatever its value
 BAD_SCENARIO_VALUES = [
     ("t_end", NAN), ("t_end", INF), ("t_end", 0.0), ("t_end", -1.0),
@@ -83,6 +115,7 @@ BAD_SCENARIO_VALUES = [
     ("solver.power_max_iter", INF),
     ("solver.seed", True), ("solver.cspe_window", True), ("solver.output_every", 2.5),
     ("solver.seed", -1), ("solver.pcg_max_iter", -5), ("solver.newton_max_iter", -1),
+    ("solver.newton_max_iter", 0),
     ("solver.power_max_iter", 0), ("solver.power_max_iter", 1),
     ("solver.cspe_window", 0), ("solver.pod_window", 0), ("solver.output_every", 0),
     ("solver.snapshot_every", 0),

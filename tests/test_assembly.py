@@ -12,11 +12,13 @@ from eddy2d.assembly import (
     source_pattern,
 )
 from eddy2d.errors import AssemblyError
+from eddy2d.integrate import newton_system
 from eddy2d.linalg import SparseMatrix
 from eddy2d.materials import MaterialModel, NU0
 from eddy2d.mesh import Mesh2D, RegionTag, generate_rect_mesh
 
-from conftest import AIR, STEEL_BRAUER, STEEL_LINEAR, make_mini_mesh
+from conftest import (AIR, STEEL_BRAUER, STEEL_LINEAR, make_mini_mesh, make_mini_problem,
+                      reassemble_stiffness)
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -100,15 +102,23 @@ def test_all_air_mass_is_zero():
 
 
 def test_linear_assembly_independent_of_a():
+    # of linear materials, the reassembly at any field is the assembled K,
+    # and the implicit Jacobian, built on the set-up blocks, does not move
     mesh = make_mini_mesh()
     table = _mats()
     rng = np.random.default_rng(8)
     a = rng.standard_normal(mesh.n_nodes)
     data, p = element_data(mesh, table), partition(mesh)
-    M0, K0 = assemble(mesh, data, p, None)
-    M1, K1 = assemble(mesh, data, p, a)
+    _, K0 = assemble(mesh, data, p)
+    K1 = reassemble_stiffness(mesh, data, p, a)
     np.testing.assert_array_equal(K0.values, K1.values)
     np.testing.assert_array_equal(K0.col_indices, K1.col_indices)
+    problem = make_mini_problem()
+    zero = np.zeros(problem.n_free)
+    _, J0 = newton_system(problem, 1e-3, zero, zero, zero)
+    _, J1 = newton_system(problem, 1e-3, zero, zero, a[problem.part.nodes])
+    np.testing.assert_array_equal(J0.indices, J1.indices)
+    np.testing.assert_array_equal(J0.data, J1.data)
 
 
 def test_unreduced_stiffness_kills_constants():
@@ -122,11 +132,15 @@ def test_unreduced_stiffness_kills_constants():
 
 
 def test_assembled_matrices_symmetric():
+    # M and K at zero field, and K_cc rebuilt at a nonzero field
     mesh = make_mini_mesh()
-    M, K = assemble(mesh, element_data(mesh, _mats(STEEL_BRAUER)), partition(mesh),
-                    np.random.default_rng(5).standard_normal(mesh.n_nodes) * 0.01)
+    M, K = assemble(mesh, element_data(mesh, _mats(STEEL_BRAUER)), partition(mesh))
     assert np.abs(K.toarray() - K.toarray().T).max() <= 1e-9
     assert np.abs(M.toarray() - M.toarray().T).max() <= 1e-12
+    kmap = make_mini_problem(nonlinear=True).kcc_map
+    a_c = np.random.default_rng(5).standard_normal(kmap.indptr.size - 1) * 0.01
+    K_cc = kmap.rebuild(kmap.nu(a_c)).toarray()
+    assert np.abs(K_cc - K_cc.T).max() <= 1e-9
 
 
 def test_missing_material_raises():
@@ -222,7 +236,8 @@ def test_extract_blocks_vs_dense_slicing_oracle():
 
 def test_dae_structure_mass_blocks_vanish(mini_problem):
     p = mini_problem.part
-    Md = mini_problem.M_red.toarray()
+    M, _ = assemble(mini_problem.mesh, mini_problem.elements, p)
+    Md = M.toarray()
     assert np.abs(Md[p.idx_n, p.idx_n]).max() == 0
     assert np.abs(Md[p.idx_n, p.idx_c]).max() == 0
     # and M_cc is SPD
@@ -231,26 +246,33 @@ def test_dae_structure_mass_blocks_vanish(mini_problem):
 
 
 def test_nonlinear_update_touches_only_conductor_entries():
+    # the premise of the rebuild map, on the reassembly oracle: a nonzero
+    # field changes only entries between conductor nodes; and the map's
+    # rebuilt K_cc changes only those entries of the set-up K_cc
     mesh = make_mini_mesh()
     table = MaterialTable({0: STEEL_BRAUER}, AIR)
     rng = np.random.default_rng(21)
     a = rng.standard_normal(mesh.n_nodes) * 0.05
     data, p = element_data(mesh, table), partition(mesh)
-    _, K0 = assemble(mesh, data, p, None)
-    _, K1 = assemble(mesh, data, p, a)
+    K0 = reassemble_stiffness(mesh, data, p, np.zeros(mesh.n_nodes))
+    K1 = reassemble_stiffness(mesh, data, p, a)
     b0 = extract_blocks(K0, K0, p)
     b1 = extract_blocks(K1, K1, p)
     np.testing.assert_array_equal(b0.K_cn.toarray(), b1.K_cn.toarray())
     np.testing.assert_array_equal(b0.K_nn.toarray(), b1.K_nn.toarray())
-    # the difference lives only on entries assembled from conductor elements
-    diff = np.abs(K0.toarray() - K1.toarray())
     conductor_nodes = set()
     for e, tag in enumerate(mesh.element_region):
         if tag.kind == "conductor":
             conductor_nodes.update(int(i) for i in mesh.elements[e])
-    changed = np.nonzero(diff > 0)
-    for i, j in zip(*changed):
-        assert int(p.nodes[i]) in conductor_nodes and int(p.nodes[j]) in conductor_nodes
+    problem = make_mini_problem(nonlinear=True)
+    a_c = a[problem.part.nodes[:problem.part.n_c]]
+    rebuilt = problem.kcc_map.rebuild(problem.kcc_map.nu(a_c)).toarray()
+    for diff in (np.abs(K0.toarray() - K1.toarray()),
+                 np.abs(problem.blocks.K_cc.toarray() - rebuilt)):
+        changed = np.nonzero(diff > 0)
+        assert changed[0].size
+        for i, j in zip(*changed):
+            assert int(p.nodes[i]) in conductor_nodes and int(p.nodes[j]) in conductor_nodes
 
 
 # ---------------------------------------------------------------- source

@@ -548,6 +548,19 @@ def test_determinism_nonlinear_bitwise_csv(tmp_path):
             assert b1 == b2, (strategy, name)
 
 
+def test_determinism_implicit_nonlinear_bitwise_csv(nonlinear_config_path, tmp_path):
+    # every Newton iteration of the small nonlinear scenario rebuilds K_cc
+    # and factors the Jacobian; two runs write the same bytes
+    outs = [str(tmp_path / f"i{i}") for i in (1, 2)]
+    for out in outs:
+        assert main(["run", "--config", nonlinear_config_path, "--method", "implicit",
+                     "--out", out]) == EXIT_OK
+    summary = json.load(open(os.path.join(outs[0], "result_implicit_summary.json")))
+    assert summary["newton_iterations_total"] > summary["step_count"]
+    b1, b2 = (open(os.path.join(out, "result_implicit.csv"), "rb").read() for out in outs)
+    assert b1 == b2
+
+
 def test_run_bundled_by_name(tmp_path):
     # bundled scenarios are addressable by bare name; keep it cheap by
     # shrinking t_end through a copied config

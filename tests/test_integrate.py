@@ -13,11 +13,9 @@ from eddy2d import integrate
 from eddy2d.assembly import (
     MASS_TEMPLATE,
     MaterialTable,
-    assemble,
     b2_map,
     compute_b2,
     element_coo,
-    extract_blocks,
 )
 from eddy2d.errors import InstabilityError, SolverError
 from eddy2d.integrate import (
@@ -49,6 +47,8 @@ from conftest import (
     make_mini_mesh,
     make_mini_problem,
     make_mini_source,
+    reassemble_stiffness,
+    reassembled_kcc,
 )
 
 
@@ -394,9 +394,7 @@ def assert_kcc_matches_reassembly(problem, state):
     its values to 1e-14 max|K_cc|: the rebuild sums element entries in
     another order than scipy sums CSR duplicates, so bitwise parity is not
     attainable."""
-    a_full = problem.part.to_full(state.a_c, state.a_n, problem.mesh.n_nodes)
-    _, K = assemble(problem.mesh, problem.elements, problem.part, a_full)
-    ref = extract_blocks(problem.M_red, K, problem.part).K_cc
+    ref = reassembled_kcc(problem, state.a_c, state.a_n)
     got = state.K_cc_current
     np.testing.assert_array_equal(got.row_offsets, ref.row_offsets)
     np.testing.assert_array_equal(got.col_indices, ref.col_indices)
@@ -654,16 +652,13 @@ def test_newton_linear_one_iteration(mini_problem, mini_source):
 def test_newton_scalar_vs_root_finder():
     # manufactured single-DoF nonlinear step checked against brentq
     problem = scalar_problem(nonlinear=True)
-    m = problem.M_red.toarray()[0, 0]
+    m = problem.blocks.M_cc.toarray()[0, 0]
     dt = 1e-4
     a_old = np.array([0.002])
     j = np.array([50.0])
 
     def stiffness(a):
-        a_full = np.zeros(problem.mesh.n_nodes)
-        a_full[problem.part.nodes] = a
-        _, K = assemble(problem.mesh, problem.elements, problem.part, a_full)
-        return K.toarray()[0, 0]
+        return reassembled_kcc(problem, np.array(a), np.zeros(0)).toarray()[0, 0]
 
     def F(a):
         return (m / dt + stiffness([a])) * a - (m / dt) * a_old[0] - j[0]
@@ -689,7 +684,67 @@ def test_newton_jacobian_matches_finite_differences(mini_problem_nonlinear):
     rhs = F1 - F0
     err, scale = np.linalg.norm(lhs - rhs), np.linalg.norm(rhs)
     assert np.isfinite(err) and np.isfinite(scale)
-    assert err <= 1e-4 * scale
+    # the step's second-order error is about 2e-9; leaving out the
+    # chain-rule term gives about 2e-5, which a 1e-4 bound let through
+    assert err <= 1e-7 * scale
+
+
+def dense_chain_rule_term(problem, a_full):
+    """Oracle chain-rule part of d(K(a) a)/da on the conducting DoFs, element
+    by element: each conductor element's (2 nu'(B^2) / A) w w^T with
+    w = (b (b . a_e) + c (c . a_e)) / (4 A), scattered densely."""
+    n_c, data = problem.part.n_c, problem.elements
+    index = problem.part.positions(problem.mesh.n_nodes)
+    out = np.zeros((n_c, n_c))
+    for e, tag in enumerate(problem.mesh.element_region):
+        if tag.kind != "conductor":
+            continue
+        nodes, b, c, area = data.nodes[e], data.b[e], data.c[e], data.area[e]
+        a_e = a_full[nodes]
+        b2 = ((b @ a_e) ** 2 + (c @ a_e) ** 2) / (2.0 * area) ** 2
+        dnu = data.k2[e] * data.k3[e] * np.exp(data.k3[e] * b2)
+        w = (b * (b @ a_e) + c * (c @ a_e)) / (4.0 * area)
+        for i in range(3):
+            for j in range(3):
+                if index[nodes[i]] >= 0 and index[nodes[j]] >= 0:
+                    out[index[nodes[i]], index[nodes[j]]] += 2.0 * dnu / area * w[i] * w[j]
+    return out
+
+
+def test_newton_jacobian_symmetric_and_k_matches_reassembly(mini_problem_nonlinear,
+                                                           monkeypatch):
+    # at a saturated state (conductor B_max 1.2 T) the Jacobian is
+    # symmetric, which factor_spd's unpivoted LU relies on, and what is left
+    # of it after M_cc/dt and the chain-rule oracle is the reassembled K(a);
+    # at a_old = a and j_s = 0 the residual is K(a) a. No step reassembles.
+    problem = mini_problem_nonlinear
+    mesh, part = problem.mesh, problem.part
+    n, n_c = part.n_free, part.n_c
+    cond = mesh.region_mask(lambda t: t.kind == "conductor")
+    a = np.random.default_rng(71).standard_normal(n)
+    a_full = part.to_full(a[:n_c], a[n_c:], mesh.n_nodes)
+    scale = 1.2 / np.sqrt(compute_b2(mesh, a_full, problem.elements)[cond].max())
+    a, a_full = a * scale, a_full * scale
+    K = reassemble_stiffness(mesh, problem.elements, part, a_full).toarray()
+    chain = np.zeros((n, n))
+    chain[:n_c, :n_c] = dense_chain_rule_term(problem, a_full)
+    kmap = problem.kcc_map
+    assert kmap.nu(a[:n_c]).max() >= 1.5 * kmap.nu(np.zeros(n_c)).max()  # saturated
+    for dt in (1e-3, 1e6):
+        F, J = newton_system(problem, dt, a, np.zeros(n), a)
+        J = J.toarray()
+        assert np.abs(J - J.T).max() <= 1e-14 * np.abs(J).max()
+        mass = np.zeros((n, n))
+        mass[:n_c, :n_c] = problem.blocks.M_cc.toarray() / dt
+        assert np.abs(J - mass - chain - K).max() <= 1e-14 * np.abs(K).max()
+        assert np.abs(F - K @ a).max() <= 1e-14 * np.abs(K @ a).max()
+
+    def no_assemble(*args, **kwargs):
+        raise AssertionError("newton_solve reassembled the system")
+
+    monkeypatch.setattr("eddy2d.integrate.assemble", no_assemble)
+    _, iters = newton_solve(problem, 1e-3, a, np.zeros(n))
+    assert iters > 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

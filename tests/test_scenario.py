@@ -153,7 +153,7 @@ def test_out_of_range_value_rejected_with_path(tmp_path, path, value):
     ("solver.tol_update", 0.0), ("solver.tol_update", 1e-3), ("solver.tol_update", 1e-2),
     ("solver.tol_pod", 1e4), ("solver.tol_pod", 1e8),
     ("solver.power_max_iter", 50000), ("solver.power_max_iter", 2),
-    ("solver.seed", 0), ("solver.pcg_max_iter", 0), ("solver.newton_max_iter", 0),
+    ("solver.seed", 0), ("solver.pcg_max_iter", 0), ("solver.newton_max_iter", 1),
     ("solver.cspe_window", 1), ("solver.pod_window", 1),
     ("solver.output_every", 1), ("solver.snapshot_every", 1),
 ])
