@@ -23,7 +23,7 @@ from .integrate import (RunResult, probe_deviation, run_explicit, run_implicit,
                         start_explicit, step_path)
 from .mesh import min_edge_length
 from .scenario import FLOAT_RANGES, Scenario, load_scenario, resolve_config
-from .startvec import STRATEGIES
+from .schur import STRATEGIES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

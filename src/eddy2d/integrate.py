@@ -43,9 +43,10 @@ gradient rows (newton_system), and each Newton iteration is one solve with
 the factor_spd LU of the symmetric Jacobian.
 
 run_explicit and the cfl command share one set-up, start_explicit, with
-its dt rule and start checks, and one path rule, step_path. The initial
-lambda_max estimate applies K_S by apply_ks, one K_nn solve per apply;
-re-estimates on the interface path apply the formed block and make none.
+its dt rule and start checks, and one path rule, step_path. Every K_S
+apply goes through schur.apply_ks: the initial lambda_max estimate makes
+one K_nn solve per apply; the step and the re-estimates on the interface
+path apply the formed block and make none.
 
 Both run loops keep their rows, probe values and snapshots in one
 _Trajectory. A step that keeps a row copies the probe's inputs into a
@@ -300,32 +301,25 @@ def start_explicit(problem: AssembledProblem, opts: SolverOptions, t_end: float)
 
 
 def cfl_operator(state: SolverState, schur_ctx: SchurContext, mcc_solver: MccSolver):
-    """x -> M_cc^-1 (K_cc_current - K_S) x. K_S is the formed interface block
-    when schur_ctx holds one; otherwise apply_ks makes one K_nn solve per
-    apply in the dedicated estimation context, so the run's recycling
-    histories stay untouched."""
-    block = schur_ctx.interface
-    if block is None:
-        est_ctx = schur_ctx.estimation_context()
+    """x -> M_cc^-1 (K_cc_current - K_S) x, with K_S applied by apply_ks: on
+    the formed interface block when schur_ctx holds one, otherwise with one
+    K_nn solve per apply in the dedicated estimation context, so the run's
+    recycling histories stay untouched."""
+    ks_ctx = schur_ctx if schur_ctx.interface is not None else schur_ctx.estimation_context()
 
-        def apply_op(x):
-            return mcc_solver.solve(state.K_cc_current.matvec(x) - apply_ks(est_ctx, x))
-    else:
-        def apply_op(x):
-            y = state.K_cc_current.matvec(x)
-            y[block.iface] -= block.K_S @ x[block.iface]
-            return mcc_solver.solve(y)
+    def apply_op(x):
+        return mcc_solver.solve(state.K_cc_current.matvec(x) - apply_ks(ks_ctx, x))
     return apply_op
 
 
 def estimate_cfl(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurContext,
                  mcc_solver: MccSolver, opts: SolverOptions) -> float:
     """safety * 2 / lambda_max(M_cc^-1 (K_cc - K_S)) with lambda_max from
-    power iteration on cfl_operator: on apply_ks for the initial estimate,
-    which picks the step path, and on the interface block for re-estimates
-    once it is formed. state.lam_vec warm-starts re-estimation after
-    updates. Records the estimate with the reluctivities it was made at
-    (nu_est)."""
+    power iteration on cfl_operator: with K_nn solves for the initial
+    estimate, which picks the step path, and on the interface block for
+    re-estimates once it is formed. state.lam_vec warm-starts re-estimation
+    after updates. Records the estimate with the reluctivities it was made
+    at (nu_est)."""
     n_c = blocks.n_c
     if n_c == 0:
         raise SolverError("no conducting DoFs: the Schur ODE is empty")
@@ -351,17 +345,17 @@ def explicit_step(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurCont
     """One explicit Euler step; current is the coil current I at the new
     time t + dt, and schur_ctx holds the pattern's solve (set_source).
     Uses K_cc_current (the selective-update substitute for K_cc(a_c^{m-1})).
-    K_S is the formed interface block when schur_ctx holds one; otherwise
-    the a_n invariant of SolverState stands in for it, and the one K_nn
-    solve recovers a_n."""
-    block = schur_ctx.interface
-    if block is None:
+    K_S is applied by apply_ks on the formed interface block when schur_ctx
+    holds one; otherwise the a_n invariant of SolverState stands in for it,
+    and the one K_nn solve recovers a_n."""
+    on_block = schur_ctx.interface is not None
+    if on_block:
+        bracket = current * schur_ctx.r_pat - state.K_cc_current.matvec(state.a_c) \
+            + apply_ks(schur_ctx, state.a_c)
+    else:
         bracket = (current - state.current) * schur_ctx.r_pat \
             - blocks.K_cn.matvec(state.a_n)
         bracket -= state.K_cc_current.matvec(state.a_c)
-    else:
-        bracket = current * schur_ctx.r_pat - state.K_cc_current.matvec(state.a_c)
-        bracket[block.iface] += block.K_S @ state.a_c[block.iface]
     state.a_c = state.a_c + state.dt * mcc_solver.solve(bracket)
     norm = norm2(state.a_c)
     # the 1e30 guard trips growing modes long before anything physical gets
@@ -372,7 +366,7 @@ def explicit_step(state: SolverState, blocks: SystemBlocks, schur_ctx: SchurCont
             f"t={state.t + state.dt:.6e} with dt={state.dt:.6e}",
             t=state.t + state.dt, dt=state.dt,
         )
-    if block is None:
+    if not on_block:
         state.a_n = recover_an(schur_ctx, state.a_c, current * schur_ctx.pattern)
     state.current = current
     state.t += state.dt

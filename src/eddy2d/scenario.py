@@ -21,7 +21,7 @@ from .errors import ConfigError, MeshError, SolverError
 from .integrate import AssembledProblem, SolverOptions, check_window, discretize
 from .materials import NU0, MaterialModel
 from .mesh import Mesh2D, RegionTag, generate_rect_mesh, load_mesh
-from .startvec import STRATEGIES
+from .schur import STRATEGIES
 
 _MESH_KEYS = {"width", "height", "nx", "ny", "regions", "file"}
 _REGION_KEYS = {"x0", "x1", "y0", "y1", "tag"}

@@ -9,21 +9,21 @@ A run drives one coil, whose source is I(t) * pattern:
     a_n = pinv(K_nn) (I(t) * pattern - K_cn^T a_c).
 
 K_nn and K_cn never change during a run. Under the ``direct`` strategy
-K_nn is factored once (sparse LU), and the factor serves both as the
-preconditioner and as the start vector of every solve: the start is the
-exact solution, which PCG's residual check accepts in 0 iterations. The
-other strategies precondition with IC(0) and recycle previous solutions;
-each solve purpose then keeps its own history, because histories from
-different right-hand-side families would be poor extrapolation data for
-each other.
+K_nn is factored once (sparse LU): the factor is the preconditioner, and
+solve_knn starts every solve at the factor's solve, the exact solution,
+which PCG's residual check accepts in 0 iterations. The context then keeps
+no start-vector history. The other strategies precondition with IC(0) and
+recycle previous solutions (startvec); each solve purpose then keeps its
+own history, because histories from different right-hand-side families
+would be poor extrapolation data for each other.
 ``SchurContext.set_source`` makes a run's one ``source_term`` solve, of
 the pattern, at set-up.
 K_cn has nonzero rows only at the n_i interface DoFs, so K_S is one
 constant dense n_i x n_i block (Saad 2003, ch. 14): ``form_interface``
 forms it as a dense array with n_i ``schur_apply`` solves, after which a
 time step makes none. Otherwise the time stepper makes one solve per step,
-``recovery`` (a_n). ``apply_ks`` serves the initial lambda_max estimate;
-re-estimates apply the formed block.
+``recovery`` (a_n). ``apply_ks`` is the one K_S apply: the formed block's
+product once the context holds it, else one ``schur_apply`` solve.
 """
 from __future__ import annotations
 
@@ -42,6 +42,7 @@ from .linalg import (
 )
 from .startvec import make_provider
 
+STRATEGIES = ("previous", "cspe", "pod", "direct")
 PURPOSES = ("schur_apply", "source_term", "recovery")
 
 
@@ -100,9 +101,9 @@ class SchurContext:
     iteration statistics, the run's coil ``pattern`` with w = pinv(K_nn)
     pattern and r_pat = -K_cn w once ``set_source`` has run, and, once
     formed, the ``interface`` block (all None until then). Under ``direct``
-    the preconditioner is the solve with the K_nn factor, and every
-    provider starts from it. Single-owner mutable; not shared across
-    threads."""
+    the preconditioner is the solve with the K_nn factor, which starts
+    every solve, and there are no providers. Single-owner mutable; not
+    shared across threads."""
 
     def __init__(self, blocks: SystemBlocks, tol: float = 1e-6,
                  max_iter: int | None = None, strategy: str = "previous",
@@ -114,10 +115,9 @@ class SchurContext:
         self.strategy = strategy
         self.precond = preconditioner if preconditioner is not None \
             else knn_preconditioner(blocks, strategy)
-        self.providers = {
+        self.providers = {} if strategy == "direct" else {
             purpose: make_provider(strategy, blocks.K_nn, cspe_window=cspe_window,
-                                   pod_window=pod_window, tol_pod=tol_pod,
-                                   exact_solve=self.precond)
+                                   pod_window=pod_window, tol_pod=tol_pod)
             for purpose in PURPOSES
         }
         self.stats = IterationStats()
@@ -134,7 +134,7 @@ class SchurContext:
         estimate is identical across the recycling strategies and the run's
         recycling histories stay clean. Cached: successive re-estimations
         recycle each other's solves. Under ``direct`` it shares the factor
-        and starts every solve from it as well."""
+        and keeps no history either."""
         if self._estimation is None:
             self._estimation = SchurContext(
                 self.blocks, tol=self.tol, max_iter=self.max_iter,
@@ -154,8 +154,9 @@ def solve_knn(ctx: SchurContext, rhs: np.ndarray, purpose: str) -> np.ndarray:
     """x = pinv(K_nn) rhs via PCG with the configured start-vector strategy.
 
     The start vector is taken from (and the solution pushed into) the
-    history keyed by ``purpose``. Non-convergence is a hard error: the time
-    stepper cannot proceed on an unconverged constraint solve.
+    history keyed by ``purpose``; under ``direct`` it is the factor's solve
+    ctx.precond(rhs). Non-convergence is a hard error: the time stepper
+    cannot proceed on an unconverged constraint solve.
     """
     if purpose not in PURPOSES:
         raise SolverError(f"unknown solve purpose {purpose!r}")
@@ -166,8 +167,8 @@ def solve_knn(ctx: SchurContext, rhs: np.ndarray, purpose: str) -> np.ndarray:
         # zero rhs has the zero pseudo-solution; leave the history alone
         ctx.stats.record(ctx.step, purpose, ctx.strategy, 0, 0.0)
         return np.zeros(ctx.blocks.n_n)
-    provider = ctx.providers[purpose]
-    x0 = provider.start(rhs)
+    provider = ctx.providers.get(purpose)
+    x0 = ctx.precond(rhs) if provider is None else provider.start(rhs)
     report = pcg(ctx.blocks.K_nn, rhs, x0=x0, precond=ctx.precond, tol=ctx.tol,
                  max_iter=ctx.max_iter)
     if not report.converged:
@@ -175,15 +176,24 @@ def solve_knn(ctx: SchurContext, rhs: np.ndarray, purpose: str) -> np.ndarray:
             f"K_nn solve ({purpose}) did not converge: {report.iterations} iterations, "
             f"relative residual {report.final_relative_residual:.3e}"
         )
-    provider.push(report.solution)
+    if provider is not None:
+        provider.push(report.solution)
     ctx.stats.record(ctx.step, purpose, ctx.strategy, report.iterations,
                      report.final_relative_residual)
     return report.solution
 
 
 def apply_ks(ctx: SchurContext, a_c: np.ndarray) -> np.ndarray:
-    """K_S a_c = K_cn pinv(K_nn) K_cn^T a_c, evaluated matrix-free."""
-    rhs = ctx.blocks.K_nc.matvec(np.asarray(a_c, dtype=float))
+    """K_S a_c = K_cn pinv(K_nn) K_cn^T a_c: the formed block's product,
+    exactly zero off its interface DoFs, when ctx holds one; otherwise
+    matrix-free, with one ``schur_apply`` solve."""
+    a_c = np.asarray(a_c, dtype=float)
+    block = ctx.interface
+    if block is not None:
+        y = np.zeros(ctx.blocks.n_c)
+        y[block.iface] = block.K_S @ a_c[block.iface]
+        return y
+    rhs = ctx.blocks.K_nc.matvec(a_c)
     y = solve_knn(ctx, rhs, "schur_apply")
     return ctx.blocks.K_cn.matvec(y)
 

@@ -7,9 +7,9 @@ PCG little to do. CSPE and POD are one projection x0 = V (V^T K_nn V)^-1 V^T b
 on two bases, with V^T K_nn V factored once per basis change, at push.
 CSPE's V holds orthonormalized previous solutions and gains at most one
 column, and one K_nn*v product, per push; POD's V holds the leading left
-singular vectors of a snapshot window. The direct strategy recycles
-nothing: its start vector is the exact solve with a sparse LU factor of
-K_nn, which PCG then only checks.
+singular vectors of a snapshot window. The ``direct`` strategy needs none
+of them: the K_nn solve service (schur.SchurContext) starts each of its
+solves at the solve with the K_nn factor.
 """
 from __future__ import annotations
 
@@ -18,9 +18,6 @@ import scipy.linalg
 
 from .errors import SolverError, SpdSolveError
 from .linalg import SparseMatrix, cholesky_spd, mgs_extend
-
-
-STRATEGIES = ("previous", "cspe", "pod", "direct")
 
 
 class PreviousSolution:
@@ -142,29 +139,10 @@ class PodCache(_GalerkinStart):
             k -= 1  # stricter truncation until the Gram matrix is SPD
 
 
-class FactorSolution:
-    """Direct strategy: start from the exact solve ``exact_solve(rhs)`` with
-    a factor of K_nn. PCG accepts that start in 0 iterations, so there is no
-    history to keep."""
-
-    name = "direct"
-
-    def __init__(self, exact_solve):
-        self._solve = exact_solve
-
-    def start(self, rhs: np.ndarray) -> np.ndarray:
-        return self._solve(rhs)
-
-    def push(self, solution: np.ndarray) -> None:
-        pass
-
-
 def make_provider(strategy: str, knn: SparseMatrix, cspe_window: int = 5,
-                  pod_window: int = 10, tol_pod: float = 1e4, exact_solve=None):
-    """One start-vector provider per solve purpose; cold starts of the
-    recycling strategies return zero. ``direct`` needs ``exact_solve``."""
-    if strategy == "direct":
-        return FactorSolution(exact_solve)
+                  pod_window: int = 10, tol_pod: float = 1e4):
+    """One start-vector provider per solve purpose; a cold start returns
+    zero."""
     if strategy == "previous":
         return PreviousSolution(knn.nrows)
     if strategy == "cspe":

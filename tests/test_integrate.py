@@ -37,7 +37,7 @@ from eddy2d.linalg import SparseMatrix
 from eddy2d.materials import MaterialModel
 from eddy2d.mesh import Mesh2D, RegionTag, generate_rect_mesh
 from eddy2d.scenario import bundled_scenario_path, load_scenario
-from eddy2d.schur import SchurContext, form_interface, interface_dofs
+from eddy2d.schur import SchurContext, apply_ks, form_interface, interface_dofs
 
 from conftest import (
     AIR,
@@ -183,9 +183,11 @@ def test_cfl_matches_dense_generalized_eig(mini_problem):
 
 
 def test_cfl_operator_on_the_interface_block_matches_apply_ks(mini_problem_nonlinear):
-    # once K_S is formed, the estimate's operator applies it as the dense
-    # block: it matches the apply_ks operator to round-off, at rebuilt K_cc
-    # too, and a re-estimate makes no K_nn solve in either context
+    # once K_S is formed, apply_ks applies it as the dense block, exactly
+    # zero off the interface and with no K_nn solve, and the estimate's
+    # operator with it: both match the matrix-free apply to round-off, at
+    # rebuilt K_cc too, and a re-estimate makes no K_nn solve in either
+    # context
     from eddy2d.assembly import source_pattern
     problem = mini_problem_nonlinear
     n_c = problem.part.n_c
@@ -207,6 +209,16 @@ def test_cfl_operator_on_the_interface_block_matches_apply_ks(mini_problem_nonli
             x = rng.standard_normal(n_c)
             ref = on_ks(x)
             assert np.abs(on_block(x) - ref).max() <= 1e-12 * np.abs(ref).max()
+    off = np.setdiff1d(np.arange(n_c), ctx.interface.iface)
+    assert off.size
+    for _ in range(5):
+        x = rng.standard_normal(n_c)
+        ref = apply_ks(est, x)  # matrix-free: est holds no block
+        solves = (est.stats.n_solves, ctx.stats.n_solves)
+        got = apply_ks(ctx, x)
+        assert (est.stats.n_solves, ctx.stats.n_solves) == solves
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert not got[off].any()
     est_solves, run_solves = est.stats.n_solves, ctx.stats.n_solves
     estimate_cfl(state, problem.blocks, ctx, mcc, opts)
     assert state.estimate_count == 2

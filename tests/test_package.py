@@ -69,6 +69,37 @@ def test_private_scipy_modules_are_imported_by_linalg_alone():
     assert not _private_scipy_imports(ast.parse("import scipy.sparse.linalg"))
 
 
+def _attribute_reads(tree: ast.AST, attr: str) -> list[int]:
+    """Lines where ``tree`` reads an attribute named ``attr``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == attr]
+
+
+def _compares_to(tree: ast.AST, value: str) -> list[int]:
+    """Lines where ``tree`` compares something to the constant ``value``."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and any(isinstance(operand, ast.Constant) and operand.value == value
+                    for operand in (node.left, *node.comparators))]
+
+
+def test_k_s_and_the_direct_strategy_belong_to_schur():
+    # apply_ks is the one K_S apply, and the K_nn solve service alone knows
+    # that direct solves with the factor; startvec holds the recycling
+    # strategies only
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    readers = {name: lines for name, tree in trees.items() if name != "schur.py"
+               if (lines := _attribute_reads(tree, "K_S"))}
+    assert not readers, f"InterfaceSchur.K_S read outside schur.py: {readers}"
+    direct = _compares_to(trees["startvec.py"], "direct")
+    assert not direct, f"startvec.py compares a strategy to 'direct' on lines {direct}"
+    assert _attribute_reads(ast.parse("y = block.K_S @ x"), "K_S")
+    assert not _attribute_reads(ast.parse("K_S = 1"), "K_S")
+    for stmt in ('if strategy == "direct": pass', 'ok = "direct" != s'):
+        assert _compares_to(ast.parse(stmt), "direct"), stmt
+    assert not _compares_to(ast.parse('"""``direct`` solves with the factor."""'), "direct")
+
+
 def test_readme_solver_block_lists_every_option_at_its_default():
     # the "solver" object of README's scenario block, its // comments
     # stripped, is SolverOptions() key for key and value for value

@@ -6,6 +6,7 @@ import pytest
 from eddy2d.errors import SolverError
 from eddy2d.assembly import source_pattern
 from eddy2d.schur import (
+    PURPOSES,
     SchurContext,
     apply_ks,
     form_interface,
@@ -261,6 +262,14 @@ def test_direct_operators_match_dense_inverses(make_problem):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
     assert len(ctx.stats.records) == 9
     assert all(r.iterations == 0 and r.strategy == "direct" for r in ctx.stats.records)
+    # the solve service holds the factor and no start-vector history: each
+    # solve is bitwise the factor's solve, accepted in 0 PCG iterations
+    for c in (ctx, ctx.estimation_context()):
+        assert c.providers == {}
+        for purpose in PURPOSES:
+            rhs = rng.standard_normal(blocks.n_n)
+            assert np.array_equal(solve_knn(c, rhs, purpose), c.precond(rhs))
+            assert c.stats.records[-1].iterations == 0
 
 
 def test_direct_builds_no_ic0(mini_problem, monkeypatch):
