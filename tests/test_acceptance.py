@@ -6,6 +6,7 @@ whole suite stays inside its runtime budgets.
 """
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,7 +320,7 @@ def test_criterion_10_bitwise_determinism(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--method", "explicit", "--out", out1]) == EXIT_OK
     assert main(["run", "--config", cfg, "--method", "explicit", "--out", out2]) == EXIT_OK
     for name in ("result_explicit.csv", "result_explicit_iterations.csv"):
-        b1 = open(f"{out1}/{name}", "rb").read()
-        b2 = open(f"{out2}/{name}", "rb").read()
+        b1 = Path(out1, name).read_bytes()
+        b2 = Path(out2, name).read_bytes()
         assert b1 == b2
     _report(capsys, 10, "two identical single-threaded runs write bitwise-identical CSVs", t0)

@@ -1,9 +1,11 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -55,7 +57,7 @@ def nonlinear_config_path(tmp_path):
 
 
 def read_csv(path):
-    lines = open(path).read().strip().splitlines()
+    lines = Path(path).read_text().strip().splitlines()
     header = lines[0].split(",")
     rows = [ln.split(",") for ln in lines[1:]]
     return header, rows
@@ -74,7 +76,7 @@ def test_run_explicit_writes_monotone_probe(tmp_path):
     assert header == ["t", "probe_avg_B", "dt", "cumulative_pcg_iterations", "update_count"]
     probe = [float(r[1]) for r in rows]
     assert all(b >= a - 1e-15 for a, b in zip(probe, probe[1:]))
-    summary = json.load(open(os.path.join(out, "result_explicit_summary.json")))
+    summary = json.loads(Path(out, "result_explicit_summary.json").read_text())
     assert summary["method"] == "explicit"
     assert summary["step_count"] == len(rows)
     assert os.path.exists(os.path.join(out, "result_explicit_iterations.csv"))
@@ -90,7 +92,7 @@ def test_run_bundled_linear_solves_the_source_once(tmp_path):
     header, rows = read_csv(os.path.join(out, "result_explicit_iterations.csv"))
     purposes = [r[header.index("purpose")] for r in rows]
     assert purposes.count("source_term") == 1
-    summary = json.load(open(os.path.join(out, "result_explicit_summary.json")))
+    summary = json.loads(Path(out, "result_explicit_summary.json").read_text())
     n_i = interface_dofs(load_scenario(bundled_scenario_path("plate2d_linear"))
                          .build_problem().blocks).size
     assert summary["step_count"] > n_i
@@ -356,7 +358,7 @@ def test_cfl_applies_the_run_dt_override_rule(tmp_path, capsys):
 def test_cfl_applies_the_run_window_rule(tmp_path, capsys):
     # bundled plate2d_linear with t_end 1e-4, about a third of its stable
     # step: cfl exits as the run does, with the run's message
-    doc = json.load(open(bundled_scenario_path("plate2d_linear")))
+    doc = json.loads(Path(bundled_scenario_path("plate2d_linear")).read_text())
     doc["t_end"] = 1e-4
     path = tmp_path / "short.json"
     path.write_text(json.dumps(doc))
@@ -382,7 +384,7 @@ def test_cfl_follows_scenario_strategy(tmp_path, capsys, monkeypatch):
     # reads the lambda_max of a run and of the previous-solution strategy
     import eddy2d.schur
 
-    doc = json.load(open(bundled_scenario_path("plate2d_linear")))
+    doc = json.loads(Path(bundled_scenario_path("plate2d_linear")).read_text())
     assert doc["solver"]["strategy"] == "direct"
     power_tol = load_scenario(bundled_scenario_path("plate2d_linear")).options.power_tol
     doc["solver"]["strategy"] = "previous"
@@ -401,7 +403,7 @@ def test_cfl_follows_scenario_strategy(tmp_path, capsys, monkeypatch):
     quick.write_text(json.dumps(doc))
     out = str(tmp_path / "oq")
     assert main(["run", "--config", str(quick), "--method", "explicit", "--out", out]) == EXIT_OK
-    summary = json.load(open(os.path.join(out, "result_explicit_summary.json")))
+    summary = json.loads(Path(out, "result_explicit_summary.json").read_text())
     assert abs(lam_direct - lam_previous) <= power_tol * lam_previous
     # cfl makes the run's own set-up, so it prints the run's estimate
     assert summary["lambda_max_initial"] == lam_direct
@@ -419,7 +421,7 @@ def test_cfl_projected_steps_match_the_run(tmp_path, capsys):
     assert _cfl_line(capsys, str(cfg), "projected steps").endswith(": 40")
     out = str(tmp_path / "o")
     assert main(["run", "--config", str(cfg), "--method", "explicit", "--out", out]) == EXIT_OK
-    summary = json.load(open(os.path.join(out, "result_explicit_summary.json")))
+    summary = json.loads(Path(out, "result_explicit_summary.json").read_text())
     assert summary["dt_initial"] == dt
     assert summary["step_count"] == 40
 
@@ -518,8 +520,8 @@ def test_determinism_bitwise_csv(config_path, tmp_path):
                  "--out", out1]) == EXIT_OK
     assert main(["run", "--config", config_path, "--method", "explicit",
                  "--out", out2]) == EXIT_OK
-    b1 = open(os.path.join(out1, "result_explicit.csv"), "rb").read()
-    b2 = open(os.path.join(out2, "result_explicit.csv"), "rb").read()
+    b1 = Path(out1, "result_explicit.csv").read_bytes()
+    b2 = Path(out2, "result_explicit.csv").read_bytes()
     assert b1 == b2
 
 
@@ -528,7 +530,7 @@ def test_determinism_nonlinear_bitwise_csv(tmp_path):
     # one rebuild re-estimates lambda_max, so the rebuild and probe maps and
     # the re-estimate all feed the CSVs compared; the recycling strategies
     # add their start-vector histories
-    doc = json.load(open(bundled_scenario_path("plate2d")))
+    doc = json.loads(Path(bundled_scenario_path("plate2d")).read_text())
     doc["mesh"].update(nx=10, ny=10)
     doc["source"]["i_max"] = 3000.0
     doc["t_end"] = 0.1
@@ -540,11 +542,11 @@ def test_determinism_nonlinear_bitwise_csv(tmp_path):
         for out in outs:
             assert main(["run", "--config", str(path), "--method", "explicit",
                          "--out", out]) == EXIT_OK
-        summary = json.load(open(os.path.join(outs[0], "result_explicit_summary.json")))
+        summary = json.loads(Path(outs[0], "result_explicit_summary.json").read_text())
         assert summary["update_count"] == summary["step_count"] > 100
         assert summary["cfl_estimates"] >= 2
         for name in ("result_explicit.csv", "result_explicit_iterations.csv"):
-            b1, b2 = (open(os.path.join(out, name), "rb").read() for out in outs)
+            b1, b2 = (Path(out, name).read_bytes() for out in outs)
             assert b1 == b2, (strategy, name)
 
 
@@ -555,16 +557,16 @@ def test_determinism_implicit_nonlinear_bitwise_csv(nonlinear_config_path, tmp_p
     for out in outs:
         assert main(["run", "--config", nonlinear_config_path, "--method", "implicit",
                      "--out", out]) == EXIT_OK
-    summary = json.load(open(os.path.join(outs[0], "result_implicit_summary.json")))
+    summary = json.loads(Path(outs[0], "result_implicit_summary.json").read_text())
     assert summary["newton_iterations_total"] > summary["step_count"]
-    b1, b2 = (open(os.path.join(out, "result_implicit.csv"), "rb").read() for out in outs)
+    b1, b2 = (Path(out, "result_implicit.csv").read_bytes() for out in outs)
     assert b1 == b2
 
 
 def test_run_bundled_by_name(tmp_path):
     # bundled scenarios are addressable by bare name; keep it cheap by
     # shrinking t_end through a copied config
-    doc = json.load(open(bundled_scenario_path("plate2d_linear")))
+    doc = json.loads(Path(bundled_scenario_path("plate2d_linear")).read_text())
     doc["t_end"] = 0.003
     path = tmp_path / "quick.json"
     path.write_text(json.dumps(doc))
@@ -581,7 +583,7 @@ def test_snapshot_output(tmp_path):
                  "--out", out]) == EXIT_OK
     snaps = [f for f in os.listdir(out) if "fields" in f]
     assert snaps
-    text = open(os.path.join(out, sorted(snaps)[0])).read()
+    text = Path(out, sorted(snaps)[0]).read_text()
     assert "element_Bmag" in text and "node_a" in text
 
 
@@ -595,6 +597,42 @@ def test_module_entry_prints_usage(module):
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: eddy2d")
     assert "bench-update" in proc.stdout
+
+
+def test_module_run_writes_what_main_writes(tmp_path, capsys):
+    # importing the CLI freezes the import graph for the collector; a run in
+    # its own process, ended by interpreter exit, must lose no output: the
+    # same stdout, the same CSV bytes, the same summary but for wall time
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eddy2d.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out_a, out_b = tmp_path / "A", tmp_path / "B"
+    proc = subprocess.run([sys.executable, "-m", "eddy2d", "run", "--config", "plate2d",
+                           "--out", str(out_a)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert main(["run", "--config", "plate2d", "--out", str(out_b)]) == EXIT_OK
+    wall = re.compile(r"wall=[0-9.]+s")
+    lines_a = proc.stdout.splitlines()
+    lines_b = capsys.readouterr().out.splitlines()
+    assert len(lines_a) == len(lines_b) == 2
+    assert wall.sub("", lines_a[0]) == wall.sub("", lines_b[0])
+    assert lines_a[1] == f"results written to {out_a}"
+    for name in ("result_explicit.csv", "result_explicit_iterations.csv"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+    summaries = [json.loads((out / "result_explicit_summary.json").read_text())
+                 for out in (out_a, out_b)]
+    for summary in summaries:
+        del summary["wall_time_s"]
+    assert summaries[0] == summaries[1]
+
+    bad = tmp_path / "broken.json"
+    bad.write_text('{"mesh": {}}')
+    proc = subprocess.run([sys.executable, "-m", "eddy2d", "run", "--config", str(bad),
+                           "--out", str(tmp_path / "C")], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("configuration error: ")
+    assert not (tmp_path / "C").exists()
 
 
 def test_cli_import_leaves_out_scipy_io():

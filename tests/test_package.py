@@ -100,6 +100,44 @@ def test_k_s_and_the_direct_strategy_belong_to_schur():
     assert not _compares_to(ast.parse('"""``direct`` solves with the factor."""'), "direct")
 
 
+def _gc_imports(tree: ast.AST) -> list[int]:
+    """Lines where ``tree`` imports the ``gc`` module or a name from it."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "gc" and not node.level]
+
+
+def test_only_the_cli_touches_the_collector():
+    # the collector's state is process-wide: the CLI owns its process and
+    # freezes the import graph, a library module must not toggle or freeze
+    offenders = {path.name: lines for path in sorted(SRC.glob("*.py"))
+                 if path.name != "cli.py"
+                 if (lines := _gc_imports(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert not offenders, f"gc imported outside cli.py: {offenders}"
+    assert _gc_imports(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
+    for stmt in ("import gc", "import os, gc as collector", "from gc import freeze"):
+        assert _gc_imports(ast.parse(stmt)), stmt
+    assert not _gc_imports(ast.parse("import gcd\nfrom .gc import x\ngc.freeze()"))
+
+
+def test_the_cli_import_alone_freezes_the_import_graph():
+    # `import eddy2d` leaves the collector as it found it; importing the
+    # CLI moves the import graph to the permanent generation and leaves
+    # collection on for everything a run allocates
+    code = ("import gc, eddy2d\n"
+            "library = gc.get_freeze_count()\n"
+            "import eddy2d.cli\n"
+            "print(library, gc.get_freeze_count(), gc.isenabled())")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    library, cli, enabled = proc.stdout.split()
+    assert int(library) == 0
+    assert int(cli) > 0
+    assert enabled == "True"
+
+
 def test_readme_solver_block_lists_every_option_at_its_default():
     # the "solver" object of README's scenario block, its // comments
     # stripped, is SolverOptions() key for key and value for value
