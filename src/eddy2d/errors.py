@@ -21,17 +21,6 @@ class SolverError(Eddy2dError):
     """An iterative or direct solve failed to produce a usable result."""
 
 
-class SpdSolveError(SolverError):
-    """Dense Cholesky hit a nonpositive pivot (matrix not SPD).
-
-    ``pivot`` is the 0-based index of the offending leading minor.
-    """
-
-    def __init__(self, message: str, pivot: int | None = None):
-        super().__init__(message)
-        self.pivot = pivot
-
-
 class Ic0Breakdown(SolverError):
     """Incomplete Cholesky produced a nonpositive pivot; caller should
     fall back to a weaker preconditioner."""

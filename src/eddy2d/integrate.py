@@ -226,7 +226,7 @@ class MccSolver:
         if self.mode == "lumped":
             return self._inv_lumped * b
         report = pcg(self.m_cc, b, x0=self.factor.solve(b), precond=self.factor.solve,
-                     tol=self.tol)
+                     tol=self.tol, name="M_cc solve")
         if not report.converged:
             raise SolverError(
                 f"M_cc solve did not converge (residual {report.final_relative_residual:.3e})"

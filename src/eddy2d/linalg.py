@@ -1,12 +1,11 @@
-"""Sparse and small-dense kernels.
+"""Sparse kernels and factors.
 
 Compressed-row matrices (their products with a vector or a block of them
 run scipy's compiled CSR kernels), a preconditioned conjugate gradient
 solver with start-vector support and per-solve iteration reporting,
 incomplete Cholesky / Jacobi preconditioners,
 sparse LU (K_nn) and band Cholesky (M_cc) factors of the constant SPD blocks,
-modified Gram-Schmidt, power iteration and a dense Cholesky factorization
-that reports the pivot where it breaks down.
+modified Gram-Schmidt and power iteration.
 PCG is hand-rolled because iteration counts and start vectors are
 first-class outputs here, not implementation details. PCG takes the matrix
 itself and a preconditioner as a plain function r -> M^-1 r; power
@@ -23,7 +22,7 @@ import scipy.sparse.linalg
 from scipy.linalg import lapack
 from scipy.sparse import _sparsetools  # the compiled CSR kernels behind csr @ x
 
-from .errors import Ic0Breakdown, SolverError, SpdSolveError
+from .errors import Ic0Breakdown, SolverError
 
 
 class SparseMatrix:
@@ -175,7 +174,8 @@ class PcgReport:
 
 
 def pcg(A: SparseMatrix, b: np.ndarray, x0: np.ndarray | None = None,
-        precond=None, tol: float = 1e-6, max_iter: int | None = None) -> PcgReport:
+        precond=None, tol: float = 1e-6, max_iter: int | None = None,
+        name: str = "pcg") -> PcgReport:
     """Preconditioned conjugate gradients for SPD (or consistent SPSD) systems.
 
     ``A`` is a square matrix, or anything with ``nrows`` and ``matvec``;
@@ -184,9 +184,11 @@ def pcg(A: SparseMatrix, b: np.ndarray, x0: np.ndarray | None = None,
     With b = 0 the solver returns x0 and reports converged when
     ||A x0|| <= tol * ||x0|| (exactly zero x0 counts as converged).
     For consistent singular systems the returned solution's null-space
-    component equals that of x0. A NaN during iteration is a hard error
-    (indefinite or inconsistent system). With no x0 the start is zero and
-    the first residual is b itself, so A is applied once per iteration.
+    component equals that of x0. A non-finite start residual, curvature or
+    residual, or a curvature p^T A p <= 0 (indefinite or inconsistent
+    system), raises SolverError, its message opening with ``name``. With no
+    x0 the start is zero and the first residual is b itself, so A is
+    applied once per iteration.
     """
     n = A.nrows
     b = np.asarray(b, dtype=float)
@@ -214,6 +216,8 @@ def pcg(A: SparseMatrix, b: np.ndarray, x0: np.ndarray | None = None,
         rel = norm2(r) / bnorm
     if rel <= tol:
         return PcgReport(x, 0, True, rel)
+    if not math.isfinite(rel):
+        raise SolverError(f"{name}: non-finite start residual")
 
     z = apply_m(r)
     p = z.copy() if z is r else z  # r is updated in place below
@@ -221,17 +225,17 @@ def pcg(A: SparseMatrix, b: np.ndarray, x0: np.ndarray | None = None,
     for k in range(1, max_iter + 1):
         q = A.matvec(p)
         pq = float(p @ q)
-        if not math.isfinite(pq) or pq <= 0.0:
-            raise SolverError(
-                f"pcg: curvature p^T A p = {pq:.3e} at iteration {k}; "
-                "system is indefinite or inconsistent"
-            )
+        if not math.isfinite(pq):
+            raise SolverError(f"{name}: non-finite curvature p^T A p = {pq} at iteration {k}")
+        if pq <= 0.0:
+            raise SolverError(f"{name}: curvature p^T A p = {pq:.3e} at iteration {k}; "
+                              "system is indefinite or inconsistent")
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
         rnorm = norm2(r)
         if not math.isfinite(rnorm):
-            raise SolverError(f"pcg: non-finite residual at iteration {k}")
+            raise SolverError(f"{name}: non-finite residual at iteration {k}")
         rel = rnorm / bnorm
         if rel <= tol:
             return PcgReport(x, k, True, rel)
@@ -448,21 +452,6 @@ def power_iteration(apply, n: int, tol: float = 1e-8, max_iter: int = 5000,
             return PowerReport(lam_new, x, True, k)
         lam = lam_new
     return PowerReport(lam, x, False, max_iter)
-
-
-def cholesky_spd(A: np.ndarray) -> np.ndarray:
-    """Dense Cholesky with the failing pivot index reported on breakdown."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    L = np.zeros_like(A)
-    for j in range(n):
-        d = A[j, j] - L[j, :j] @ L[j, :j]
-        if d <= 0.0 or not np.isfinite(d):
-            raise SpdSolveError(f"matrix not positive definite at pivot {j}", pivot=j)
-        L[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            L[j + 1:, j] = (A[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
-    return L
 
 
 def export_matrix(A: SparseMatrix, path) -> None:

@@ -170,7 +170,7 @@ def solve_knn(ctx: SchurContext, rhs: np.ndarray, purpose: str) -> np.ndarray:
     provider = ctx.providers.get(purpose)
     x0 = ctx.precond(rhs) if provider is None else provider.start(rhs)
     report = pcg(ctx.blocks.K_nn, rhs, x0=x0, precond=ctx.precond, tol=ctx.tol,
-                 max_iter=ctx.max_iter)
+                 max_iter=ctx.max_iter, name=f"K_nn solve ({purpose})")
     if not report.converged:
         raise SolverError(
             f"K_nn solve ({purpose}) did not converge: {report.iterations} iterations, "

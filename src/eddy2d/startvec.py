@@ -4,7 +4,8 @@ The K_nn solves form a multiple-right-hand-side sequence with a constant
 matrix: previous solutions span a subspace that nearly contains the next
 one, so a small projected (Galerkin) solve gives a start vector that leaves
 PCG little to do. CSPE and POD are one projection x0 = V (V^T K_nn V)^-1 V^T b
-on two bases, with V^T K_nn V factored once per basis change, at push.
+on two bases, with V^T K_nn V factored once per basis change, at push, by
+LAPACK dpotrf.
 CSPE's V holds orthonormalized previous solutions and gains at most one
 column, and one K_nn*v product, per push; POD's V holds the leading left
 singular vectors of a snapshot window. The ``direct`` strategy needs none
@@ -14,10 +15,10 @@ solves at the solve with the K_nn factor.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
-from .errors import SolverError, SpdSolveError
-from .linalg import SparseMatrix, cholesky_spd, mgs_extend
+from .errors import SolverError
+from .linalg import SparseMatrix, mgs_extend
 
 
 class PreviousSolution:
@@ -54,25 +55,23 @@ class _GalerkinStart:
         if float(np.linalg.norm(x)) != 0.0:
             self._extend(x)
 
-    def _factor(self, V: np.ndarray, KV: np.ndarray) -> int | None:
-        """Take V as the basis when G = V^T KV is SPD and return None;
-        otherwise leave no basis and return the pivot where G breaks down."""
-        self.basis = self._chol = None
-        try:
-            self._chol = cholesky_spd(V.T @ KV)
-        except SpdSolveError as exc:
-            return exc.pivot
-        self.basis = V
-        return None
+    def _factor(self, V: np.ndarray, G: np.ndarray) -> int | None:
+        """Take V as the basis when its Gram matrix G = V^T K_nn V is SPD and
+        return None; otherwise leave no basis and return the pivot where G
+        breaks down: the first non-finite diagonal entry of G's LAPACK
+        factor before the pivot where dpotrf stops at a leading minor that
+        is not positive definite (dpotrf passes NaN and inf on)."""
+        self._chol, info = lapack.dpotrf(G, lower=1)
+        n = info - 1 if info > 0 else len(G)
+        bad = ~np.isfinite(self._chol.diagonal()[:n])
+        pivot = int(bad.argmax()) if bad.any() else n
+        self.basis = V if pivot == len(G) else None
+        return pivot if pivot < len(G) else None
 
     def start(self, rhs: np.ndarray) -> np.ndarray:
         if self.basis is None:
             return np.zeros(self.knn.nrows)
-        y = scipy.linalg.solve_triangular(self._chol, self.basis.T @ rhs, lower=True,
-                                          check_finite=False)
-        z = scipy.linalg.solve_triangular(self._chol, y, lower=True, trans="T",
-                                          check_finite=False)
-        return self.basis @ z
+        return self.basis @ lapack.dpotrs(self._chol, self.basis.T @ rhs, lower=1)[0]
 
 
 class CspeCache(_GalerkinStart):
@@ -102,7 +101,8 @@ class CspeCache(_GalerkinStart):
             self.kcolumns.append(self.knn.matvec(v))
             self.spmv_count += 1
         while self.columns:
-            drop = self._factor(np.column_stack(self.columns), np.column_stack(self.kcolumns))
+            V = np.column_stack(self.columns)
+            drop = self._factor(V, V.T @ np.column_stack(self.kcolumns))
             if drop is None:
                 return
             self.columns.pop(drop)
@@ -111,8 +111,8 @@ class CspeCache(_GalerkinStart):
 
 class PodCache(_GalerkinStart):
     """Snapshot POD basis: the leading left singular vectors of the last
-    ``window`` snapshots with sigma_1 / sigma_k <= tol_pod, fewer while the
-    Gram matrix is not SPD. Reading tol_pod as an upper bound on the ratio
+    ``window`` snapshots with sigma_1 / sigma_k <= tol_pod, cut to those
+    before the pivot where their Gram matrix breaks down. Reading tol_pod as an upper bound on the ratio
     keeps the well-conditioned leading modes; the opposite direction would
     retain arbitrarily ill-conditioned ones and break the reduced solve.
     """
@@ -135,8 +135,9 @@ class PodCache(_GalerkinStart):
         KU = [self.knn.matvec(U[:, j]) for j in range(k)]
         self.spmv_count += k
         self.basis = None  # stays so when no mode passes or none gives an SPD G
-        while k > 0 and self._factor(U[:, :k], np.column_stack(KU[:k])) is not None:
-            k -= 1  # stricter truncation until the Gram matrix is SPD
+        while k:  # cut to the modes before G's failing pivot until G is SPD (None)
+            V = U[:, :k]
+            k = self._factor(V, V.T @ np.column_stack(KU[:k]))
 
 
 def make_provider(strategy: str, knn: SparseMatrix, cspe_window: int = 5,

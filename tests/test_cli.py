@@ -126,6 +126,19 @@ def test_run_unstable_dt_override_exit_code(tmp_path, capsys):
     assert "instability" in capsys.readouterr().err
 
 
+def test_overflowing_mass_solve_exits_solver_as_non_finite(tmp_path, capsys):
+    # a conductor with kappa 1e-300 gives an SPD M_cc whose band solve
+    # overflows in the first lambda_max apply: the M_cc solve reports a
+    # non-finite start, not an indefinite system
+    doc = small_scenario_doc()
+    doc["materials"]["conductor:0"]["kappa"] = 1e-300
+    path = tmp_path / "tiny_kappa.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err == "solver error: M_cc solve: non-finite start residual\n"
+
+
 def test_dt_override_past_the_stability_limit_exits_before_stepping(tmp_path, capsys,
                                                                    monkeypatch):
     # 1.1 x 2/lambda_max of the run's own estimate: refused before any step,

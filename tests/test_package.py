@@ -100,6 +100,30 @@ def test_k_s_and_the_direct_strategy_belong_to_schur():
     assert not _compares_to(ast.parse('"""``direct`` solves with the factor."""'), "direct")
 
 
+def _raised_names(tree: ast.AST) -> set[str]:
+    """Names that a ``raise`` statement in ``tree`` raises, called or not."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                found.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
+    return found
+
+
+def test_every_error_type_is_raised_in_src():
+    # an exception class whose raiser is gone still reads as a failure mode
+    # callers must handle; the base class counts only if raised itself
+    errors = [stmt.name for stmt in ast.parse((SRC / "errors.py").read_text(encoding="utf-8")).body
+              if isinstance(stmt, ast.ClassDef)]
+    raised = set().union(*(_raised_names(ast.parse(path.read_text(encoding="utf-8")))
+                           for path in sorted(SRC.glob("*.py"))))
+    never = [name for name in errors if name not in raised]
+    assert not never, f"error types defined in errors.py but raised nowhere in src: {never}"
+    assert _raised_names(ast.parse("raise A('x')\nraise errors.B\nraise\nraise C() from e")) \
+        == {"A", "B", "C"}
+
+
 def _gc_imports(tree: ast.AST) -> list[int]:
     """Lines where ``tree`` imports the ``gc`` module or a name from it."""
     return [node.lineno for node in ast.walk(tree)

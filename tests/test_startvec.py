@@ -1,7 +1,8 @@
 import numpy as np
-import scipy.linalg
+import pytest
+from scipy.linalg import lapack
 
-from eddy2d.linalg import SparseMatrix, cholesky_spd, pcg
+from eddy2d.linalg import SparseMatrix, pcg
 from eddy2d.startvec import CspeCache, PodCache, PreviousSolution, make_provider
 
 from conftest import make_mini_problem
@@ -137,10 +138,9 @@ def old_cspe_start(cache, rhs):
     if not cache.columns:
         return np.zeros(cache.knn.nrows)
     V = np.column_stack(cache.columns)
-    L = cholesky_spd(V.T @ np.column_stack(cache.kcolumns))
-    y = scipy.linalg.solve_triangular(L, V.T @ rhs, lower=True, check_finite=False)
-    z = scipy.linalg.solve_triangular(L, y, lower=True, trans="T", check_finite=False)
-    return V @ z
+    L, info = lapack.dpotrf(V.T @ np.column_stack(cache.kcolumns), lower=1)
+    assert info == 0
+    return V @ lapack.dpotrs(L, V.T @ rhs, lower=1)[0]
 
 
 def test_cspe_start_bitwise_equals_per_call_projection():
@@ -201,6 +201,93 @@ def test_pod_takes_fewer_modes_until_the_gram_matrix_is_spd():
     none.push(e[1])  # the one mode gives G = [-1]: no basis
     assert none.n_modes == 0
     np.testing.assert_array_equal(none.start(np.ones(4)), 0.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("G, pivot", [
+    ([[4.0, 1.0], [1.0, 3.0]], None),
+    ([[1.0, 0.0], [0.0, -1.0]], 1),
+    ([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, -1.0]], 2),
+    ([[NAN]], 0),
+    ([[INF]], 0),
+    ([[1.0, 0.0], [0.0, INF]], 1),
+    ([[1.0, NAN], [NAN, 1.0]], 1),
+    ([[1.0, INF], [INF, 1.0]], 1),
+    ([[NAN, 0.0], [0.0, -1.0]], 0),
+    ([[INF, 0.0], [0.0, -1.0]], 0),  # dpotrf stops at pivot 1, past the inf
+], ids=["spd", "indefinite", "minor_3", "nan", "inf", "inf_diagonal", "nan_off_diagonal",
+        "inf_off_diagonal", "nan_then_negative", "inf_then_negative"])
+def test_gram_factor_reports_the_first_pivot_that_breaks_down(G, pivot):
+    # the pivot of the first leading minor that is not SPD or whose
+    # elimination leaves a non-finite diagonal entry; None keeps the basis
+    G = np.array(G)
+    V = np.eye(len(G))
+    cache = CspeCache(SparseMatrix.identity(len(G)), window=3)
+    assert cache._factor(V, G) == pivot
+    assert (cache.basis is V) == (pivot is None)
+
+
+class NonFiniteAlongE2:
+    """K_nn = diag(1, 2, bad, 3) with bad non-finite; its product gives a
+    finite vector for one without an e[2] component."""
+
+    def __init__(self, bad):
+        self.d, self.nrows = np.array([1.0, 2.0, bad, 3.0]), 4
+
+    def matvec(self, v):
+        return np.where(v != 0.0, self.d, 0.0) * v
+
+
+@pytest.mark.parametrize("bad", [NAN, INF])
+def test_non_finite_gram_entry_is_a_breakdown_at_its_pivot(bad):
+    # K_nn's entry for e[2] reaches the Gram matrix at pivot 2: CSPE drops
+    # that column, POD keeps the two modes before it
+    e = np.eye(4)
+    cspe = CspeCache(NonFiniteAlongE2(bad), window=3)
+    pod = PodCache(NonFiniteAlongE2(bad), window=3)
+    with np.errstate(invalid="ignore"):  # V^T K_nn V multiplies inf by 0
+        for j, scale in enumerate((3.0, 2.0, 1.0)):
+            cspe.push(e[j])
+            pod.push(scale * e[j])
+    np.testing.assert_array_equal(np.column_stack(cspe.columns), e[:, :2])
+    assert pod.n_modes == 2
+    r = np.array([1.0, 4.0, 1.0, 1.0])
+    for cache in (cspe, pod):
+        np.testing.assert_allclose(cache.start(r), [1.0, 2.0, 0.0, 0.0])
+
+
+def test_pod_truncates_at_the_failing_pivot():
+    # five orthogonal snapshots of norms 5..1 under K = Q B Q^T, whose Gram
+    # matrix over the five modes is SPD in its leading minors of order 1
+    # and 2 only: POD keeps two modes after two factorizations, where
+    # dropping one mode per factorization would take four
+    rng = np.random.default_rng(41)
+    Q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    B = np.eye(8)
+    B[:5, :5] = [[2.0, 1.0, 1.0, 0.5, 0.0],
+                 [1.0, 2.0, 1.0, 0.0, 0.5],
+                 [1.0, 1.0, -1.0, 1.0, 0.0],
+                 [0.5, 0.0, 1.0, 3.0, 1.0],
+                 [0.0, 0.5, 0.0, 1.0, 3.0]]
+    K = Q @ B @ Q.T
+    snapshots = [s * Q[:, j] for j, s in enumerate((5.0, 4.0, 3.0, 2.0, 1.0))]
+    U = np.linalg.svd(np.column_stack(snapshots), full_matrices=False)[0]
+    G = U.T @ K @ U
+    oracle = max(m for m in range(6)
+                 if all(np.linalg.eigvalsh(G[:j, :j]).min() > 0 for j in range(1, m + 1)))
+    assert oracle == 2
+
+    cache = PodCache(SparseMatrix.from_dense(K), window=5)
+    for x in snapshots[:4]:
+        cache.push(x)
+    calls = []
+    factor = cache._factor
+    cache._factor = lambda V, gram: calls.append(V.shape[1]) or factor(V, gram)
+    cache.push(snapshots[4])
+    assert cache.n_modes == oracle
+    assert calls == [5, 2]
 
 
 # --------------------------------------------------------------- POD truncate
