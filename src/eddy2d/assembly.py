@@ -190,10 +190,7 @@ def element_data(mesh: Mesh2D, materials: MaterialTable) -> ElementData:
     for r, tag in enumerate(tags):
         m = materials.lookup(tag)
         rows[r] = (m.kappa, *m.coefficients)
-    x, y = np.moveaxis(mesh.nodes[mesh.elements], 2, 0)  # each (E, 3)
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    return ElementData(mesh.elements, b, c, mesh.areas, *rows.T[:, code])
+    return ElementData(mesh.elements, *mesh.gradients, mesh.areas, *rows.T[:, code])
 
 
 @dataclass(frozen=True)
@@ -238,13 +235,14 @@ def compute_b2(mesh: Mesh2D, a_full: np.ndarray, data: ElementData) -> np.ndarra
     return data.b2_local(a_full[data.nodes])
 
 
-def element_coo(nodes: np.ndarray, vals: np.ndarray, index: np.ndarray):
-    """Rows, columns and values of (E, 3, 3) element matrices on the DoFs
-    ``index[node]``, dropping entries that touch a node indexed -1."""
-    rows = index[np.repeat(nodes, 3, axis=1).ravel()]     # i i i j j j k k k
-    cols = index[np.tile(nodes, (1, 3)).ravel()]          # i j k i j k i j k
-    keep = (rows >= 0) & (cols >= 0)
-    return rows[keep], cols[keep], vals.reshape(-1)[keep]
+def element_pattern(nodes: np.ndarray, index: np.ndarray):
+    """Rows and columns (dtype of ``index``) of the raveled (E, 3, 3) element matrices
+    on the DoFs ``index[node]``, less entries on a node indexed -1, and the kept mask."""
+    dof = index[nodes]
+    free = dof >= 0
+    keep = (free[:, :, None] & free[:, None, :]).ravel()
+    rows = np.repeat(dof, 3, axis=1).ravel()[keep]     # i i i j j j k k k
+    return rows, np.tile(dof, (1, 3)).ravel()[keep], keep  # i j k i j k i j k
 
 
 def partition(mesh: Mesh2D) -> DofPartition:
@@ -264,17 +262,22 @@ def assemble(mesh: Mesh2D, data: ElementData,
     """Assemble (M, K) at zero field on the DoFs of ``part`` from
     ``element_data(mesh, materials)``; Dirichlet rows/columns are eliminated
     by deletion. K(a) of a nonlinear problem is these blocks with K_cc
-    rebuilt by KccRebuildMap."""
-    k_vals = _bbcc(data.b, data.c) \
-        * (data.nu(np.zeros(mesh.n_elements)) / (4.0 * data.area))[:, None, None]
-    m_vals = MASS_TEMPLATE[None, :, :] * (data.kappa * data.area)[:, None, None]
+    rebuilt by KccRebuildMap.
 
-    index, n = part.positions(mesh.n_nodes), part.n_free
-    rows, cols, k_flat = element_coo(mesh.elements, k_vals, index)
-    _, _, m_flat = element_coo(mesh.elements, m_vals, index)
-    K = SparseMatrix.from_coo(n, n, rows, cols, k_flat)
-    M = SparseMatrix.from_coo(n, n, rows, cols, m_flat)
-    return M, K
+    Memory: M and K share one int32 pattern, which scipy's COO keeps without
+    a copy, and M (the smaller) is converted before K's values exist. The
+    peak is under 8 times the bytes of the M and K returned (plate2d_linear
+    at nx = 80, tracemalloc; tests/test_assembly.py)."""
+    n = part.n_free
+    index = part.positions(mesh.n_nodes).astype(np.int32 if n < 2**31 else np.int64)
+    rows, cols, keep = element_pattern(data.nodes, index)
+    M = SparseMatrix.from_coo(n, n, rows, cols, (
+        MASS_TEMPLATE[None, :, :] * (data.kappa * data.area)[:, None, None]).reshape(-1)[keep])
+    vals = _bbcc(data.b, data.c)
+    vals *= (data.nu(np.zeros(mesh.n_elements)) / (4.0 * data.area))[:, None, None]
+    vals = vals.reshape(-1)[keep]
+    del keep
+    return M, SparseMatrix.from_coo(n, n, rows, cols, vals)
 
 
 def extract_blocks(M: SparseMatrix, K: SparseMatrix, p: DofPartition) -> SystemBlocks:
@@ -349,12 +352,14 @@ def kcc_rebuild_map(mesh: Mesh2D, part: DofPartition, data: ElementData) -> KccR
 
     # conductor entries by their position src in the raveled (E_c, 3, 3) stiffness
     geom = (_bbcc(cond.b, cond.c) / (4.0 * cond.area)[:, None, None]).ravel()
-    rows_c, cols_c, src = element_coo(cond.nodes, np.arange(geom.size), index)
+    rows_c, cols_c, keep = element_pattern(cond.nodes, index)
+    src = np.flatnonzero(keep)
     nz = geom[src] != 0.0
     rows_c, cols_c, src = rows_c[nz], cols_c[nz], src[nz]
     k_other = _bbcc(other.b, other.c) \
         * (other.nu(np.zeros(other.area.size)) / (4.0 * other.area))[:, None, None]
-    rows_o, cols_o, v = element_coo(other.nodes, k_other, index)
+    rows_o, cols_o, keep = element_pattern(other.nodes, index)
+    v = k_other.reshape(-1)[keep]
     nz = v != 0.0
     rows_o, cols_o, v = rows_o[nz], cols_o[nz], v[nz]
 

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import MeshError
 
 KINDS = ("conductor", "air", "coil")
+# The most elements, and nodes, a mesh may have: set-up peaks near 470 bytes
+# per element (nx = ny = 320), so the cap (nx = ny = 2048) needs about 4 GB.
+MAX_ELEMENTS = 2**23
 
 
 @dataclass(frozen=True)
@@ -114,12 +117,21 @@ class Mesh2D:
         return list(distinct), code[inverse]
 
     @cached_property
+    def gradients(self) -> tuple[np.ndarray, np.ndarray]:
+        """(E, 3) P1 coefficients b_i = y_j - y_k, c_i = x_k - x_j over the cyclic
+        (i, j, k): the mesh's one gather of node coordinates by element."""
+        x, y = np.moveaxis(self.nodes[self.elements], 2, 0)  # each (E, 3)
+        b = np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)
+        c = np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)
+        b.setflags(write=False), c.setflags(write=False)
+        return b, c
+
+    @cached_property
     def areas(self) -> np.ndarray:
         """Signed area of each element (positive for CCW orientation),
         computed once: validation, assembly and the coil load all read it."""
-        p = self.nodes[self.elements]
-        areas = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                       - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        b, c = self.gradients  # (x1 - x0)(y2 - y0) - (x2 - x0)(y1 - y0), halved
+        areas = 0.5 * (c[:, 2] * b[:, 1] - c[:, 1] * b[:, 2])
         areas.setflags(write=False)
         return areas
 
@@ -187,11 +199,13 @@ def generate_rect_mesh(width: float, height: float, nx: int, ny: int,
     n10, n01, n11 = n00 + 1, n00 + (nx + 1), n00 + (nx + 2)
     elements = np.column_stack([n00, n10, n11, n00, n11, n01]).reshape(-1, 3)
 
-    centroids = nodes[elements].mean(axis=1)
+    # centroids of each cell's (n00, n10, n11) and (n00, n11, n01), summed in node order
+    xl, xr, yb, yt = xs[:-1, None], xs[1:, None], ys[:-1, None], ys[1:, None]
+    cx = np.tile(np.hstack([xl + xr + xr, xl + xr + xl]).ravel() / 3.0, ny)
+    cy = (np.hstack([yb + yb + yt, yb + yt + yt]) / 3.0).repeat(nx, axis=0).ravel()
     if callable(regions):
-        element_region = [regions(float(cx), float(cy)) for cx, cy in centroids]
+        element_region = [regions(x, y) for x, y in zip(cx.tolist(), cy.tolist())]
     else:
-        cx, cy = centroids.T
         code = np.zeros(elements.shape[0], dtype=np.intp)
         tags = [AIR]
         for x0, x1, y0, y1, tag in regions:
@@ -206,9 +220,8 @@ def generate_rect_mesh(width: float, height: float, nx: int, ny: int,
 
 def min_edge_length(mesh: Mesh2D) -> float:
     """Smallest edge length over all elements."""
-    p = mesh.nodes[mesh.elements]
-    edges = p[:, [1, 2, 0], :] - p[:, [0, 1, 2], :]
-    return float(np.sqrt((edges ** 2).sum(axis=2)).min())
+    b, c = mesh.gradients  # (c_i, -b_i) is the edge opposite node i
+    return float(np.sqrt((c * c + b * b).min()))
 
 
 def save_mesh(mesh: Mesh2D, path) -> None:
@@ -258,6 +271,8 @@ def load_mesh(path) -> Mesh2D:
     if unknown:
         raise MeshError(f"{path}: unknown top-level keys {sorted(unknown)}")
     try:
+        if max(len(doc["nodes"]), len(doc["elements"])) > MAX_ELEMENTS:
+            raise MeshError(f"more than the cap of {MAX_ELEMENTS} nodes or elements")
         nodes = _entries(doc, "nodes", integral=False)
         elements = _entries(doc, "elements", integral=True)
         tags = {s: RegionTag.parse(s) for s in dict.fromkeys(doc["regions"])}

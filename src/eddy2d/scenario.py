@@ -20,7 +20,7 @@ from .assembly import MaterialTable, SourceSpec
 from .errors import ConfigError, MeshError, SolverError
 from .integrate import AssembledProblem, SolverOptions, check_window, discretize
 from .materials import NU0, MaterialModel
-from .mesh import Mesh2D, RegionTag, generate_rect_mesh, load_mesh
+from .mesh import MAX_ELEMENTS, Mesh2D, RegionTag, generate_rect_mesh, load_mesh
 from .schur import STRATEGIES
 
 _MESH_KEYS = {"width", "height", "nx", "ny", "regions", "file"}
@@ -237,6 +237,8 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
             mesh_spec[key] = _int(_require(mesh_spec, key, "mesh."), f"mesh.{key}")
             if mesh_spec[key] < 1:
                 raise ConfigError(f"mesh.{key} must be >= 1, got {mesh_spec[key]!r}")
+        if 2 * mesh_spec["nx"] * mesh_spec["ny"] > MAX_ELEMENTS:
+            raise ConfigError(f"mesh.nx * mesh.ny exceeds the cap of {MAX_ELEMENTS // 2} cells")
         boxes = mesh_spec.get("regions", [])
         if not isinstance(boxes, list):
             raise ConfigError(f"mesh.regions must be a list, got {boxes!r}")

@@ -3,7 +3,7 @@ out-of-range scenario values that parsing must reject."""
 import numpy as np
 import pytest
 
-from eddy2d.assembly import MaterialTable, SourceSpec
+from eddy2d.assembly import MASS_TEMPLATE, MaterialTable, SourceSpec
 from eddy2d.integrate import discretize
 from eddy2d.linalg import SparseMatrix
 from eddy2d.materials import MaterialModel, NU0
@@ -82,6 +82,31 @@ def reassemble_stiffness(mesh, data, part, a_full) -> SparseMatrix:
                                  k_e.ravel()[keep])
 
 
+def reference_assemble(mesh, data, part) -> tuple[SparseMatrix, SparseMatrix]:
+    """Oracle (M, K) at zero field, by the plainest route: both matrices'
+    (E, 3, 3) element values at once, and int64 DoF pairs built once per
+    matrix, each fed to scipy's COO -> CSR conversion in raveled element
+    order with Dirichlet entries left out. assemble must match it byte for
+    byte, since the order in which duplicates are summed shows in the bits."""
+    b, c = data.b, data.c
+    bbcc = b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
+    k_vals = bbcc * (data.nu(np.zeros(mesh.n_elements)) / (4.0 * data.area))[:, None, None]
+    m_vals = MASS_TEMPLATE[None, :, :] * (data.kappa * data.area)[:, None, None]
+    index, n = part.positions(mesh.n_nodes), part.n_free
+
+    def element_coo(vals):
+        rows = index[np.repeat(mesh.elements, 3, axis=1).ravel()]  # i i i j j j k k k
+        cols = index[np.tile(mesh.elements, (1, 3)).ravel()]       # i j k i j k i j k
+        keep = (rows >= 0) & (cols >= 0)
+        return rows[keep], cols[keep], vals.reshape(-1)[keep]
+
+    rows, cols, k_flat = element_coo(k_vals)
+    _, _, m_flat = element_coo(m_vals)
+    K = SparseMatrix.from_coo(n, n, rows, cols, k_flat)
+    M = SparseMatrix.from_coo(n, n, rows, cols, m_flat)
+    return M, K
+
+
 def reassembled_kcc(problem, a_c, a_n) -> SparseMatrix:
     """The K_cc corner of reassemble_stiffness at the state (a_c, a_n)."""
     part = problem.part
@@ -96,8 +121,9 @@ NAN, INF = float("nan"), float("inf")
 # names the key path: non-finite, out of the option's range, not an integer
 # (bools included) where one is required, a dt_override that leaves no
 # step of t_end or more than MAX_STEPS of them, a newton_max_iter of 0,
-# which leaves every implicit step unsolved, or a retired option
-# (solver.mcc_tol), which is an unknown key whatever its value
+# which leaves every implicit step unsolved, a retired option
+# (solver.mcc_tol), which is an unknown key whatever its value, or a mesh
+# over the element cap (refused before anything is allocated)
 BAD_SCENARIO_VALUES = [
     ("t_end", NAN), ("t_end", INF), ("t_end", 0.0), ("t_end", -1.0),
     ("t_end", True), ("t_end", "0.75"),
@@ -120,6 +146,7 @@ BAD_SCENARIO_VALUES = [
     ("solver.cspe_window", 0), ("solver.pod_window", 0), ("solver.output_every", 0),
     ("solver.snapshot_every", 0),
     ("mesh.nx", INF), ("mesh.nx", "20"), ("mesh.nx", 20.5), ("mesh.nx", True),
+    ("mesh.nx", 1e300), ("mesh.nx", 2**63), ("mesh.ny", 2**63),
     ("mesh.ny", 0), ("mesh.width", NAN), ("mesh.height", -0.1),
     ("mesh.regions", 5), ("mesh.regions", [5]),
     ("probe", NAN), ("probe", True), ("probe", "0"),

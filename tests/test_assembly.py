@@ -1,3 +1,7 @@
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,10 +19,11 @@ from eddy2d.errors import AssemblyError
 from eddy2d.integrate import newton_system
 from eddy2d.linalg import SparseMatrix
 from eddy2d.materials import MaterialModel, NU0
-from eddy2d.mesh import Mesh2D, RegionTag, generate_rect_mesh
+from eddy2d.mesh import Mesh2D, RegionTag, generate_rect_mesh, save_mesh
+from eddy2d.scenario import bundled_scenario_path, parse_scenario
 
 from conftest import (AIR, STEEL_BRAUER, STEEL_LINEAR, make_mini_mesh, make_mini_problem,
-                      reassemble_stiffness)
+                      reassemble_stiffness, reference_assemble)
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -147,6 +152,80 @@ def test_missing_material_raises():
     mesh = generate_rect_mesh(1.0, 1.0, 2, 2, [(0.0, 1.0, 0.0, 1.0, RegionTag("conductor", 7))])
     with pytest.raises(AssemblyError, match="conductor region 7"):
         assemble(mesh, element_data(mesh, _mats()), partition(mesh))
+
+
+def plate_scenario(name, nx=20):
+    """The bundled scenario ``name`` at nx = ny = ``nx``."""
+    doc = json.loads(Path(bundled_scenario_path(name)).read_text())
+    doc["mesh"]["nx"] = doc["mesh"]["ny"] = nx
+    return parse_scenario(doc)
+
+
+def jittered_plate_scenario(tmp_path):
+    """Bundled plate2d at nx = 20 with its interior nodes moved by up to
+    0.35 of a cell in each coordinate, read back from a mesh file. No two
+    of its elements have the same shape, so no entry rests on the exact
+    zeros and repeats of the structured mesh."""
+    scenario = plate_scenario("plate2d")
+    mesh = scenario.build_mesh()
+    h = scenario.mesh_spec["width"] / scenario.mesh_spec["nx"]
+    nodes = mesh.nodes.copy()
+    interior = np.setdiff1d(np.arange(mesh.n_nodes), list(mesh.boundary_nodes))
+    nodes[interior] += np.random.default_rng(7).uniform(-0.35 * h, 0.35 * h,
+                                                          (interior.size, 2))
+    jittered = Mesh2D(nodes, mesh.elements, mesh.element_region, mesh.boundary_nodes)
+    assert np.unique(np.hstack(jittered.gradients), axis=0).shape[0] == mesh.n_elements
+    save_mesh(jittered, tmp_path / "jittered.json")
+    scenario.mesh_spec = {"file": str(tmp_path / "jittered.json")}
+    return scenario
+
+
+@pytest.mark.parametrize("make_scenario", [
+    lambda tmp_path: plate_scenario("plate2d"),
+    lambda tmp_path: plate_scenario("plate2d_linear"),
+    jittered_plate_scenario,
+], ids=["plate2d", "plate2d_linear", "jittered_file"])
+def test_assembly_is_bitwise_the_reference(tmp_path, make_scenario):
+    # the same entries reach scipy's COO -> CSR in the same order, so the
+    # duplicates sum in the same order: every array byte for byte
+    problem = make_scenario(tmp_path).build_problem()
+    mesh, data, part = problem.mesh, problem.elements, problem.part
+    for new, ref in zip(assemble(mesh, data, part), reference_assemble(mesh, data, part)):
+        assert new.nnz > 0
+        for a, b in [(new.row_offsets, ref.row_offsets), (new.col_indices, ref.col_indices),
+                     (new.values, ref.values)]:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _sparse_bytes(*mats):
+    return sum(a.nbytes for m in mats for a in (m.row_offsets, m.col_indices, m.values))
+
+
+def test_setup_peak_memory_is_a_small_multiple_of_its_result():
+    """Under tracemalloc, bundled plate2d_linear at nx = ny = 80, against
+    the bytes of the M and K that assemble returns (0.55 MB): the peak of
+    assemble stays below 8 times them and the peak of build_problem (mesh,
+    element data, assembly, blocks, probe map) below 12 times. Measured
+    7.0 and 10.3 times, so the margins are 15% and 17%; the set-up that
+    built both matrices' int64 DoF pairs and held all their element values
+    at once peaked at 17.4 and 20.8 times. Runs in about 0.1 s."""
+    scenario = plate_scenario("plate2d_linear", nx=80)
+    mesh = scenario.build_mesh()
+    data, part = element_data(mesh, scenario.materials), partition(mesh)
+    tracemalloc.start()
+    try:
+        M, K = assemble(mesh, data, part)
+        assemble_peak = tracemalloc.get_traced_memory()[1]
+        del M, K, mesh, data, part
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        problem = scenario.build_problem()
+        setup_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    kept = _sparse_bytes(*assemble(problem.mesh, problem.elements, problem.part))
+    assert assemble_peak < 8 * kept
+    assert setup_peak < 12 * kept
 
 
 # ---------------------------------------------------------------- partition

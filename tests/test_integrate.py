@@ -15,7 +15,7 @@ from eddy2d.assembly import (
     MaterialTable,
     b2_map,
     compute_b2,
-    element_coo,
+    element_pattern,
 )
 from eddy2d.errors import InstabilityError, SolverError
 from eddy2d.integrate import (
@@ -514,7 +514,8 @@ def bincount_rebuild(problem, nu_e):
     cond = kmap.conductor
     geom = ((cond.b[:, :, None] * cond.b[:, None, :] + cond.c[:, :, None] * cond.c[:, None, :])
             / (4.0 * cond.area)[:, None, None]).ravel()
-    rows, cols, src = element_coo(cond.nodes, np.arange(geom.size), index)
+    rows, cols, keep = element_pattern(cond.nodes, index)
+    src = np.flatnonzero(keep)
     nz = geom[src] != 0.0
     rows, cols, src = rows[nz], cols[nz], src[nz]
     pattern_keys = np.repeat(np.arange(n_c), np.diff(kmap.indptr)) * n_c + kmap.indices

@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse
 
 from eddy2d.errors import Ic0Breakdown, SolverError
@@ -480,23 +479,24 @@ def test_power_iteration_reseeds_on_annihilation():
     assert rep.value == pytest.approx(1.0, rel=1e-6)
 
 
-# ------------------------------------------------------------------ dense SPD
+# ------------------------------------------ dense SPD: the Galerkin start solve
 
-def cholesky_solve(A, b):
-    """A^-1 b by numpy's Cholesky factor and two triangular solves."""
-    L = np.linalg.cholesky(A)
-    y = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
-    return scipy.linalg.solve_triangular(L, y, lower=True, trans="T", check_finite=False)
+def galerkin_solve(A, b):
+    """A^-1 b as the CSPE/POD start solves it: the Galerkin start on the
+    identity basis factors G = A with dpotrf and starts at G^-1 b by dpotrs."""
+    start = CspeCache(SparseMatrix.from_dense(A), window=len(A))
+    assert start._factor(np.eye(len(A)), np.asarray(A, dtype=float)) is None
+    return start.start(np.asarray(b, dtype=float))
 
 
 def test_dense_solve_identity():
     b = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(cholesky_solve(np.eye(3), b), b)
+    np.testing.assert_allclose(galerkin_solve(np.eye(3), b), b)
 
 
 def test_dense_solve_closed_form():
     A = np.array([[4.0, 1.0], [1.0, 3.0]])
-    z = cholesky_solve(A, np.array([1.0, 2.0]))
+    z = galerkin_solve(A, np.array([1.0, 2.0]))
     np.testing.assert_allclose(z, [1.0 / 11.0, 7.0 / 11.0], rtol=1e-12)
 
 
@@ -504,7 +504,7 @@ def test_dense_solve_hilbert():
     n = 4
     H = np.array([[1.0 / (i + j + 1) for j in range(n)] for i in range(n)])
     b = H @ np.ones(n)
-    z = cholesky_solve(H, b)
+    z = galerkin_solve(H, b)
     np.testing.assert_allclose(z, np.ones(n), atol=1e-6)
 
 
@@ -512,7 +512,7 @@ def test_dense_solve_residual_contract():
     rng = np.random.default_rng(61)
     A = random_spd(40, rng)
     b = rng.standard_normal(40)
-    z = cholesky_solve(A, b)
+    z = galerkin_solve(A, b)
     assert np.linalg.norm(A @ z - b) <= 1e-10 * np.linalg.norm(b)
 
 

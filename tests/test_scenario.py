@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eddy2d.errors import ConfigError
+from eddy2d.mesh import MAX_ELEMENTS
 from eddy2d.scenario import bundled_scenario_path, load_scenario, parse_scenario, resolve_config
 
 from conftest import BAD_SCENARIO_VALUES, key_paths, set_key_path
@@ -204,6 +206,55 @@ def test_mesh_from_file(tmp_path):
     sc = parse_scenario(doc)
     problem = sc.build_problem()
     assert problem.n_free == sc0.build_problem().n_free
+
+
+CELL_CAP = MAX_ELEMENTS // 2  # two triangles per cell
+SIDE_AT_CAP = math.isqrt(CELL_CAP)
+
+
+@pytest.mark.parametrize("nx,ny", [(SIDE_AT_CAP, SIDE_AT_CAP), (CELL_CAP, 1), (1, CELL_CAP),
+                                   (320, 320)])
+def test_mesh_at_the_element_cap_is_accepted(tmp_path, nx, ny):
+    # parsing only: no mesh is built
+    assert SIDE_AT_CAP ** 2 == CELL_CAP
+    doc = minimal_doc()
+    doc["mesh"]["nx"], doc["mesh"]["ny"] = nx, ny
+    spec = load_scenario(write_doc(tmp_path, doc)).mesh_spec
+    assert (spec["nx"], spec["ny"]) == (nx, ny)
+
+
+@pytest.mark.parametrize("nx,ny", [(CELL_CAP + 1, 1), (1, CELL_CAP + 1),
+                                   (SIDE_AT_CAP + 1, SIDE_AT_CAP)])
+def test_mesh_over_the_element_cap_is_refused_before_allocation(tmp_path, nx, ny):
+    # one cell over the cap; BAD_SCENARIO_VALUES holds 1e300 and 2^63
+    doc = minimal_doc()
+    doc["mesh"]["nx"], doc["mesh"]["ny"] = nx, ny
+    with pytest.raises(ConfigError, match=re.escape("mesh.nx * mesh.ny")):
+        load_scenario(write_doc(tmp_path, doc))
+
+
+@pytest.mark.parametrize("more", ["elements", "nodes"])
+def test_mesh_file_over_the_cap_is_refused_before_its_arrays(tmp_path, monkeypatch, more):
+    # the cap bounds nodes and elements alike: at the larger of a mesh's two
+    # counts it loads, one below it names mesh.file and the cap; the minimal
+    # mesh has more elements than nodes, a lone triangle more nodes
+    from eddy2d import mesh as mesh_module
+    from eddy2d.mesh import Mesh2D, RegionTag, save_mesh
+
+    mesh = parse_scenario(minimal_doc()).build_mesh() if more == "elements" else \
+        Mesh2D([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]], [RegionTag("air")])
+    cap = max(mesh.n_nodes, mesh.n_elements)
+    assert cap == (mesh.n_elements if more == "elements" else mesh.n_nodes) > min(
+        mesh.n_nodes, mesh.n_elements)
+    save_mesh(mesh, tmp_path / "m.json")
+    doc = minimal_doc()
+    doc["mesh"] = {"file": str(tmp_path / "m.json")}
+    scenario = load_scenario(write_doc(tmp_path, doc))
+    monkeypatch.setattr(mesh_module, "MAX_ELEMENTS", cap)
+    assert scenario.build_mesh().n_elements == mesh.n_elements
+    monkeypatch.setattr(mesh_module, "MAX_ELEMENTS", cap - 1)
+    with pytest.raises(ConfigError, match=f"mesh.file: .*the cap of {cap - 1} nodes or elements"):
+        scenario.build_mesh()
 
 
 def test_resolve_config_bundled_and_missing(tmp_path):
