@@ -185,12 +185,9 @@ class ElementData:
 
 def element_data(mesh: Mesh2D, materials: MaterialTable) -> ElementData:
     """Resolve every element's geometry, and each distinct region's material."""
-    tags, code = mesh.region_codes
-    rows = np.empty((len(tags), 4))
-    for r, tag in enumerate(tags):
-        m = materials.lookup(tag)
-        rows[r] = (m.kappa, *m.coefficients)
-    return ElementData(mesh.elements, *mesh.gradients, mesh.areas, *rows.T[:, code])
+    rows = np.array([(m.kappa, *m.coefficients) for m in map(materials.lookup, mesh.tags)],
+                    dtype=float).reshape(-1, 4)
+    return ElementData(mesh.elements, *mesh.gradients, mesh.areas, *rows.T[:, mesh.region])
 
 
 @dataclass(frozen=True)

@@ -178,20 +178,16 @@ def discretize(mesh: Mesh2D, materials: MaterialTable,
                             float(probe.area.sum()), kcc_map)
 
 
-def probe_average_b(problem: AssembledProblem, a_c: np.ndarray, a_pn: np.ndarray):
-    """Area-weighted mean |B| over the probe elements, from a_c (all of it,
-    or its entries at problem.probe_c) and a_pn = a_n[problem.probe_n]: a
-    float for one state, and for (rows, .) blocks of states one value per
-    row, each bitwise that of its row alone."""
+def probe_average_b(problem: AssembledProblem, a_pc: np.ndarray, a_pn: np.ndarray) -> np.ndarray:
+    """Area-weighted mean |B| over the probe elements of each row of a (rows, .)
+    block of states a_pc = a_c[problem.probe_c], a_pn = a_n[problem.probe_n]:
+    each value is bitwise that of its row alone."""
     areas = problem.probe.area
-    if a_c.shape[-1] != problem.probe_c.size:
-        a_c = a_c[..., problem.probe_c]
     if areas.size == 0:
-        return 0.0 if a_c.ndim == 1 else np.zeros(a_c.shape[0])
-    b2 = problem.probe_b2(np.concatenate([a_c, a_pn], axis=-1))
-    # a C-contiguous (rows, E) block sums each row as the 1-D sum does
-    mean = (areas * np.sqrt(b2)).sum(axis=-1) / problem.probe_area
-    return float(mean) if a_c.ndim == 1 else mean
+        return np.zeros(a_pc.shape[0])
+    b2 = problem.probe_b2(np.concatenate([a_pc, a_pn], axis=1))
+    # a C-contiguous (rows, E) block sums each row as a 1-D sum does
+    return (areas * np.sqrt(b2)).sum(axis=1) / problem.probe_area
 
 
 class MccSolver:

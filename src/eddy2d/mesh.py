@@ -1,9 +1,9 @@
 """2D triangular meshes with material-region tags.
 
-Meshes are structured right-triangle triangulations of a rectangle, tagged
-per element by region boxes painted onto the element centroids, plus a JSON
-file format for round-tripping. The outer rectangle boundary carries the
-homogeneous Dirichlet condition a = 0.
+Meshes are structured right-triangle triangulations of a rectangle whose
+elements carry a region code, painted by region boxes onto the element
+centroids, plus a JSON file format for round-tripping. The outer rectangle
+boundary carries the homogeneous Dirichlet condition a = 0.
 """
 from __future__ import annotations
 
@@ -70,30 +70,30 @@ class Mesh2D:
 
     nodes: (N, 2) coordinates in meters.
     elements: (E, 3) node index triples, counterclockwise.
-    element_region: length-E list of RegionTag.
+    tags, region: the RegionTags in use, and (E,) each element's index into them.
     boundary_nodes: node indices with the Dirichlet condition a = 0.
     """
 
     nodes: np.ndarray
     elements: np.ndarray
-    element_region: list[RegionTag]
+    tags: list[RegionTag]
+    region: np.ndarray
     boundary_nodes: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=float)
-        # an integer array passes as it is; anything else is checked entry by entry
-        if not (isinstance(self.elements, np.ndarray) and self.elements.dtype.kind in "iu"):
-            for pos, v in np.ndenumerate(np.array(self.elements, dtype=object, ndmin=1)):
-                if not _is_index(v):
-                    raise MeshError(f"element {pos[0]} entry {v!r} is not an integer")
-        self.elements = np.ascontiguousarray(self.elements, dtype=np.int64)
+        self.elements = _indices(self.elements, "entry")
+        self.region = _indices(self.region, "region code")
         for v in self.boundary_nodes:
             if not _is_index(v):
                 raise MeshError(f"boundary entry {v!r} is not an integer")
         self.boundary_nodes = frozenset(int(i) for i in self.boundary_nodes)
         validate_mesh(self)
-        self.nodes.setflags(write=False)
-        self.elements.setflags(write=False)
+        used = np.bincount(self.region, minlength=len(self.tags)) > 0  # drop the unused tags
+        self.tags = [tag for tag, u in zip(self.tags, used.tolist()) if u]
+        self.region = np.cumsum(used)[self.region] - 1
+        for array in (self.nodes, self.elements, self.region):
+            array.setflags(write=False)
 
     @property
     def n_nodes(self) -> int:
@@ -102,19 +102,6 @@ class Mesh2D:
     @property
     def n_elements(self) -> int:
         return self.elements.shape[0]
-
-    @cached_property
-    def region_codes(self) -> tuple[list[RegionTag], np.ndarray]:
-        """The distinct tags in order of first appearance and each element's index
-        into them, grouped by tag object (no Python call per element), then by value."""
-        regions = self.element_region
-        ids = np.fromiter(map(id, regions), dtype=np.uint64, count=len(regions))
-        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-        distinct: dict[RegionTag, int] = {}
-        code = np.empty(first.size, dtype=np.intp)
-        for u in np.argsort(first):
-            code[u] = distinct.setdefault(regions[first[u]], len(distinct))
-        return list(distinct), code[inverse]
 
     @cached_property
     def gradients(self) -> tuple[np.ndarray, np.ndarray]:
@@ -136,9 +123,8 @@ class Mesh2D:
         return areas
 
     def region_mask(self, test) -> np.ndarray:
-        """Which elements have a tag that passes ``test``, called once per distinct tag."""
-        tags, code = self.region_codes
-        return np.array([test(tag) for tag in tags], dtype=bool)[code]
+        """Which elements have a tag that passes ``test``, called once per tag."""
+        return np.array([test(tag) for tag in self.tags], dtype=bool)[self.region]
 
 
 def _is_index(v) -> bool:
@@ -148,14 +134,31 @@ def _is_index(v) -> bool:
         and float(v).is_integer()
 
 
+def _indices(values, entry: str) -> np.ndarray:
+    """``values`` as int64: an integer array passes as it is, anything else
+    is checked entry by entry, naming the element of the first non-integral one."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        for pos, v in np.ndenumerate(np.array(values, dtype=object, ndmin=1)):
+            if not _is_index(v):
+                raise MeshError(f"element {pos[0]} {entry} {v!r} is not an integer")
+    return np.ascontiguousarray(values, dtype=np.int64)
+
+
+def _codes(values) -> tuple[list, np.ndarray]:
+    """The distinct values in order of first appearance, and each value's index into them."""
+    first: dict = {}
+    code = np.fromiter((first.setdefault(v, len(first)) for v in values), dtype=np.int64)
+    return list(first), code
+
+
 def validate_mesh(mesh: Mesh2D) -> None:
     n = mesh.nodes.shape[0]
     if mesh.nodes.ndim != 2 or mesh.nodes.shape[1] != 2:
         raise MeshError("nodes must be an (N, 2) array")
     if mesh.elements.ndim != 2 or mesh.elements.shape[1] != 3:
         raise MeshError("elements must be an (E, 3) array")
-    if len(mesh.element_region) != mesh.elements.shape[0]:
-        raise MeshError("element_region length must match element count")
+    if mesh.region.shape != mesh.elements.shape[:1]:
+        raise MeshError("region must hold one code per element")
     n0, n1, n2 = mesh.elements.T
     repeated = (n0 == n1) | (n1 == n2) | (n0 == n2)
     bad = repeated | ((mesh.elements < 0) | (mesh.elements >= n)).any(axis=1)
@@ -164,6 +167,10 @@ def validate_mesh(mesh: Mesh2D) -> None:
         fault = "has repeated node indices" if repeated[e] \
             else "references node index out of range:"
         raise MeshError(f"element {e} {fault} {mesh.elements[e].tolist()}")
+    bad = np.flatnonzero((mesh.region < 0) | (mesh.region >= len(mesh.tags)))
+    if bad.size:
+        raise MeshError(f"element {bad[0]} region code {mesh.region[bad[0]]} is not one of "
+                        f"the {len(mesh.tags)} tags")
     finite = np.isfinite(mesh.nodes).all(axis=1)
     if not finite.all():
         node = int(np.argmin(finite))
@@ -204,18 +211,17 @@ def generate_rect_mesh(width: float, height: float, nx: int, ny: int,
     cx = np.tile(np.hstack([xl + xr + xr, xl + xr + xl]).ravel() / 3.0, ny)
     cy = (np.hstack([yb + yb + yt, yb + yt + yt]) / 3.0).repeat(nx, axis=0).ravel()
     if callable(regions):
-        element_region = [regions(x, y) for x, y in zip(cx.tolist(), cy.tolist())]
+        tags, code = _codes(map(regions, cx.tolist(), cy.tolist()))
     else:
-        code = np.zeros(elements.shape[0], dtype=np.intp)
+        code = np.zeros(elements.shape[0], dtype=np.int64)
         tags = [AIR]
         for x0, x1, y0, y1, tag in regions:
             code[(x0 <= cx) & (cx < x1) & (y0 <= cy) & (cy < y1)] = len(tags)
             tags.append(tag)
-        element_region = [tags[c] for c in code.tolist()]
 
     boundary = frozenset(np.concatenate([grid[0], grid[-1], grid[:, 0], grid[:, -1]]).tolist())
 
-    return Mesh2D(nodes, elements, element_region, boundary)
+    return Mesh2D(nodes, elements, tags, code, boundary)
 
 
 def min_edge_length(mesh: Mesh2D) -> float:
@@ -225,10 +231,11 @@ def min_edge_length(mesh: Mesh2D) -> float:
 
 
 def save_mesh(mesh: Mesh2D, path) -> None:
+    names = [tag.to_string() for tag in mesh.tags]
     doc = {
         "nodes": [[float(x), float(y)] for x, y in mesh.nodes],
         "elements": [[int(i), int(j), int(k)] for i, j, k in mesh.elements],
-        "regions": [tag.to_string() for tag in mesh.element_region],
+        "regions": [names[c] for c in mesh.region.tolist()],
         "boundary": sorted(mesh.boundary_nodes),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -275,8 +282,8 @@ def load_mesh(path) -> Mesh2D:
             raise MeshError(f"more than the cap of {MAX_ELEMENTS} nodes or elements")
         nodes = _entries(doc, "nodes", integral=False)
         elements = _entries(doc, "elements", integral=True)
-        tags = {s: RegionTag.parse(s) for s in dict.fromkeys(doc["regions"])}
-        return Mesh2D(nodes, elements, [tags[s] for s in doc["regions"]],
+        names, code = _codes(doc["regions"])
+        return Mesh2D(nodes, elements, [RegionTag.parse(s) for s in names], code,
                       frozenset(_entries(doc, "boundary", integral=True).tolist()))
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from exc

@@ -29,6 +29,8 @@ _MATERIAL_KEYS = {"kappa", "law", "nu", "k1", "k2", "k3"}
 _SOURCE_KEYS = {"coil", "i_max", "tau", "turns"}
 _SOLVER_KEYS = {f.name for f in fields(SolverOptions)}
 _TOP_KEYS = {"mesh", "materials", "source", "probe", "t_end", "solver"}
+# bound on material and source numbers: the PCG checks square vectors scaled by them
+MAX_MAGNITUDE = 1e30
 
 
 @dataclass
@@ -40,7 +42,7 @@ class Scenario:
     t_end: float
     options: SolverOptions
     name: str = "scenario"
-    region_boxes: list = field(default_factory=list)
+    region_boxes: list = field(default_factory=list)  # (x0, x1, y0, y1, RegionTag)
 
     def build_mesh(self) -> Mesh2D:
         """The ``mesh.file`` mesh, or a generated one with ``mesh.regions`` painted in order."""
@@ -50,16 +52,13 @@ class Scenario:
                 return load_mesh(spec["file"])
             except (OSError, MeshError) as exc:
                 raise ConfigError(f"mesh.file: {exc}") from exc
-        boxes = [(b["x0"], b["x1"], b["y0"], b["y1"], RegionTag.parse(b["tag"]))
-                 for b in self.region_boxes]
         return generate_rect_mesh(spec["width"], spec["height"],
-                                  spec["nx"], spec["ny"], boxes)
+                                  spec["nx"], spec["ny"], self.region_boxes)
 
     def build_problem(self) -> AssembledProblem:
         mesh = self.build_mesh()
-        present = {(t.kind, t.id) for t in mesh.region_codes[0]}
-        kinds = {k for k, _ in present}
-        if "conductor" not in kinds:
+        present = {(t.kind, t.id) for t in mesh.tags}
+        if not any(kind == "conductor" for kind, _ in present):
             raise ConfigError("scenario has no conductor region; the ODE would be empty")
         for kind, rid in sorted(present):
             if kind == "conductor" and rid not in self.materials.conductors:
@@ -80,7 +79,7 @@ class Scenario:
         if not mesh.boundary_nodes.issuperset(shared.tolist()):
             raise ConfigError(f"source.coil: coil region {self.source.coil_id} shares "
                               "nodes with a conductor region")
-        probes = {t.probe for t in mesh.region_codes[0] if t.probe is not None}
+        probes = {t.probe for t in mesh.tags if t.probe is not None}
         if self.probe_id not in probes:
             raise ConfigError(f"probe region {self.probe_id} not present in the mesh")
         return discretize(mesh, self.materials, self.probe_id)
@@ -100,14 +99,15 @@ def _check_keys(doc: dict, allowed: set, path: str):
         raise ConfigError(f"unknown key {path}{sorted(unknown)[0]}")
 
 
-def _finite(val, path: str) -> float:
-    """A finite JSON number (not a bool) as float."""
+def _finite(val, path: str, bound: float = math.inf) -> float:
+    """A finite JSON number (not a bool) of magnitude at most ``bound``, as float."""
     try:
-        ok = not isinstance(val, bool) and math.isfinite(val)
+        ok = not isinstance(val, bool) and math.isfinite(val) and abs(val) <= bound
     except (TypeError, OverflowError):
         ok = False
     if not ok:
-        raise ConfigError(f"{path} must be a finite number, got {val!r}")
+        at_most = f" of magnitude at most {bound:g}" if bound < math.inf else ""
+        raise ConfigError(f"{path} must be a finite number{at_most}, got {val!r}")
     return float(val)
 
 
@@ -122,7 +122,8 @@ def _int(val, path: str) -> int:
 def _parse_material(doc: dict, path: str) -> MaterialModel:
     _check_keys(doc, _MATERIAL_KEYS, path + ".")
     law = doc.get("law", "linear")
-    num = {key: _finite(val, f"{path}.{key}") for key, val in doc.items() if key != "law"}
+    num = {key: _finite(val, f"{path}.{key}", MAX_MAGNITUDE)
+           for key, val in doc.items() if key != "law"}
     kappa = num.get("kappa", 0.0)
     try:
         if law == "linear":
@@ -246,24 +247,22 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
             path = f"mesh.regions[{i}]"
             _check_keys(box, _REGION_KEYS, path + ".")
             box = {key: _require(box, key, path + ".") for key in sorted(_REGION_KEYS)}
-            for key in ("x0", "x1", "y0", "y1"):
-                box[key] = _finite(box[key], f"{path}.{key}")
+            edges = [_finite(box[key], f"{path}.{key}") for key in ("x0", "x1", "y0", "y1")]
             if not isinstance(box["tag"], str):
                 raise ConfigError(f"{path}.tag must be a string, got {box['tag']!r}")
             try:
-                RegionTag.parse(box["tag"])
+                region_boxes.append((*edges, RegionTag.parse(box["tag"])))
             except MeshError as exc:
                 raise ConfigError(f"{path}.tag: {exc}") from exc
-            region_boxes.append(box)
 
     materials = _parse_materials(_require(doc, "materials", ""))
 
     src_doc = _require(doc, "source", "")
     _check_keys(src_doc, _SOURCE_KEYS, "source.")
     coil = _int(_require(src_doc, "coil", "source."), "source.coil")
-    i_max, tau = (_finite(_require(src_doc, key, "source."), f"source.{key}")
+    i_max, tau = (_finite(_require(src_doc, key, "source."), f"source.{key}", MAX_MAGNITUDE)
                   for key in ("i_max", "tau"))
-    turns = _finite(src_doc.get("turns", 1.0), "source.turns")
+    turns = _finite(src_doc.get("turns", 1.0), "source.turns", MAX_MAGNITUDE)
     try:
         source = SourceSpec(coil, i_max, tau, turns)
     except Exception as exc:

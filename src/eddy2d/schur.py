@@ -27,6 +27,7 @@ product once the context holds it, else one ``schur_apply`` solve.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,13 +98,13 @@ def knn_preconditioner(blocks: SystemBlocks, strategy: str = "previous"):
 
 class SchurContext:
     """Owns the K_nn preconditioner (built once per assembly; K_nn never
-    changes during a run), the per-purpose start-vector providers, the
-    iteration statistics, the run's coil ``pattern`` with w = pinv(K_nn)
-    pattern and r_pat = -K_cn w once ``set_source`` has run, and, once
-    formed, the ``interface`` block (all None until then). Under ``direct``
-    the preconditioner is the solve with the K_nn factor, which starts
-    every solve, and there are no providers. Single-owner mutable; not
-    shared across threads."""
+    changes during a run), the per-purpose start-vector providers (each
+    built at its purpose's first solve), the iteration statistics, the
+    run's coil ``pattern`` with w = pinv(K_nn) pattern and r_pat = -K_cn w
+    once ``set_source`` has run, and, once formed, the ``interface`` block
+    (all None until then). Under ``direct`` the preconditioner is the
+    solve with the K_nn factor, which starts every solve, and there are no
+    providers. Single-owner mutable; not shared across threads."""
 
     def __init__(self, blocks: SystemBlocks, tol: float = 1e-6,
                  max_iter: int | None = None, strategy: str = "previous",
@@ -115,11 +116,9 @@ class SchurContext:
         self.strategy = strategy
         self.precond = preconditioner if preconditioner is not None \
             else knn_preconditioner(blocks, strategy)
-        self.providers = {} if strategy == "direct" else {
-            purpose: make_provider(strategy, blocks.K_nn, cspe_window=cspe_window,
-                                   pod_window=pod_window, tol_pod=tol_pod)
-            for purpose in PURPOSES
-        }
+        self.providers = {} if strategy == "direct" else defaultdict(lambda: make_provider(
+            strategy, blocks.K_nn, cspe_window=cspe_window, pod_window=pod_window,
+            tol_pod=tol_pod))
         self.stats = IterationStats()
         self.step = 0
         self.pattern: np.ndarray | None = None
@@ -167,7 +166,7 @@ def solve_knn(ctx: SchurContext, rhs: np.ndarray, purpose: str) -> np.ndarray:
         # zero rhs has the zero pseudo-solution; leave the history alone
         ctx.stats.record(ctx.step, purpose, ctx.strategy, 0, 0.0)
         return np.zeros(ctx.blocks.n_n)
-    provider = ctx.providers.get(purpose)
+    provider = None if ctx.strategy == "direct" else ctx.providers[purpose]
     x0 = ctx.precond(rhs) if provider is None else provider.start(rhs)
     report = pcg(ctx.blocks.K_nn, rhs, x0=x0, precond=ctx.precond, tol=ctx.tol,
                  max_iter=ctx.max_iter, name=f"K_nn solve ({purpose})")

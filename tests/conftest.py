@@ -7,7 +7,7 @@ from eddy2d.assembly import MASS_TEMPLATE, MaterialTable, SourceSpec
 from eddy2d.integrate import discretize
 from eddy2d.linalg import SparseMatrix
 from eddy2d.materials import MaterialModel, NU0
-from eddy2d.mesh import RegionTag, generate_rect_mesh
+from eddy2d.mesh import Mesh2D, RegionTag, _codes, generate_rect_mesh
 
 STEEL_LINEAR = MaterialModel.linear(5e7, 570.0)
 STEEL_BRAUER = MaterialModel.brauer(5e7, 520.6, 49.4, 1.46)
@@ -21,6 +21,16 @@ MINI_REGIONS = [
     (0.02, 0.08, 0.05, 0.08, RegionTag("conductor", 0)),
     (0.02, 0.08, 0.08, 0.09, RegionTag("air", 0, probe=0)),
 ]
+
+
+def tagged_mesh(nodes, elements, regions, boundary=frozenset()) -> Mesh2D:
+    """The Mesh2D whose element e has the tag regions[e]; equal tags share a code."""
+    return Mesh2D(nodes, elements, *_codes(regions), boundary)
+
+
+def element_tags(mesh) -> list[RegionTag]:
+    """Each element's tag, in element order."""
+    return [mesh.tags[code] for code in mesh.region.tolist()]
 
 
 def make_mini_mesh():
@@ -122,8 +132,10 @@ NAN, INF = float("nan"), float("inf")
 # (bools included) where one is required, a dt_override that leaves no
 # step of t_end or more than MAX_STEPS of them, a newton_max_iter of 0,
 # which leaves every implicit step unsolved, a retired option
-# (solver.mcc_tol), which is an unknown key whatever its value, or a mesh
-# over the element cap (refused before anything is allocated)
+# (solver.mcc_tol), which is an unknown key whatever its value, a mesh
+# over the element cap (refused before anything is allocated), or a
+# material or source number over MAX_MAGNITUDE, which would overflow the
+# squared norms of the first solves
 BAD_SCENARIO_VALUES = [
     ("t_end", NAN), ("t_end", INF), ("t_end", 0.0), ("t_end", -1.0),
     ("t_end", True), ("t_end", "0.75"),
@@ -154,8 +166,12 @@ BAD_SCENARIO_VALUES = [
     ("materials.conductor:0.nu", NAN), ("materials.conductor:0.nu", INF),
     ("materials.conductor:0.k1", NAN), ("materials.conductor:0.k2", INF),
     ("materials.conductor:0.k3", NAN),
+    ("materials.conductor:0.nu", 1e300), ("materials.conductor:0.nu", 1e155),
+    ("materials.conductor:0.k1", 1e300), ("materials.conductor:0.k2", -1e300),
+    ("materials.conductor:0.kappa", 1e31),
     ("source.i_max", NAN), ("source.i_max", INF), ("source.tau", NAN),
     ("source.turns", INF), ("source.coil", True),
+    ("source.i_max", 1e300), ("source.i_max", -1e300), ("source.turns", 1e300),
 ]
 
 

@@ -22,8 +22,8 @@ from eddy2d.materials import MaterialModel, NU0
 from eddy2d.mesh import Mesh2D, RegionTag, generate_rect_mesh, save_mesh
 from eddy2d.scenario import bundled_scenario_path, parse_scenario
 
-from conftest import (AIR, STEEL_BRAUER, STEEL_LINEAR, make_mini_mesh, make_mini_problem,
-                      reassemble_stiffness, reference_assemble)
+from conftest import (AIR, STEEL_BRAUER, STEEL_LINEAR, element_tags, make_mini_mesh,
+                      make_mini_problem, reassemble_stiffness, reference_assemble)
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -36,7 +36,7 @@ def one_triangle(tri, material):
     """Unreduced (M, K) of the triangle ``tri`` made of ``material``, a
     conductor when it conducts and air otherwise."""
     conducts = material.kappa > 0
-    mesh = Mesh2D(tri, [[0, 1, 2]], [RegionTag("conductor" if conducts else "air")])
+    mesh = Mesh2D(tri, [[0, 1, 2]], [RegionTag("conductor" if conducts else "air")], [0])
     table = MaterialTable({0: material}, AIR) if conducts else MaterialTable({}, material)
     M, K = assemble(mesh, element_data(mesh, table), partition(mesh))
     return M.toarray(), K.toarray()
@@ -129,7 +129,7 @@ def test_linear_assembly_independent_of_a():
 def test_unreduced_stiffness_kills_constants():
     # with no Dirichlet nodes every node is a DoF
     rect = generate_rect_mesh(1.0, 1.0, 2, 2, HALF_CONDUCTOR)
-    mesh = Mesh2D(rect.nodes, rect.elements, rect.element_region)
+    mesh = Mesh2D(rect.nodes, rect.elements, rect.tags, rect.region)
     _, K = assemble(mesh, element_data(mesh, _mats()), partition(mesh))
     assert K.shape == (mesh.n_nodes, mesh.n_nodes)
     ones = np.ones(mesh.n_nodes)
@@ -173,7 +173,7 @@ def jittered_plate_scenario(tmp_path):
     interior = np.setdiff1d(np.arange(mesh.n_nodes), list(mesh.boundary_nodes))
     nodes[interior] += np.random.default_rng(7).uniform(-0.35 * h, 0.35 * h,
                                                           (interior.size, 2))
-    jittered = Mesh2D(nodes, mesh.elements, mesh.element_region, mesh.boundary_nodes)
+    jittered = Mesh2D(nodes, mesh.elements, mesh.tags, mesh.region, mesh.boundary_nodes)
     assert np.unique(np.hstack(jittered.gradients), axis=0).shape[0] == mesh.n_elements
     save_mesh(jittered, tmp_path / "jittered.json")
     scenario.mesh_spec = {"file": str(tmp_path / "jittered.json")}
@@ -249,7 +249,7 @@ def test_partition_interface_nodes_conducting():
     mesh = generate_rect_mesh(1.0, 1.0, 4, 4, HALF_CONDUCTOR)
     p = partition(mesh)
     adjacent = set()
-    for e, tag in enumerate(mesh.element_region):
+    for e, tag in enumerate(element_tags(mesh)):
         if tag.kind == "conductor":
             adjacent.update(int(i) for i in mesh.elements[e])
     expected_c = [n for n in adjacent if n not in mesh.boundary_nodes]
@@ -340,7 +340,7 @@ def test_nonlinear_update_touches_only_conductor_entries():
     np.testing.assert_array_equal(b0.K_cn.toarray(), b1.K_cn.toarray())
     np.testing.assert_array_equal(b0.K_nn.toarray(), b1.K_nn.toarray())
     conductor_nodes = set()
-    for e, tag in enumerate(mesh.element_region):
+    for e, tag in enumerate(element_tags(mesh)):
         if tag.kind == "conductor":
             conductor_nodes.update(int(i) for i in mesh.elements[e])
     problem = make_mini_problem(nonlinear=True)
@@ -377,7 +377,7 @@ def test_source_partition_of_unity():
     # with no Dirichlet nodes and no conductor the pattern covers every
     # node, and its entries sum to turns
     rect = _coil_mesh()
-    mesh = Mesh2D(rect.nodes, rect.elements, rect.element_region)
+    mesh = Mesh2D(rect.nodes, rect.elements, rect.tags, rect.region)
     src = SourceSpec(0, i_max=10.0, tau=0.5, turns=3.0)
     pattern = source_pattern(mesh, src, partition(mesh))
     assert pattern.size == mesh.n_nodes

@@ -455,6 +455,43 @@ def test_coil_touching_conductor_exits_config(tmp_path, capsys, argv):
     assert not os.path.exists(tmp_path / "o")
 
 
+def _conductor_box_outside(doc):
+    # a second conductor, with its material, whose box lies off the domain
+    doc["mesh"]["regions"].append(
+        {"x0": 0.2, "x1": 0.3, "y0": 0.0, "y1": 0.1, "tag": "conductor:1"})
+    doc["materials"]["conductor:1"] = doc["materials"]["conductor:0"]
+
+
+def _coil_box_outside(doc):
+    doc["mesh"]["regions"][0].update(x0=0.2, x1=0.3)
+
+
+def _probe_box_painted_over(doc):
+    doc["mesh"]["regions"].append(
+        {"x0": 0.0, "x1": 0.1, "y0": 0.04, "y1": 0.05, "tag": "air"})
+
+
+@pytest.mark.parametrize("paint,message", [
+    (_conductor_box_outside, "material declared for absent conductor region 1"),
+    (_coil_box_outside, "source references absent coil region 0"),
+    (_probe_box_painted_over, "probe region 0 not present in the mesh"),
+], ids=["conductor", "coil", "probe"])
+@pytest.mark.parametrize("command", ["run", "cfl"])
+def test_box_that_paints_no_element_exits_config(tmp_path, capsys, command, paint, message):
+    # a tag no element carries is not in the mesh, whether its box lies off
+    # the domain or a later box paints over it
+    doc = small_scenario_doc()
+    paint(doc)
+    cfg = tmp_path / "absent.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [command, "--config", str(cfg)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not os.path.exists(tmp_path / "o")
+
+
 @pytest.mark.parametrize("kind", ["conductor", "coil"])
 @pytest.mark.parametrize("command", ["run", "cfl"])
 def test_bad_region_id_exits_config(tmp_path, capsys, command, kind):

@@ -44,6 +44,7 @@ from conftest import (
     STEEL_BRAUER,
     STEEL_LINEAR,
     dense_kS,
+    element_tags,
     make_mini_mesh,
     make_mini_problem,
     make_mini_source,
@@ -431,7 +432,7 @@ def test_update_rebuilds_kcc_from_current_field(mini_problem_nonlinear):
 def test_kcc_rebuild_matches_reassembly(make_problem):
     problem = make_problem()
     rng = np.random.default_rng(23)
-    cond = np.array([tag.kind == "conductor" for tag in problem.mesh.element_region])
+    cond = np.array([tag.kind == "conductor" for tag in element_tags(problem.mesh)])
     for _ in range(5):
         state = new_state(problem)
         state.a_c = rng.standard_normal(problem.part.n_c)
@@ -477,7 +478,7 @@ def jittered_mini_problem():
     nodes = mesh.nodes.copy()
     interior = np.setdiff1d(np.arange(mesh.n_nodes), list(mesh.boundary_nodes))
     nodes[interior] += np.random.default_rng(59).uniform(-0.002, 0.002, (interior.size, 2))
-    mesh = Mesh2D(nodes, mesh.elements, mesh.element_region, mesh.boundary_nodes)
+    mesh = Mesh2D(nodes, mesh.elements, mesh.tags, mesh.region, mesh.boundary_nodes)
     return discretize(mesh, MaterialTable({0: STEEL_BRAUER}, AIR), probe_id=0)
 
 
@@ -544,6 +545,11 @@ def test_kcc_rebuild_equals_bincount_bitwise(make_problem):
         assert np.array_equal(kmap.rebuild(nu_e).values, bincount_rebuild(problem, nu_e))
 
 
+def probe_of(problem, a_c, a_pn) -> float:
+    """probe_average_b of the one state (a_c, a_pn), as a block of one row."""
+    return float(integrate.probe_average_b(problem, a_c[None, problem.probe_c], a_pn[None])[0])
+
+
 def test_probe_average_b_equals_the_full_vector_formula():
     problem = plate2d_problem()
     part, areas = problem.part, problem.probe.area
@@ -551,7 +557,7 @@ def test_probe_average_b_equals_the_full_vector_formula():
         a_full = part.to_full(a_c, a_n, problem.mesh.n_nodes)
         b2 = compute_b2(problem.mesh, a_full, problem.probe)
         ref = float((areas * np.sqrt(b2)).sum() / areas.sum())
-        assert integrate.probe_average_b(problem, a_c, a_n[problem.probe_n]) == ref
+        assert probe_of(problem, a_c, a_n[problem.probe_n]) == ref
 
 
 def probe_less_problem():
@@ -563,18 +569,15 @@ def probe_less_problem():
                          ids=["plate2d", "jittered", "no-probe"])
 def test_probe_average_b_of_a_block_equals_its_rows(make_problem):
     # a (rows, .) block of states, zero rows included, gives each row's
-    # value alone, bitwise, from the full a_c or from its probe_c entries
+    # value alone (a block of one row), bitwise
     problem = make_problem()
     part = problem.part
     states = list(random_states(part.n_c, part.n_n, 300, 61))
     states[::50] = [(np.zeros(part.n_c), np.zeros(part.n_n))] * 6
     a_c = np.array([a_c for a_c, _ in states])
     a_pn = np.array([a_n[problem.probe_n] for _, a_n in states])
-    rows = [integrate.probe_average_b(problem, c, pn) for c, pn in zip(a_c, a_pn)]
-    assert all(type(value) is float for value in rows)
-    assert np.array_equal(integrate.probe_average_b(problem, a_c, a_pn), rows)
-    assert np.array_equal(integrate.probe_average_b(problem, a_c[:, problem.probe_c], a_pn),
-                          rows)
+    rows = [probe_of(problem, c, pn) for c, pn in zip(a_c, a_pn)]
+    assert np.array_equal(integrate.probe_average_b(problem, a_c[:, problem.probe_c], a_pn), rows)
     assert rows[0] == 0.0
     assert any(rows) == (problem.probe.area.size > 0)
 
@@ -636,7 +639,7 @@ def test_lambda_growth_bound_holds(make_problem):
     kmap = problem.kcc_map
     n_c = problem.part.n_c
     rng = np.random.default_rng(31)
-    cond = np.array([tag.kind == "conductor" for tag in problem.mesh.element_region])
+    cond = np.array([tag.kind == "conductor" for tag in element_tags(problem.mesh)])
     states = [np.zeros(n_c), uniform_field_state(problem, 1.2)]
     for _ in range(4):
         a_c = rng.standard_normal(n_c)
@@ -709,7 +712,7 @@ def dense_chain_rule_term(problem, a_full):
     n_c, data = problem.part.n_c, problem.elements
     index = problem.part.positions(problem.mesh.n_nodes)
     out = np.zeros((n_c, n_c))
-    for e, tag in enumerate(problem.mesh.element_region):
+    for e, tag in enumerate(element_tags(problem.mesh)):
         if tag.kind != "conductor":
             continue
         nodes, b, c, area = data.nodes[e], data.b[e], data.c[e], data.area[e]
@@ -804,8 +807,7 @@ def test_run_implicit_output_interval(mini_problem, mini_source):
     for (_, t, _, a_full), row in zip(res.snapshots, (1, 3)):
         assert t == res.times[row]
         a_c, a_n = a_full[part.nodes[:part.n_c]], a_full[part.nodes[part.n_c:]]
-        assert integrate.probe_average_b(mini_problem, a_c, a_n[mini_problem.probe_n]) \
-            == res.probe[row]
+        assert probe_of(mini_problem, a_c, a_n[mini_problem.probe_n]) == res.probe[row]
 
 
 def _probe_rows_run(path, problem, source, steps, output_every):
@@ -838,8 +840,7 @@ def test_rows_are_the_probe_of_their_state(mini_problem, mini_source, monkeypatc
         row = step // output_every - 1
         assert res.times[row] == t
         a_c, a_n = a_full[part.nodes[:part.n_c]], a_full[part.nodes[part.n_c:]]
-        assert res.probe[row] == \
-            integrate.probe_average_b(mini_problem, a_c, a_n[mini_problem.probe_n])
+        assert res.probe[row] == probe_of(mini_problem, a_c, a_n[mini_problem.probe_n])
     monkeypatch.setattr(integrate, "PROBE_BLOCK", 1)
     alone = _probe_rows_run(path, mini_problem, mini_source, rows * output_every, output_every)
     assert np.array_equal(res.times, alone.times)
@@ -1158,7 +1159,6 @@ def test_implicit_decay_with_zero_excitation(mini_problem, mini_source):
     # drive long enough to charge the conductor, cut the source, then skip
     # the cutoff transient (trapped flux first redistributes outward)
     from eddy2d.assembly import source_pattern
-    from eddy2d.integrate import probe_average_b
     part = mini_problem.part
     pat = source_pattern(mini_problem.mesh, mini_source, part)
     a = np.zeros(part.n_free)
@@ -1170,8 +1170,7 @@ def test_implicit_decay_with_zero_excitation(mini_problem, mini_source):
     zero = np.zeros(part.n_free)
     for _ in range(12):
         a, _ = newton_solve(mini_problem, 2e-3, a, zero)
-        probes.append(probe_average_b(mini_problem, a[:part.n_c],
-                                      a[part.n_c + mini_problem.probe_n]))
+        probes.append(probe_of(mini_problem, a[:part.n_c], a[part.n_c + mini_problem.probe_n]))
     tail = probes[2:]
     assert all(b <= a * (1.0 + 1e-9) for a, b in zip(tail, tail[1:]))
     assert tail[-1] < probes[0]

@@ -8,16 +8,16 @@ from hypothesis import given, strategies as st
 
 from eddy2d.assembly import MaterialTable, element_data
 from eddy2d.materials import MaterialModel, NU0
-from eddy2d.mesh import Mesh2D, RegionTag
+from eddy2d.mesh import RegionTag
 
-from conftest import AIR
+from conftest import AIR, tagged_mesh
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def law(m: MaterialModel):
     """The ElementData of one conductor triangle made of ``m``."""
-    mesh = Mesh2D(UNIT_RIGHT, [[0, 1, 2]], [RegionTag("conductor", 0)])
+    mesh = tagged_mesh(UNIT_RIGHT, [[0, 1, 2]], [RegionTag("conductor", 0)])
     return element_data(mesh, MaterialTable({0: m}, AIR))
 
 
@@ -31,7 +31,7 @@ def test_element_data_resolves_each_region():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     regions = [RegionTag("air"), RegionTag("conductor", 1), RegionTag("coil", 0),
                RegionTag("conductor", 2)]
-    mesh = Mesh2D(nodes, [[0, 1, 2], [1, 3, 2]] * 2, regions)
+    mesh = tagged_mesh(nodes, [[0, 1, 2], [1, 3, 2]] * 2, regions)
     table = MaterialTable({1: MaterialModel.linear(2e6, 570.0),
                            2: MaterialModel.brauer(5e7, 3.5, 2.25, 7.0)}, AIR)
     data = element_data(mesh, table)

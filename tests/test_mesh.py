@@ -15,7 +15,7 @@ from eddy2d.mesh import (
 )
 from eddy2d.scenario import bundled_scenario_path, parse_scenario
 
-from conftest import MINI_REGIONS, make_mini_mesh
+from conftest import MINI_REGIONS, element_tags, make_mini_mesh, tagged_mesh
 
 
 def test_single_cell_mesh():
@@ -35,7 +35,7 @@ def test_region_fn_tagging():
     # oracle: structured 4x2 grid of 0.5x0.5 cells; centroids with x < 0.5
     # lie exactly in the first cell column = 2 cells = 4 triangles
     mesh = generate_rect_mesh(2.0, 1.0, 4, 2, [(0.0, 0.5, 0.0, 1.0, RegionTag("conductor", 0))])
-    n_cond = sum(1 for t in mesh.element_region if t.kind == "conductor")
+    n_cond = sum(1 for t in element_tags(mesh) if t.kind == "conductor")
     assert n_cond == 4
 
 
@@ -90,8 +90,30 @@ def test_save_load_roundtrip(tmp_path):
     loaded = load_mesh(path)
     np.testing.assert_array_equal(loaded.nodes, mesh.nodes)
     np.testing.assert_array_equal(loaded.elements, mesh.elements)
-    assert loaded.element_region == mesh.element_region
+    assert element_tags(loaded) == element_tags(mesh)
     assert loaded.boundary_nodes == mesh.boundary_nodes
+
+
+def test_round_trip_of_duplicate_and_unused_box_tags(tmp_path):
+    # conductor:0 painted by two boxes, coil:1 by a box outside the domain:
+    # the file lists each element's tag and reads back to the same masks
+    mesh = generate_rect_mesh(1.0, 1.0, 9, 7, [
+        (0.0, 0.5, 0.0, 0.5, RegionTag("conductor", 0)),
+        (0.5, 1.0, 0.0, 0.5, RegionTag("conductor", 0)),
+        (2.0, 3.0, 2.0, 3.0, RegionTag("coil", 1)),
+        (0.2, 0.8, 0.6, 0.9, RegionTag("air", 0, probe=0)),
+    ])
+    assert mesh.tags == [RegionTag("air"), RegionTag("conductor", 0), RegionTag("conductor", 0),
+                         RegionTag("air", 0, probe=0)]
+    save_mesh(mesh, tmp_path / "a.json")
+    loaded = load_mesh(tmp_path / "a.json")
+    save_mesh(loaded, tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert element_tags(loaded) == element_tags(mesh)
+    for test in (lambda t: t.kind == "conductor", lambda t: t.kind == "coil",
+                 lambda t: t.probe == 0, lambda t: t == RegionTag("air")):
+        np.testing.assert_array_equal(loaded.region_mask(test), mesh.region_mask(test))
+    assert not mesh.region_mask(lambda t: t.kind == "coil").any()
 
 
 def test_load_rejects_out_of_range_node(tmp_path):
@@ -116,8 +138,8 @@ def test_load_rejects_clockwise_element(tmp_path):
 
 def test_collinear_triangle_rejected():
     with pytest.raises(MeshError, match="element 0 has nonpositive signed area"):
-        Mesh2D(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
-               np.array([[0, 1, 2]]), [RegionTag("air")])
+        tagged_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+                    np.array([[0, 1, 2]]), [RegionTag("air")])
 
 
 def test_load_parse_error_has_line_number(tmp_path):
@@ -162,17 +184,20 @@ def test_region_tag_string_roundtrip():
 
 def test_repeated_node_rejected():
     with pytest.raises(MeshError, match="repeated"):
-        Mesh2D(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-               np.array([[0, 1, 1]]), [RegionTag("air")])
+        tagged_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                    np.array([[0, 1, 1]]), [RegionTag("air")])
 
 
-def test_load_parses_each_distinct_region_once(tmp_path):
+def test_load_parses_each_distinct_region_once(tmp_path, monkeypatch):
     mesh = make_mini_mesh()
     path = tmp_path / "mesh.json"
     save_mesh(mesh, path)
+    parsed = []
+    parse = RegionTag.parse
+    monkeypatch.setattr(RegionTag, "parse", staticmethod(lambda s: parsed.append(s) or parse(s)))
     loaded = load_mesh(path)
-    assert loaded.element_region == mesh.element_region
-    assert len({id(tag) for tag in loaded.element_region}) == 4
+    assert element_tags(loaded) == element_tags(mesh)
+    assert len(parsed) == len(loaded.tags) == 4
 
 
 @pytest.mark.parametrize("elements,message", [
@@ -185,7 +210,7 @@ def test_load_parses_each_distinct_region_once(tmp_path):
 def test_validate_names_first_offending_element(elements, message):
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
-        Mesh2D(nodes, np.array(elements), [RegionTag("air")] * len(elements))
+        tagged_mesh(nodes, np.array(elements), [RegionTag("air")] * len(elements))
 
 
 @pytest.mark.parametrize("elements,message", [
@@ -198,8 +223,8 @@ def test_mesh_rejects_non_integral_elements(elements, message):
     # the int64 cast would truncate 0.5 to 0 and read True as 1
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
-        Mesh2D(nodes, elements, [RegionTag("air")] * len(elements))
-    mesh = Mesh2D(nodes, np.array([[0.0, 1.0, 2.0]]), [RegionTag("air")])
+        tagged_mesh(nodes, elements, [RegionTag("air")] * len(elements))
+    mesh = tagged_mesh(nodes, np.array([[0.0, 1.0, 2.0]]), [RegionTag("air")])
     assert mesh.elements.dtype == np.int64 and mesh.elements.tolist() == [[0, 1, 2]]
 
 
@@ -211,8 +236,8 @@ def test_mesh_rejects_non_integral_elements(elements, message):
 def test_mesh_rejects_non_integral_boundary(boundary, message):
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
-        Mesh2D(nodes, np.array([[0, 1, 2]]), [RegionTag("air")], boundary)
-    mesh = Mesh2D(nodes, np.array([[0, 1, 2]]), [RegionTag("air")], frozenset({2.0, 0}))
+        tagged_mesh(nodes, np.array([[0, 1, 2]]), [RegionTag("air")], boundary)
+    mesh = tagged_mesh(nodes, np.array([[0, 1, 2]]), [RegionTag("air")], frozenset({2.0, 0}))
     assert mesh.boundary_nodes == {0, 2}
 
 
@@ -222,19 +247,38 @@ def test_non_finite_coordinate_rejected(bad):
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     nodes[3, 1] = bad
     with pytest.raises(MeshError, match=r"^node 3 has non-finite coordinates \[1\.0, "):
-        Mesh2D(nodes, np.array([[0, 1, 2], [1, 3, 2]]), [RegionTag("air")] * 2)
+        tagged_mesh(nodes, np.array([[0, 1, 2], [1, 3, 2]]), [RegionTag("air")] * 2)
 
 
-def test_region_codes_merge_equal_tags_in_order_of_appearance():
-    regions = [RegionTag("coil", 0), RegionTag("air"), RegionTag("coil", 0),
-               RegionTag("conductor", 1), RegionTag("air")]
-    mesh = Mesh2D(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                  np.array([[0, 1, 2]] * 5), regions)
-    tags, code = mesh.region_codes
-    assert tags == [RegionTag("coil", 0), RegionTag("air"), RegionTag("conductor", 1)]
-    assert code.tolist() == [0, 1, 0, 2, 1]
+TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def test_unused_tags_are_dropped_and_codes_renumbered():
+    # tags 0 and 4 paint no element; the two equal coil tags stay apart
+    tags = [RegionTag("conductor", 5), RegionTag("air"), RegionTag("coil", 0),
+            RegionTag("coil", 0), RegionTag("coil", 9)]
+    mesh = Mesh2D(TRIANGLE, np.array([[0, 1, 2]] * 5), tags, np.array([3, 1, 2, 3, 1]))
+    assert mesh.tags == tags[1:4]
+    assert mesh.region.tolist() == [2, 0, 1, 2, 0] and not mesh.region.flags.writeable
     assert mesh.region_mask(lambda tag: tag.kind == "coil").tolist() == \
-        [True, False, True, False, False]
+        [True, False, True, True, False]
+
+
+@pytest.mark.parametrize("region,message", [
+    ([0, 0.5], "element 1 region code 0.5 is not an integer"),
+    ([0, True], "element 1 region code True is not an integer"),
+    (np.array([0.0, np.nan]), "element 1 region code nan is not an integer"),
+    ([0, 2], "element 1 region code 2 is not one of the 2 tags"),
+    (np.array([1, -1]), "element 1 region code -1 is not one of the 2 tags"),
+    ([0], "region must hold one code per element"),
+    ([[0, 1]], "region must hold one code per element"),
+])
+def test_region_codes_checked_like_element_indices(region, message):
+    with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+        Mesh2D(TRIANGLE, np.array([[0, 1, 2]] * 2), [RegionTag("air"), RegionTag("coil", 0)],
+               region)
+    mesh = Mesh2D(TRIANGLE, np.array([[0, 1, 2]] * 2), [RegionTag("air")], [0.0, 0])
+    assert mesh.region.dtype == np.int64 and mesh.region.tolist() == [0, 0]
 
 
 # ----------------------------------------------------- array build vs loops
@@ -284,7 +328,8 @@ def assert_matches_reference(mesh, reference):
     assert mesh.nodes.dtype == nodes.dtype and mesh.elements.dtype == elements.dtype
     np.testing.assert_array_equal(mesh.nodes, nodes)
     np.testing.assert_array_equal(mesh.elements, elements)
-    assert mesh.element_region == regions
+    assert element_tags(mesh) == regions
+    assert np.array_equal(np.unique(mesh.region), np.arange(len(mesh.tags)))
     assert mesh.boundary_nodes == boundary
 
 
@@ -342,10 +387,9 @@ def test_bundled_plate2d_mesh_matches_reference_loop(nx):
         doc = json.load(fh)
     doc["mesh"]["nx"] = doc["mesh"]["ny"] = nx
     scenario = parse_scenario(doc)
-    boxes = [(b["x0"], b["x1"], b["y0"], b["y1"], RegionTag.parse(b["tag"]))
-             for b in scenario.region_boxes]
     spec = scenario.mesh_spec
-    reference = reference_rect_mesh(spec["width"], spec["height"], nx, nx, painter(boxes))
+    reference = reference_rect_mesh(spec["width"], spec["height"], nx, nx,
+                                    painter(scenario.region_boxes))
     assert_matches_reference(scenario.build_mesh(), reference)
 
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from eddy2d.errors import ConfigError
 from eddy2d.mesh import MAX_ELEMENTS
-from eddy2d.scenario import bundled_scenario_path, load_scenario, parse_scenario, resolve_config
+from eddy2d.scenario import (MAX_MAGNITUDE, bundled_scenario_path, load_scenario, parse_scenario,
+                             resolve_config)
 
 from conftest import BAD_SCENARIO_VALUES, key_paths, set_key_path
 
@@ -242,7 +243,7 @@ def test_mesh_file_over_the_cap_is_refused_before_its_arrays(tmp_path, monkeypat
     from eddy2d.mesh import Mesh2D, RegionTag, save_mesh
 
     mesh = parse_scenario(minimal_doc()).build_mesh() if more == "elements" else \
-        Mesh2D([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]], [RegionTag("air")])
+        Mesh2D([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]], [RegionTag("air")], [0])
     cap = max(mesh.n_nodes, mesh.n_elements)
     assert cap == (mesh.n_elements if more == "elements" else mesh.n_nodes) > min(
         mesh.n_nodes, mesh.n_elements)
@@ -277,6 +278,18 @@ def test_huge_integer_t_end_rejected_with_path():
     doc["t_end"] = 10 ** 400
     with pytest.raises(ConfigError, match="t_end"):
         parse_scenario(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("path", ["materials.conductor:0.nu", "materials.conductor:0.kappa",
+                                  "source.i_max", "source.turns"])
+def test_material_and_source_numbers_bounded_in_magnitude(path):
+    doc = minimal_doc()
+    set_key_path(doc, path, MAX_MAGNITUDE)
+    parse_scenario(doc)
+    set_key_path(doc, path, math.nextafter(MAX_MAGNITUDE, math.inf))
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)} must be a finite number of "
+                                          "magnitude at most 1e\\+30, got "):
+        parse_scenario(doc)
 
 
 def test_direct_strategy_accepted():
