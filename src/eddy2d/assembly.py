@@ -11,19 +11,21 @@ the conducting set c (nodes adjacent to at least one conductor element)
 followed by the nonconducting set n; interface nodes land in c, which keeps
 M_cc positive definite. M and K are assembled straight into that numbering,
 so the blocks are contiguous slices.
-For nonlinear problems, KccRebuildMap recomputes K_cc(a_c) on its fixed
-pattern without reassembling. The field evaluations a time step repeats
-(the conductor B^2 of a rebuild, the probe's |B|) are B2Maps: compiled CSR
+Geometry is read from the mesh by element ids, materials per region
+(MaterialTable.tag_table). For nonlinear problems, KccRebuildMap
+recomputes K_cc(a_c) on its fixed pattern without reassembling, from its
+conductor elements' laws. The field evaluations a time step repeats (the
+conductor B^2 of a rebuild, the probe's |B|) are B2Maps: compiled CSR
 products built once at set-up.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
 
-from .errors import AssemblyError
+from .errors import AssemblyError, SolverError
 from .linalg import SparseMatrix
 from .materials import MaterialModel
 from .mesh import Mesh2D, RegionTag
@@ -61,6 +63,12 @@ class MaterialTable:
         if tag.kind == "coil":
             return self.coils.get(tag.id, self.air)
         return self.air
+
+    def tag_table(self, tags: list[RegionTag]) -> np.ndarray:
+        """(T, 4) rows (kappa, *MaterialModel.coefficients) of each tag's
+        material; Mesh2D.region indexes it by element."""
+        return np.array([(m.kappa, *m.coefficients) for m in map(self.lookup, tags)],
+                        dtype=float).reshape(-1, 4)
 
 
 @dataclass
@@ -150,52 +158,11 @@ def _bbcc(b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ElementData:
-    """Per-element geometry and materials, resolved once per (mesh, materials).
-
-    nodes: (E, 3) node indices; b, c: (E, 3) P1 gradient coefficients; area:
-    signed areas. Materials are kappa and the MaterialModel.coefficients
-    (k1, k2, k3), so nu = k1 + k2*exp(k3*b2) covers both laws vectorized.
-    """
-
-    nodes: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    area: np.ndarray
-    kappa: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
-    k3: np.ndarray
-
-    def subset(self, eids: np.ndarray) -> "ElementData":
-        return ElementData(*(getattr(self, f.name)[eids] for f in fields(self)))
-
-    def b2_local(self, ae: np.ndarray) -> np.ndarray:
-        """|B|^2 per element from its (E, 3) nodal values: B = (da/dy, -da/dx)."""
-        dx = (ae * self.b).sum(axis=1) / (2.0 * self.area)
-        dy = (ae * self.c).sum(axis=1) / (2.0 * self.area)
-        return dx * dx + dy * dy
-
-    def nu(self, b2: np.ndarray) -> np.ndarray:
-        return self.k1 + self.k2 * np.exp(self.k3 * b2)
-
-    def dnu_db2(self, b2: np.ndarray) -> np.ndarray:
-        return self.k2 * self.k3 * np.exp(self.k3 * b2)
-
-
-def element_data(mesh: Mesh2D, materials: MaterialTable) -> ElementData:
-    """Resolve every element's geometry, and each distinct region's material."""
-    rows = np.array([(m.kappa, *m.coefficients) for m in map(materials.lookup, mesh.tags)],
-                    dtype=float).reshape(-1, 4)
-    return ElementData(mesh.elements, *mesh.gradients, mesh.areas, *rows.T[:, mesh.region])
-
-
-@dataclass(frozen=True)
 class B2Map:
     """|B|^2 of a fixed set of elements as one compiled product on a DoF
     vector. Row e of ``grad`` holds the element's b and row E + e its c, in
     local node order with Dirichlet columns left out, so ``grad`` x gives
-    the sums of ElementData.b2_local, bitwise; the rest is its arithmetic.
+    the sums of compute_b2, bitwise; the rest is its arithmetic.
     A (rows, n) block of DoF vectors gives the (rows, E) block of their
     |B|^2, C-contiguous, each row bitwise that of its vector."""
 
@@ -214,22 +181,26 @@ class B2Map:
         return b2 if x.ndim == 1 else np.ascontiguousarray(b2.T)
 
 
-def b2_map(data: ElementData, index: np.ndarray, n: int) -> B2Map:
-    """The B2Map of the elements of ``data`` on the n-vector that holds each
+def b2_map(mesh: Mesh2D, eids: np.ndarray, index: np.ndarray, n: int) -> B2Map:
+    """The B2Map of the elements ``eids`` on the n-vector that holds each
     node's value at ``index[node]`` (-1 for a Dirichlet zero)."""
-    cols = index[data.nodes]
+    b, c = mesh.gradients
+    cols = index[mesh.elements[eids]]
     grad = SparseMatrix.from_rows(n, np.concatenate([cols, cols]),
-                                  np.concatenate([data.b, data.c]))
-    return B2Map(grad, 2.0 * data.area)
+                                  np.concatenate([b[eids], c[eids]]))
+    return B2Map(grad, 2.0 * mesh.areas[eids])
 
 
-def compute_b2(mesh: Mesh2D, a_full: np.ndarray, data: ElementData) -> np.ndarray:
-    """Per-element |B|^2 of the elements of ``data`` from the P1 gradient of
-    the full nodal vector (Dirichlet zeros included)."""
+def compute_b2(mesh: Mesh2D, a_full: np.ndarray) -> np.ndarray:
+    """Per-element |B|^2 from the P1 gradient of the full nodal vector
+    (Dirichlet zeros included): B = (da/dy, -da/dx)."""
     a_full = np.asarray(a_full, dtype=float)
     if a_full.shape != (mesh.n_nodes,):
         raise AssemblyError(f"expected full nodal vector of length {mesh.n_nodes}")
-    return data.b2_local(a_full[data.nodes])
+    (b, c), ae = mesh.gradients, a_full[mesh.elements]
+    dx = (ae * b).sum(axis=1) / (2.0 * mesh.areas)
+    dy = (ae * c).sum(axis=1) / (2.0 * mesh.areas)
+    return dx * dx + dy * dy
 
 
 def element_pattern(nodes: np.ndarray, index: np.ndarray):
@@ -254,12 +225,11 @@ def partition(mesh: Mesh2D) -> DofPartition:
     return DofPartition(np.concatenate([nodes_c, nodes_n]), nodes_c.size, nodes_n.size)
 
 
-def assemble(mesh: Mesh2D, data: ElementData,
+def assemble(mesh: Mesh2D, materials: MaterialTable,
              part: DofPartition) -> tuple[SparseMatrix, SparseMatrix]:
-    """Assemble (M, K) at zero field on the DoFs of ``part`` from
-    ``element_data(mesh, materials)``; Dirichlet rows/columns are eliminated
-    by deletion. K(a) of a nonlinear problem is these blocks with K_cc
-    rebuilt by KccRebuildMap.
+    """Assemble (M, K) at zero field, where nu = k1 + k2, on the DoFs of
+    ``part``; Dirichlet rows/columns are eliminated by deletion. K(a) of a
+    nonlinear problem is these blocks with K_cc rebuilt by KccRebuildMap.
 
     Memory: M and K share one int32 pattern, which scipy's COO keeps without
     a copy, and M (the smaller) is converted before K's values exist. The
@@ -267,11 +237,12 @@ def assemble(mesh: Mesh2D, data: ElementData,
     at nx = 80, tracemalloc; tests/test_assembly.py)."""
     n = part.n_free
     index = part.positions(mesh.n_nodes).astype(np.int32 if n < 2**31 else np.int64)
-    rows, cols, keep = element_pattern(data.nodes, index)
-    M = SparseMatrix.from_coo(n, n, rows, cols, (
-        MASS_TEMPLATE[None, :, :] * (data.kappa * data.area)[:, None, None]).reshape(-1)[keep])
-    vals = _bbcc(data.b, data.c)
-    vals *= (data.nu(np.zeros(mesh.n_elements)) / (4.0 * data.area))[:, None, None]
+    kappa, k1, k2, _ = materials.tag_table(mesh.tags).T
+    rows, cols, keep = element_pattern(mesh.elements, index)
+    M = SparseMatrix.from_coo(n, n, rows, cols, (MASS_TEMPLATE[None, :, :] * (
+        kappa[mesh.region] * mesh.areas)[:, None, None]).reshape(-1)[keep])
+    vals = _bbcc(*mesh.gradients)
+    vals *= ((k1 + k2)[mesh.region] / (4.0 * mesh.areas))[:, None, None]
     vals = vals.reshape(-1)[keep]
     del keep
     return M, SparseMatrix.from_coo(n, n, rows, cols, vals)
@@ -305,10 +276,14 @@ class KccRebuildMap:
     ``mu`` is each conductor element's lambda_max(K_geom,e, M_e), the
     element-by-element bound (Irons & Treharne 1971; Fried 1973) that lets
     ``growth_bound`` limit how far lambda_max of (K_cc - K_S, M_cc) moves
-    between two sets of element reluctivities.
+    between two sets of element reluctivities. k1, k2, k3 are the conductor
+    elements' laws, the only per-element material data a run keeps.
     """
 
-    conductor: ElementData
+    k1: np.ndarray             # (E_c,) nu(b2) = k1 + k2*exp(k3*b2), either law
+    k2: np.ndarray
+    k3: np.ndarray
+    x_max: np.ndarray          # (E_c,) the largest k3*b2 at which nu and dnu_db2 are finite
     b2: B2Map                  # conductor elements' B^2 from a_c
     slots: SparseMatrix        # (nnz, E_c) geometric stiffness per slot and element
     base: np.ndarray           # nonconducting contribution per slot
@@ -316,9 +291,22 @@ class KccRebuildMap:
     indices: np.ndarray
     mu: np.ndarray             # (E_c,) lambda_max(K_geom,e, M_e)
 
-    def nu(self, a_c: np.ndarray) -> np.ndarray:
-        """Reluctivity of each conductor element at the field of a_c."""
-        return self.conductor.nu(self.b2(a_c))
+    def nu(self, b2: np.ndarray) -> np.ndarray:
+        """Reluctivity of each conductor element at its B^2 (from ``b2``)."""
+        return self._law(b2, self.k1, self.k2)
+
+    def dnu_db2(self, b2: np.ndarray) -> np.ndarray:
+        """d nu / d(B^2) of each conductor element at its B^2."""
+        return self._law(b2, 0.0, self.k2 * self.k3)
+
+    def _law(self, b2: np.ndarray, shift, scale) -> np.ndarray:
+        """shift + scale*exp(k3*b2); an exponent past x_max (or NaN) is a
+        SolverError, where numpy would warn and go on with inf or nan."""
+        x = self.k3 * b2
+        if not (x <= self.x_max).all():
+            raise SolverError("reluctivity overflow: k1 + k2*exp(k3*B^2) leaves the float "
+                              f"range at B^2 up to {np.max(b2):.3e}")
+        return shift + scale * np.exp(x)
 
     def rebuild(self, nu_e: np.ndarray) -> SparseMatrix:
         """K_cc with the conductor element reluctivities nu_e (from ``nu``),
@@ -340,22 +328,26 @@ class KccRebuildMap:
         return float((np.maximum(nu_e - nu_ref, 0.0) * self.mu).max(initial=0.0))
 
 
-def kcc_rebuild_map(mesh: Mesh2D, part: DofPartition, data: ElementData) -> KccRebuildMap:
+def kcc_rebuild_map(mesh: Mesh2D, part: DofPartition, materials: MaterialTable) -> KccRebuildMap:
     n_c = part.n_c
     index = part.positions(mesh.n_nodes)
     index[index >= n_c] = -1
     is_cond = mesh.region_mask(lambda t: t.kind == "conductor")
-    cond, other = data.subset(is_cond), data.subset(~is_cond)
+    cond, other = np.flatnonzero(is_cond), np.flatnonzero(~is_cond)
+    (b, c), area, table = mesh.gradients, mesh.areas, materials.tag_table(mesh.tags)
+    kappa, k1, k2, k3 = table[mesh.region[cond]].T.copy()
+    # exp, k2*exp and k2*k3*exp stay below half the float range up to x_max
+    x_max = np.log(np.finfo(float).max / 2) - np.log(np.maximum(1.0, np.maximum(k2, k2 * k3)))
 
     # conductor entries by their position src in the raveled (E_c, 3, 3) stiffness
-    geom = (_bbcc(cond.b, cond.c) / (4.0 * cond.area)[:, None, None]).ravel()
-    rows_c, cols_c, keep = element_pattern(cond.nodes, index)
+    geom = (_bbcc(b[cond], c[cond]) / (4.0 * area[cond])[:, None, None]).ravel()
+    rows_c, cols_c, keep = element_pattern(mesh.elements[cond], index)
     src = np.flatnonzero(keep)
     nz = geom[src] != 0.0
     rows_c, cols_c, src = rows_c[nz], cols_c[nz], src[nz]
-    k_other = _bbcc(other.b, other.c) \
-        * (other.nu(np.zeros(other.area.size)) / (4.0 * other.area))[:, None, None]
-    rows_o, cols_o, keep = element_pattern(other.nodes, index)
+    nu_other = (table[:, 1] + table[:, 2])[mesh.region[other]]
+    k_other = _bbcc(b[other], c[other]) * (nu_other / (4.0 * area[other]))[:, None, None]
+    rows_o, cols_o, keep = element_pattern(mesh.elements[other], index)
     v = k_other.reshape(-1)[keep]
     nz = v != 0.0
     rows_o, cols_o, v = rows_o[nz], cols_o[nz], v[nz]
@@ -368,22 +360,21 @@ def kcc_rebuild_map(mesh: Mesh2D, part: DofPartition, data: ElementData) -> KccR
     base = np.bincount(slot[src.size:], weights=v, minlength=uniq.size)
     # src ascends, so each slot's row holds its elements in ascending order:
     # a product sums them in the order of the entries
-    slots = SparseMatrix.from_coo(uniq.size, cond.area.size, slot[:src.size], src // 9,
-                                  geom[src])
-    return KccRebuildMap(cond, b2_map(cond, index, n_c), slots, base,
-                         pattern.indptr, pattern.indices, _element_lambda_max(cond))
+    slots = SparseMatrix.from_coo(uniq.size, cond.size, slot[:src.size], src // 9, geom[src])
+    return KccRebuildMap(k1, k2, k3, x_max, b2_map(mesh, cond, index, n_c), slots, base,
+                         pattern.indptr, pattern.indices,
+                         _element_lambda_max(b[cond], c[cond], area[cond], kappa))
 
 
-def _element_lambda_max(data: ElementData) -> np.ndarray:
+def _element_lambda_max(b, c, area, kappa) -> np.ndarray:
     """lambda_max(K_geom,e, M_e) of each element, in closed form.
     K_geom = (b b^T + c c^T) / (4 A) annihilates the constant vector, on
     whose complement MASS_TEMPLATE acts as I / 12, so the pencil's
     lambda_max is 12 lambda_max(K_geom) / (kappa A). The nonzero eigenvalues
     of K_geom are those of the 2x2 Gram matrix of b and c over 4 A."""
-    b, c = data.b, data.c
     bb, cc, bc = (b * b).sum(axis=1), (c * c).sum(axis=1), (b * c).sum(axis=1)
-    lam_geom = 0.5 * (bb + cc + np.hypot(bb - cc, 2.0 * bc)) / (4.0 * data.area)
-    return 12.0 * lam_geom / (data.kappa * data.area)
+    lam_geom = 0.5 * (bb + cc + np.hypot(bb - cc, 2.0 * bc)) / (4.0 * area)
+    return 12.0 * lam_geom / (kappa * area)
 
 
 def source_pattern(mesh: Mesh2D, src: SourceSpec, p: DofPartition) -> np.ndarray:

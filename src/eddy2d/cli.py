@@ -195,11 +195,11 @@ def cmd_cfl(args) -> int:
     state, _, mcc, dt_cfl = start_explicit(problem, opts, scenario.t_end)
     interface, steps, n_i = step_path(problem.blocks, opts, scenario.t_end, state.dt)
 
-    # conductor elements are the ones with kappa > 0; nu(0) by the runs' own law
+    # over the conductor materials, each present in the mesh; nu(0) = k1 + k2
     h = min_edge_length(problem.mesh)
-    conductor = problem.elements.kappa > 0
-    kappa_max = float(problem.elements.kappa.max())
-    mu_max = float((1.0 / problem.elements.nu(0.0)[conductor]).max())
+    conductors = scenario.materials.conductors.values()
+    kappa_max = max(m.kappa for m in conductors)
+    mu_max = max(1.0 / (k1 + k2) for k1, k2, _ in (m.coefficients for m in conductors))
     heuristic = 1.0 / (h * h * kappa_max * mu_max)
 
     print(f"lambda_max (power iteration) = {state.lam_max!r} 1/s")

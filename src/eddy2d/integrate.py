@@ -71,7 +71,6 @@ import scipy.sparse
 from .assembly import (
     B2Map,
     DofPartition,
-    ElementData,
     KccRebuildMap,
     MaterialTable,
     SourceSpec,
@@ -79,7 +78,6 @@ from .assembly import (
     assemble,
     b2_map,
     compute_b2,
-    element_data,
     extract_blocks,
     kcc_rebuild_map,
     partition,
@@ -120,18 +118,16 @@ class SolverOptions:
 
 @dataclass
 class AssembledProblem:
-    """Mesh and the assembled system at a = 0, with the element
-    data resolved once: all elements, the probe elements with their B^2 map
+    """Mesh and the assembled system at a = 0, the probe elements' B^2 map
     on [a_c[probe_c] | a_n[probe_n]] and total area, and for nonlinear
-    problems the K_cc rebuild map (None for linear ones). probe_c and
-    probe_n list, ascending, the a_c and a_n entries of the probe's
-    conducting and nonconducting nodes."""
+    problems the K_cc rebuild map (None for linear ones), which holds the
+    only per-element material data. probe_c and probe_n list, ascending,
+    the a_c and a_n entries of the probe's conducting and nonconducting
+    nodes."""
 
     mesh: Mesh2D
     part: DofPartition
     blocks: SystemBlocks
-    elements: ElementData
-    probe: ElementData
     probe_b2: B2Map
     probe_c: np.ndarray
     probe_n: np.ndarray
@@ -150,9 +146,8 @@ class AssembledProblem:
 
 def discretize(mesh: Mesh2D, materials: MaterialTable,
                probe_id: int | None = None) -> AssembledProblem:
-    data = element_data(mesh, materials)
     part = partition(mesh)
-    M, K = assemble(mesh, data, part)
+    M, K = assemble(mesh, materials, part)
     blocks = extract_blocks(M, K, part)
 
     # DAE structure: the mass matrix must not couple nonconducting DoFs
@@ -163,26 +158,24 @@ def discretize(mesh: Mesh2D, materials: MaterialTable,
         if probe_id is not None else np.zeros(0, dtype=np.int64)
 
     nonlinear = any(m.is_nonlinear for m in materials.conductors.values())
-    kcc_map = kcc_rebuild_map(mesh, part, data) if nonlinear else None
-    probe = data.subset(probe_eids)
+    kcc_map = kcc_rebuild_map(mesh, part, materials) if nonlinear else None
     index = part.positions(mesh.n_nodes)
-    dofs = np.unique(index[probe.nodes])
+    dofs = np.unique(index[mesh.elements[probe_eids]])
     dofs = dofs[dofs >= 0]
     # each probe node's column in [a_c[probe_c] | a_n[probe_n]] is its DoF's
     # position in dofs (Dirichlet nodes stay -1)
     free = index >= 0
     index[free] = np.searchsorted(dofs, index[free])
     probe_c, probe_n = dofs[dofs < part.n_c], dofs[dofs >= part.n_c] - part.n_c
-    return AssembledProblem(mesh, part, blocks, data, probe,
-                            b2_map(probe, index, dofs.size), probe_c, probe_n,
-                            float(probe.area.sum()), kcc_map)
+    return AssembledProblem(mesh, part, blocks, b2_map(mesh, probe_eids, index, dofs.size),
+                            probe_c, probe_n, float(mesh.areas[probe_eids].sum()), kcc_map)
 
 
 def probe_average_b(problem: AssembledProblem, a_pc: np.ndarray, a_pn: np.ndarray) -> np.ndarray:
     """Area-weighted mean |B| over the probe elements of each row of a (rows, .)
     block of states a_pc = a_c[problem.probe_c], a_pn = a_n[problem.probe_n]:
     each value is bitwise that of its row alone."""
-    areas = problem.probe.area
+    areas = 0.5 * problem.probe_b2.two_area  # exact: a power-of-two scaling
     if areas.size == 0:
         return np.zeros(a_pc.shape[0])
     b2 = problem.probe_b2(np.concatenate([a_pc, a_pn], axis=1))
@@ -273,7 +266,7 @@ def new_state(problem: AssembledProblem) -> SolverState:
         a_n=np.zeros(nn),
         a_c_last_update=np.zeros(nc),
         K_cc_current=problem.blocks.K_cc,
-        nu_e=problem.kcc_map.nu(np.zeros(nc)) if problem.is_nonlinear else None,
+        nu_e=problem.kcc_map.nu(0.0) if problem.is_nonlinear else None,
     )
 
 
@@ -386,7 +379,7 @@ def maybe_update_kcc(state: SolverState, problem: AssembledProblem,
     if not trigger:
         return state, False
     if problem.kcc_map is not None:
-        state.nu_e = problem.kcc_map.nu(state.a_c)
+        state.nu_e = problem.kcc_map.nu(problem.kcc_map.b2(state.a_c))
         state.K_cc_current = problem.kcc_map.rebuild(state.nu_e)
     state.a_c_last_update = state.a_c.copy()
     state.update_count += 1
@@ -513,7 +506,7 @@ class _Trajectory:
             self.a_pn[k] = a_n[problem.probe_n]
         if self.snapshot_at(step, last):
             a_full = problem.part.to_full(a_c, a_n, problem.mesh.n_nodes)
-            bmag = np.sqrt(compute_b2(problem.mesh, a_full, problem.elements))
+            bmag = np.sqrt(compute_b2(problem.mesh, a_full))
             self.snapshots.append((step, t, bmag, a_full))
         self.size += 1
         if self.size == PROBE_BLOCK:
@@ -692,7 +685,7 @@ def _chain_rule_term(kmap: KccRebuildMap, a_c: np.ndarray) -> scipy.sparse.csr_m
     grad, two_area = kmap.b2.grad, kmap.b2.two_area
     scaled = scipy.sparse.diags(grad.matvec(a_c)) @ grad.scipy()
     H = scaled[:two_area.size] + scaled[two_area.size:]
-    alpha = kmap.conductor.dnu_db2(kmap.b2(a_c)) / two_area ** 3
+    alpha = kmap.dnu_db2(kmap.b2(a_c)) / two_area ** 3
     return (H.T @ scipy.sparse.diags(alpha) @ H).tocsr()
 
 
@@ -708,7 +701,7 @@ def newton_system(problem: AssembledProblem, dt: float, a_old: np.ndarray,
     a_c, a_n = a[:n_c], a[n_c:]
     K_cc, corner = blocks.K_cc, blocks.M_cc.scipy() * (1.0 / dt)
     if problem.is_nonlinear:
-        K_cc = problem.kcc_map.rebuild(problem.kcc_map.nu(a_c))
+        K_cc = problem.kcc_map.rebuild(problem.kcc_map.nu(problem.kcc_map.b2(a_c)))
         corner = corner + _chain_rule_term(problem.kcc_map, a_c)
     F = np.concatenate([
         K_cc.matvec(a_c) + blocks.K_cn.matvec(a_n)
@@ -734,7 +727,10 @@ def newton_solve(problem: AssembledProblem, dt: float, a_old: np.ndarray,
     a = np.array(a_old, dtype=float)
     f_first = None
     for it in range(max_newton + 1):
-        F, J = newton_system(problem, dt, a_old, j_s, a)
+        try:
+            F, J = newton_system(problem, dt, a_old, j_s, a)
+        except SolverError as exc:  # the reluctivity law overflows at this iterate
+            raise SolverError(f"Newton diverged ({exc}); try a smaller time step") from exc
         fn = float(np.linalg.norm(F))
         if not np.isfinite(fn) or (f_first is not None and fn > 1e3 * max(f_first, scale)):
             raise SolverError("Newton diverged; try a smaller time step")

@@ -57,10 +57,10 @@ class MaterialModel:
     def coefficients(self) -> tuple[float, float, float]:
         """(k1, k2, k3) of nu(b2) = k1 + k2*exp(k3*b2), the one form in which
         assembly and the CFL heuristic evaluate either law: a linear law is
-        (nu_const, 0, 0)."""
+        (nu_const, 0, 0), and so is a brauer law with k2 = 0 (k1, 0, 0)."""
         if self.law == "linear":
             return self.nu_const, 0.0, 0.0
-        return self.k1, self.k2, self.k3
+        return self.k1, self.k2, self.k3 if self.k2 else 0.0
 
     @property
     def is_nonlinear(self) -> bool:

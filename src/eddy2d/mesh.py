@@ -135,12 +135,16 @@ def _is_index(v) -> bool:
 
 
 def _indices(values, entry: str) -> np.ndarray:
-    """``values`` as int64: an integer array passes as it is, anything else
-    is checked entry by entry, naming the element of the first non-integral one."""
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+    """``values`` as int64: an integer array that int64 holds passes as it
+    is, anything else (uint64 too) is checked entry by entry, naming the
+    element of the first entry that is not an integer or is beyond int64."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"
+            and np.can_cast(values.dtype, np.int64)):
         for pos, v in np.ndenumerate(np.array(values, dtype=object, ndmin=1)):
             if not _is_index(v):
                 raise MeshError(f"element {pos[0]} {entry} {v!r} is not an integer")
+            if not -2**63 <= int(v) < 2**63:
+                raise MeshError(f"element {pos[0]} {entry} {v!r} is beyond the int64 range")
     return np.ascontiguousarray(values, dtype=np.int64)
 
 

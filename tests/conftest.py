@@ -37,11 +37,12 @@ def make_mini_mesh():
     return generate_rect_mesh(0.1, 0.1, 10, 10, MINI_REGIONS)
 
 
+def mini_materials(nonlinear=False) -> MaterialTable:
+    return MaterialTable({0: STEEL_BRAUER if nonlinear else STEEL_LINEAR}, AIR)
+
+
 def make_mini_problem(nonlinear=False):
-    mesh = make_mini_mesh()
-    steel = STEEL_BRAUER if nonlinear else STEEL_LINEAR
-    materials = MaterialTable({0: steel}, AIR)
-    return discretize(mesh, materials, probe_id=0)
+    return discretize(make_mini_mesh(), mini_materials(nonlinear), probe_id=0)
 
 
 def make_mini_source(i_max=400.0, tau=0.05, turns=100.0):
@@ -70,19 +71,35 @@ def dense_kS(blocks) -> np.ndarray:
     return K_cn @ np.linalg.solve(K_nn, K_cn.T)
 
 
-def reassemble_stiffness(mesh, data, part, a_full) -> SparseMatrix:
+def element_materials(mesh, materials) -> np.ndarray:
+    """Each element's (kappa, k1, k2, k3), as (4, E) rows: its tag's
+    MaterialModel, looked up here element by element, and the model's
+    coefficients."""
+    def model(tag):
+        if tag.kind == "conductor":
+            return materials.conductors[tag.id]
+        if tag.kind == "coil":
+            return materials.coils.get(tag.id, materials.air)
+        return materials.air
+    return np.array([(m.kappa, *m.coefficients) for m in map(model, element_tags(mesh))],
+                    dtype=float).reshape(-1, 4).T
+
+
+def reassemble_stiffness(mesh, materials, part, a_full) -> SparseMatrix:
     """Oracle K(a) on the DoFs of ``part``, from the element formulas alone:
     each element's nu(B^2) (b b^T + c c^T) / (4 A), with b, c from its node
-    coordinates, nu from the (k1, k2, k3) of ``data`` and B^2 from its three
-    entries of the full nodal vector a_full (Dirichlet zeros included),
-    summed as COO duplicates; Dirichlet rows and columns are left out."""
+    coordinates, nu from its (k1, k2, k3) (element_materials) and B^2 from
+    its three entries of the full nodal vector a_full (Dirichlet zeros
+    included), summed as COO duplicates; Dirichlet rows and columns are
+    left out."""
     x, y = np.moveaxis(mesh.nodes[mesh.elements], 2, 0)  # each (E, 3)
     b = np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)  # y_j - y_k
     c = np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)  # x_k - x_j
     two_area = 2.0 * mesh.areas
     a_e = np.asarray(a_full, dtype=float)[mesh.elements]
     b2 = ((a_e * b).sum(axis=1) / two_area) ** 2 + ((a_e * c).sum(axis=1) / two_area) ** 2
-    nu = data.k1 + data.k2 * np.exp(data.k3 * b2)
+    _, k1, k2, k3 = element_materials(mesh, materials)
+    nu = k1 + k2 * np.exp(k3 * b2)
     k_e = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) \
         * (nu / (2.0 * two_area))[:, None, None]
     dof = part.positions(mesh.n_nodes)[mesh.elements]
@@ -92,16 +109,17 @@ def reassemble_stiffness(mesh, data, part, a_full) -> SparseMatrix:
                                  k_e.ravel()[keep])
 
 
-def reference_assemble(mesh, data, part) -> tuple[SparseMatrix, SparseMatrix]:
+def reference_assemble(mesh, materials, part) -> tuple[SparseMatrix, SparseMatrix]:
     """Oracle (M, K) at zero field, by the plainest route: both matrices'
     (E, 3, 3) element values at once, and int64 DoF pairs built once per
     matrix, each fed to scipy's COO -> CSR conversion in raveled element
     order with Dirichlet entries left out. assemble must match it byte for
     byte, since the order in which duplicates are summed shows in the bits."""
-    b, c = data.b, data.c
+    (b, c), area = mesh.gradients, mesh.areas
+    kappa, k1, k2, k3 = element_materials(mesh, materials)
     bbcc = b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
-    k_vals = bbcc * (data.nu(np.zeros(mesh.n_elements)) / (4.0 * data.area))[:, None, None]
-    m_vals = MASS_TEMPLATE[None, :, :] * (data.kappa * data.area)[:, None, None]
+    k_vals = bbcc * ((k1 + k2 * np.exp(k3 * 0.0)) / (4.0 * area))[:, None, None]
+    m_vals = MASS_TEMPLATE[None, :, :] * (kappa * area)[:, None, None]
     index, n = part.positions(mesh.n_nodes), part.n_free
 
     def element_coo(vals):
@@ -117,10 +135,10 @@ def reference_assemble(mesh, data, part) -> tuple[SparseMatrix, SparseMatrix]:
     return M, K
 
 
-def reassembled_kcc(problem, a_c, a_n) -> SparseMatrix:
+def reassembled_kcc(problem, materials, a_c, a_n) -> SparseMatrix:
     """The K_cc corner of reassemble_stiffness at the state (a_c, a_n)."""
     part = problem.part
-    K = reassemble_stiffness(problem.mesh, problem.elements, part,
+    K = reassemble_stiffness(problem.mesh, materials, part,
                              part.to_full(a_c, a_n, problem.mesh.n_nodes))
     return SparseMatrix(K.scipy()[part.idx_c, part.idx_c])
 

@@ -10,7 +10,6 @@ from eddy2d.assembly import (
     SourceSpec,
     assemble,
     compute_b2,
-    element_data,
     extract_blocks,
     partition,
     source_pattern,
@@ -23,7 +22,8 @@ from eddy2d.mesh import Mesh2D, RegionTag, generate_rect_mesh, save_mesh
 from eddy2d.scenario import bundled_scenario_path, parse_scenario
 
 from conftest import (AIR, STEEL_BRAUER, STEEL_LINEAR, element_tags, make_mini_mesh,
-                      make_mini_problem, reassemble_stiffness, reference_assemble)
+                      make_mini_problem, mini_materials, reassemble_stiffness,
+                      reference_assemble)
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -38,7 +38,7 @@ def one_triangle(tri, material):
     conducts = material.kappa > 0
     mesh = Mesh2D(tri, [[0, 1, 2]], [RegionTag("conductor" if conducts else "air")], [0])
     table = MaterialTable({0: material}, AIR) if conducts else MaterialTable({}, material)
-    M, K = assemble(mesh, element_data(mesh, table), partition(mesh))
+    M, K = assemble(mesh, table, partition(mesh))
     return M.toarray(), K.toarray()
 
 
@@ -102,7 +102,7 @@ def _mats(cond=STEEL_LINEAR):
 def test_all_air_mass_is_zero():
     mesh = generate_rect_mesh(1.0, 1.0, 3, 3)
     table = MaterialTable({}, AIR)
-    M, K = assemble(mesh, element_data(mesh, table), partition(mesh))
+    M, K = assemble(mesh, table, partition(mesh))
     assert M.nnz == 0
 
 
@@ -113,9 +113,9 @@ def test_linear_assembly_independent_of_a():
     table = _mats()
     rng = np.random.default_rng(8)
     a = rng.standard_normal(mesh.n_nodes)
-    data, p = element_data(mesh, table), partition(mesh)
-    _, K0 = assemble(mesh, data, p)
-    K1 = reassemble_stiffness(mesh, data, p, a)
+    p = partition(mesh)
+    _, K0 = assemble(mesh, table, p)
+    K1 = reassemble_stiffness(mesh, table, p, a)
     np.testing.assert_array_equal(K0.values, K1.values)
     np.testing.assert_array_equal(K0.col_indices, K1.col_indices)
     problem = make_mini_problem()
@@ -130,7 +130,7 @@ def test_unreduced_stiffness_kills_constants():
     # with no Dirichlet nodes every node is a DoF
     rect = generate_rect_mesh(1.0, 1.0, 2, 2, HALF_CONDUCTOR)
     mesh = Mesh2D(rect.nodes, rect.elements, rect.tags, rect.region)
-    _, K = assemble(mesh, element_data(mesh, _mats()), partition(mesh))
+    _, K = assemble(mesh, _mats(), partition(mesh))
     assert K.shape == (mesh.n_nodes, mesh.n_nodes)
     ones = np.ones(mesh.n_nodes)
     np.testing.assert_allclose(K.matvec(ones), 0.0, atol=1e-10 * NU0)
@@ -139,19 +139,19 @@ def test_unreduced_stiffness_kills_constants():
 def test_assembled_matrices_symmetric():
     # M and K at zero field, and K_cc rebuilt at a nonzero field
     mesh = make_mini_mesh()
-    M, K = assemble(mesh, element_data(mesh, _mats(STEEL_BRAUER)), partition(mesh))
+    M, K = assemble(mesh, _mats(STEEL_BRAUER), partition(mesh))
     assert np.abs(K.toarray() - K.toarray().T).max() <= 1e-9
     assert np.abs(M.toarray() - M.toarray().T).max() <= 1e-12
     kmap = make_mini_problem(nonlinear=True).kcc_map
     a_c = np.random.default_rng(5).standard_normal(kmap.indptr.size - 1) * 0.01
-    K_cc = kmap.rebuild(kmap.nu(a_c)).toarray()
+    K_cc = kmap.rebuild(kmap.nu(kmap.b2(a_c))).toarray()
     assert np.abs(K_cc - K_cc.T).max() <= 1e-9
 
 
 def test_missing_material_raises():
     mesh = generate_rect_mesh(1.0, 1.0, 2, 2, [(0.0, 1.0, 0.0, 1.0, RegionTag("conductor", 7))])
     with pytest.raises(AssemblyError, match="conductor region 7"):
-        assemble(mesh, element_data(mesh, _mats()), partition(mesh))
+        assemble(mesh, _mats(), partition(mesh))
 
 
 def plate_scenario(name, nx=20):
@@ -188,9 +188,10 @@ def jittered_plate_scenario(tmp_path):
 def test_assembly_is_bitwise_the_reference(tmp_path, make_scenario):
     # the same entries reach scipy's COO -> CSR in the same order, so the
     # duplicates sum in the same order: every array byte for byte
-    problem = make_scenario(tmp_path).build_problem()
-    mesh, data, part = problem.mesh, problem.elements, problem.part
-    for new, ref in zip(assemble(mesh, data, part), reference_assemble(mesh, data, part)):
+    scenario = make_scenario(tmp_path)
+    problem, table = scenario.build_problem(), scenario.materials
+    mesh, part = problem.mesh, problem.part
+    for new, ref in zip(assemble(mesh, table, part), reference_assemble(mesh, table, part)):
         assert new.nnz > 0
         for a, b in [(new.row_offsets, ref.row_offsets), (new.col_indices, ref.col_indices),
                      (new.values, ref.values)]:
@@ -201,29 +202,33 @@ def _sparse_bytes(*mats):
     return sum(a.nbytes for m in mats for a in (m.row_offsets, m.col_indices, m.values))
 
 
-def test_setup_peak_memory_is_a_small_multiple_of_its_result():
-    """Under tracemalloc, bundled plate2d_linear at nx = ny = 80, against
-    the bytes of the M and K that assemble returns (0.55 MB): the peak of
-    assemble stays below 8 times them and the peak of build_problem (mesh,
-    element data, assembly, blocks, probe map) below 12 times. Measured
-    7.0 and 10.3 times, so the margins are 15% and 17%; the set-up that
-    built both matrices' int64 DoF pairs and held all their element values
-    at once peaked at 17.4 and 20.8 times. Runs in about 0.1 s."""
-    scenario = plate_scenario("plate2d_linear", nx=80)
-    mesh = scenario.build_mesh()
-    data, part = element_data(mesh, scenario.materials), partition(mesh)
+@pytest.mark.parametrize("name", ["plate2d_linear", "plate2d"])
+def test_setup_peak_memory_is_a_small_multiple_of_its_result(name):
+    """Under tracemalloc, bundled ``name`` at nx = ny = 80, against the
+    bytes of the M and K that assemble returns (0.55 MB for both): the peak
+    of assemble stays below 8 times them and the peak of build_problem
+    (mesh, assembly, blocks, probe map, and of plate2d the K_cc rebuild
+    map) below 12 times. Measured 6.96 and 9.35 times (plate2d_linear), 6.94
+    and 10.89 (plate2d), so the margins are 15%, 28%, 15% and 10%. Per-element
+    copies of every material and of the geometry the mesh holds had the
+    set-up peak at 10.1 and 13.7 times; the set-up that built both
+    matrices' int64 DoF pairs and held all their element values at once
+    peaked at 17.4 and 20.8 times (plate2d_linear). Runs in about 0.1 s each."""
+    scenario = plate_scenario(name, nx=80)
+    mesh, table = scenario.build_mesh(), scenario.materials
+    part = partition(mesh)
     tracemalloc.start()
     try:
-        M, K = assemble(mesh, data, part)
+        M, K = assemble(mesh, table, part)
         assemble_peak = tracemalloc.get_traced_memory()[1]
-        del M, K, mesh, data, part
+        del M, K, mesh, part
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         problem = scenario.build_problem()
         setup_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    kept = _sparse_bytes(*assemble(problem.mesh, problem.elements, problem.part))
+    kept = _sparse_bytes(*assemble(problem.mesh, table, problem.part))
     assert assemble_peak < 8 * kept
     assert setup_peak < 12 * kept
 
@@ -304,7 +309,7 @@ def test_extract_blocks_vs_dense_slicing_oracle():
     # symmetry: the stored K_cn represents the (n, c) block transposed
     np.testing.assert_array_equal(blocks.K_nc.toarray(), D[np.ix_(n, c)])
     # of an assembled system, the four blocks are its contiguous corners
-    M, K = assemble(mesh, element_data(mesh, _mats()), p)
+    M, K = assemble(mesh, _mats(), p)
     blocks = extract_blocks(M, K, p)
     Md, Kd, k = M.toarray(), K.toarray(), p.n_c
     np.testing.assert_array_equal(blocks.M_cc.toarray(), Md[:k, :k])
@@ -315,7 +320,7 @@ def test_extract_blocks_vs_dense_slicing_oracle():
 
 def test_dae_structure_mass_blocks_vanish(mini_problem):
     p = mini_problem.part
-    M, _ = assemble(mini_problem.mesh, mini_problem.elements, p)
+    M, _ = assemble(mini_problem.mesh, mini_materials(), p)
     Md = M.toarray()
     assert np.abs(Md[p.idx_n, p.idx_n]).max() == 0
     assert np.abs(Md[p.idx_n, p.idx_c]).max() == 0
@@ -332,9 +337,9 @@ def test_nonlinear_update_touches_only_conductor_entries():
     table = MaterialTable({0: STEEL_BRAUER}, AIR)
     rng = np.random.default_rng(21)
     a = rng.standard_normal(mesh.n_nodes) * 0.05
-    data, p = element_data(mesh, table), partition(mesh)
-    K0 = reassemble_stiffness(mesh, data, p, np.zeros(mesh.n_nodes))
-    K1 = reassemble_stiffness(mesh, data, p, a)
+    p = partition(mesh)
+    K0 = reassemble_stiffness(mesh, table, p, np.zeros(mesh.n_nodes))
+    K1 = reassemble_stiffness(mesh, table, p, a)
     b0 = extract_blocks(K0, K0, p)
     b1 = extract_blocks(K1, K1, p)
     np.testing.assert_array_equal(b0.K_cn.toarray(), b1.K_cn.toarray())
@@ -345,7 +350,8 @@ def test_nonlinear_update_touches_only_conductor_entries():
             conductor_nodes.update(int(i) for i in mesh.elements[e])
     problem = make_mini_problem(nonlinear=True)
     a_c = a[problem.part.nodes[:problem.part.n_c]]
-    rebuilt = problem.kcc_map.rebuild(problem.kcc_map.nu(a_c)).toarray()
+    kmap = problem.kcc_map
+    rebuilt = kmap.rebuild(kmap.nu(kmap.b2(a_c))).toarray()
     for diff in (np.abs(K0.toarray() - K1.toarray()),
                  np.abs(problem.blocks.K_cc.toarray() - rebuilt)):
         changed = np.nonzero(diff > 0)
@@ -398,16 +404,14 @@ def test_source_rejects_coil_touching_conductor():
 
 def test_b2_zero_field():
     mesh = make_mini_mesh()
-    data = element_data(mesh, _mats())
-    np.testing.assert_array_equal(compute_b2(mesh, np.zeros(mesh.n_nodes), data), 0.0)
+    np.testing.assert_array_equal(compute_b2(mesh, np.zeros(mesh.n_nodes)), 0.0)
 
 
 def test_b2_linear_field():
     # a(x, y) = y gives B = (1, 0) everywhere, so b2 = 1
     mesh = generate_rect_mesh(1.0, 1.0, 3, 3)
     a = mesh.nodes[:, 1].copy()
-    data = element_data(mesh, MaterialTable({}, AIR))
-    np.testing.assert_allclose(compute_b2(mesh, a, data), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(compute_b2(mesh, a), 1.0, rtol=1e-12)
 
 
 def test_b2_matches_interpolant_gradient_oracle():
@@ -415,7 +419,7 @@ def test_b2_matches_interpolant_gradient_oracle():
     mesh = generate_rect_mesh(1.0, 1.0, 4, 4)
     rng = np.random.default_rng(33)
     a = rng.standard_normal(mesh.n_nodes)
-    b2 = compute_b2(mesh, a, element_data(mesh, MaterialTable({}, AIR)))
+    b2 = compute_b2(mesh, a)
 
     def interp(eid, x, y):
         tri = mesh.elements[eid]
@@ -437,7 +441,7 @@ def test_b2_matches_interpolant_gradient_oracle():
 def test_b2_wrong_length_rejected():
     mesh = make_mini_mesh()
     with pytest.raises(AssemblyError):
-        compute_b2(mesh, np.zeros(3), element_data(mesh, _mats()))
+        compute_b2(mesh, np.zeros(3))
 
 
 # ---------------------------------------------------------------- materials table

@@ -139,6 +139,30 @@ def test_overflowing_mass_solve_exits_solver_as_non_finite(tmp_path, capsys):
     assert err == "solver error: M_cc solve: non-finite start residual\n"
 
 
+def reluctivity_overflow_doc(case):
+    """The nonlinear small scenario with every number within MAX_MAGNITUDE
+    whose first K_cc rebuild overflows exp(k3 B^2): a 1e30 A drive over
+    1 ms, or k3 = 1e30 at the document's own drive."""
+    doc = small_scenario_doc(nonlinear=True)
+    if case == "i_max":
+        doc["t_end"], doc["source"]["i_max"] = 0.001, 1e30
+    else:
+        doc["materials"]["conductor:0"]["k3"] = 1e30
+    return doc
+
+
+@pytest.mark.parametrize("case", ["i_max", "k3"])
+def test_reluctivity_overflow_exits_solver_naming_it(tmp_path, capsys, case):
+    # no RuntimeWarning (the suite makes one an error) and no misleading
+    # M_cc error after it: the rebuild's law reports its own overflow
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(reluctivity_overflow_doc(case)))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: reluctivity overflow: k1 + k2*exp(k3*B^2) leaves the "
+                          "float range at B^2 up to "), err
+
+
 def test_dt_override_past_the_stability_limit_exits_before_stepping(tmp_path, capsys,
                                                                    monkeypatch):
     # 1.1 x 2/lambda_max of the run's own estimate: refused before any step,
@@ -652,12 +676,14 @@ def test_module_entry_prints_usage(module):
 def test_module_run_writes_what_main_writes(tmp_path, capsys):
     # importing the CLI freezes the import graph for the collector; a run in
     # its own process, ended by interpreter exit, must lose no output: the
-    # same stdout, the same CSV bytes, the same summary but for wall time
+    # same stdout, the same CSV bytes, the same summary but for wall time.
+    # Every call runs with warnings as errors, which in-process tests see
+    # only through the suite's filters
     src = os.path.dirname(os.path.dirname(os.path.abspath(eddy2d.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out_a, out_b = tmp_path / "A", tmp_path / "B"
-    proc = subprocess.run([sys.executable, "-m", "eddy2d", "run", "--config", "plate2d",
-                           "--out", str(out_a)], env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "eddy2d", "run",
+                           "--config", "plate2d", "--out", str(out_a)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert main(["run", "--config", "plate2d", "--out", str(out_b)]) == EXIT_OK
@@ -677,12 +703,20 @@ def test_module_run_writes_what_main_writes(tmp_path, capsys):
 
     bad = tmp_path / "broken.json"
     bad.write_text('{"mesh": {}}')
-    proc = subprocess.run([sys.executable, "-m", "eddy2d", "run", "--config", str(bad),
-                           "--out", str(tmp_path / "C")], env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "eddy2d", "run",
+                           "--config", str(bad), "--out", str(tmp_path / "C")], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr.startswith("configuration error: ")
     assert not (tmp_path / "C").exists()
+
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(json.dumps(reluctivity_overflow_doc("i_max")))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "eddy2d", "run",
+                           "--config", str(overflow), "--out", str(tmp_path / "D")], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_SOLVER, proc.stderr
+    assert proc.stderr.startswith("solver error: reluctivity overflow: "), proc.stderr
 
 
 def test_cli_import_leaves_out_scipy_io():

@@ -67,7 +67,7 @@ def mini_nonlinear_matrices():
     a_c = np.random.default_rng(17).standard_normal(problem.part.n_c) * 1e-2
     return {"K_cc": blocks.K_cc, "K_cn": blocks.K_cn, "K_nc": blocks.K_nc,
             "K_nn": blocks.K_nn, "M_cc": blocks.M_cc,
-            "K_cc_rebuilt": problem.kcc_map.rebuild(problem.kcc_map.nu(a_c))}
+            "K_cc_rebuilt": problem.kcc_map.rebuild(problem.kcc_map.nu(problem.kcc_map.b2(a_c)))}
 
 
 @pytest.mark.parametrize("name", ["K_cc", "K_cn", "K_nc", "K_nn", "M_cc", "K_cc_rebuilt"])

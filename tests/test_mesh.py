@@ -218,9 +218,12 @@ def test_validate_names_first_offending_element(elements, message):
     (np.array([[0, 1, np.nan]]), "element 0 entry nan is not an integer"),
     ([[0, 1, 2], [0, True, 2]], "element 1 entry True is not an integer"),
     (np.ones((1, 3), dtype=bool), "element 0 entry True is not an integer"),
+    ([[0, 1, 2], [0, 1, 1e300]], "element 1 entry 1e+300 is beyond the int64 range"),
+    ([[0, 1, 2], [2**63, 1, 2]], "element 1 entry 9223372036854775808 is beyond the int64 range"),
 ])
 def test_mesh_rejects_non_integral_elements(elements, message):
-    # the int64 cast would truncate 0.5 to 0 and read True as 1
+    # the int64 cast would truncate 0.5 to 0, read True as 1, and raise a
+    # bare OverflowError beyond int64
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
         tagged_mesh(nodes, elements, [RegionTag("air")] * len(elements))
@@ -270,6 +273,8 @@ def test_unused_tags_are_dropped_and_codes_renumbered():
     (np.array([0.0, np.nan]), "element 1 region code nan is not an integer"),
     ([0, 2], "element 1 region code 2 is not one of the 2 tags"),
     (np.array([1, -1]), "element 1 region code -1 is not one of the 2 tags"),
+    (np.array([0, 2**63], dtype=np.uint64),  # the int64 cast would wrap it to -2^63
+     "element 1 region code 9223372036854775808 is beyond the int64 range"),
     ([0], "region must hold one code per element"),
     ([[0, 1]], "region must hold one code per element"),
 ])
@@ -278,6 +283,9 @@ def test_region_codes_checked_like_element_indices(region, message):
         Mesh2D(TRIANGLE, np.array([[0, 1, 2]] * 2), [RegionTag("air"), RegionTag("coil", 0)],
                region)
     mesh = Mesh2D(TRIANGLE, np.array([[0, 1, 2]] * 2), [RegionTag("air")], [0.0, 0])
+    assert mesh.region.dtype == np.int64 and mesh.region.tolist() == [0, 0]
+    mesh = Mesh2D(TRIANGLE, np.array([[0, 1, 2]] * 2), [RegionTag("air")],
+                  np.zeros(2, dtype=np.uint64))
     assert mesh.region.dtype == np.int64 and mesh.region.tolist() == [0, 0]
 
 
